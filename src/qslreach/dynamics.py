@@ -2,10 +2,12 @@
 
 The density matrix evolves under
 
-    drho/dt = -i [H, rho] + sum_k D[M_k] rho,
+    drho/dt = L(rho) = -i [H, rho] + sum_k D[M_k] rho,
     D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2,
 
-with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  The
+with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  L is written
+once, in ``lindblad``; the dissipators, ``master_rhs``, the integrator (via
+L as a d^2 x d^2 matrix) and, through its adjoint, ``qsl``'s A all call it.  The
 distance of the evolved state from the initial one is tracked through the
 relative-purity angle
 
@@ -19,7 +21,6 @@ bound in this package is validated against, so states are *checked*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -45,15 +46,16 @@ RATE_CHECK_SIN_FLOOR = 1e-3
 #: up to 41%, which is an artifact of differencing, not a bound violation.
 RATE_CHECK_BURN_IN = 10
 
-ControlSignal = Callable[[float], float]
-
 
 class IntegrationError(RuntimeError):
-    """A trajectory state violated its health checks."""
+    """A trajectory state violated the health check named by ``check``
+    ("non-finite", "Hermiticity", "trace" or "positivity") at ``time``; the
+    message gives the check's worst residual and its tolerance."""
 
-    def __init__(self, message: str, time: float):
+    def __init__(self, message: str, time: float, check: str):
         super().__init__(message)
         self.time = time
+        self.check = check
 
 
 @dataclass(frozen=True)
@@ -125,43 +127,58 @@ class Trajectory:
         return np.abs(np.einsum("tii->t", self.states) - 1.0)
 
 
+def lindblad(h: np.ndarray, ops, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The Lindblad generator K rho + rho K^dag + sum_k M_k rho M_k^dag.
+
+    Here K = -i h - (1/2) sum_k M_k^dag M_k, so this equals
+    -i[h, rho] + sum_k D[M_k] rho.  ``rho`` may be a stack of shape
+    (..., d, d).  ``adjoint=True`` evaluates the Hilbert-Schmidt dual
+    i[h, rho] + sum_k D^dag[M_k] rho by swapping K -> K^dag and M_k -> M_k^dag.
+    """
+    h = np.asarray(h)
+    rho = np.asarray(rho)
+    if h.shape[-1] != rho.shape[-1]:
+        raise ValueError(f"dimension mismatch: {h.shape[-1]} vs {rho.shape[-1]}")
+    k = -1j * h
+    jumps = []
+    for m in ops:
+        m = np.asarray(m)
+        md = m.conj().T
+        k = k - 0.5 * (md @ m)
+        jumps.append(md if adjoint else m)
+    kd = k.conj().T
+    if adjoint:
+        k, kd = kd, k
+    out = k @ rho + rho @ kd
+    for m in jumps:
+        out = out + m @ rho @ m.conj().T
+    return out
+
+
 def dissipator(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2."""
-    m = np.asarray(m)
-    rho = np.asarray(rho)
-    if m.shape[0] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape[0]} vs {rho.shape[0]}")
-    md = m.conj().T
-    mdm = md @ m
-    return m @ rho @ md - 0.5 * (mdm @ rho + rho @ mdm)
+    return lindblad(np.zeros_like(m), (m,), rho)
 
 
 def adjoint_dissipator(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """D^dag[M] rho = M^dag rho M - (M^dag M rho + rho M^dag M) / 2."""
-    m = np.asarray(m)
-    rho = np.asarray(rho)
-    if m.shape[0] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape[0]} vs {rho.shape[0]}")
-    md = m.conj().T
-    mdm = md @ m
-    return md @ rho @ m - 0.5 * (mdm @ rho + rho @ mdm)
+    return lindblad(np.zeros_like(m), (m,), rho, adjoint=True)
+
+
+def _hamiltonian(spec: SystemSpec, u: float) -> np.ndarray:
+    """H_drift + u H_control, checking that u is admissible for ``spec``."""
+    if spec.h_control is None:
+        if u != 0.0:
+            raise ValueError("control value supplied but spec has no control Hamiltonian")
+        return spec.h_drift
+    if abs(u) > spec.u_max + 1e-12:
+        raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
+    return spec.h_drift + u * spec.h_control
 
 
 def master_rhs(spec: SystemSpec, u: float, rho: np.ndarray) -> np.ndarray:
     """Right-hand side -i[H_drift + u H_control, rho] + sum_k D[M_k] rho."""
-    rho = np.asarray(rho, dtype=complex)
-    if spec.h_control is None:
-        if u != 0.0:
-            raise ValueError("control value supplied but spec has no control Hamiltonian")
-        h = spec.h_drift
-    else:
-        if abs(u) > spec.u_max + 1e-12:
-            raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
-        h = spec.h_drift + u * spec.h_control
-    out = -1j * (h @ rho - rho @ h)
-    for m in spec.lindblad_ops:
-        out = out + dissipator(m, rho)
-    return out
+    return lindblad(_hamiltonian(spec, u), spec.lindblad_ops, rho)
 
 
 def _step_sizes(T: float, dt: float) -> np.ndarray:
@@ -177,81 +194,66 @@ def _step_sizes(T: float, dt: float) -> np.ndarray:
 
 
 def _check_states(times: np.ndarray, states: np.ndarray) -> None:
-    """Raise IntegrationError at the first unhealthy state."""
-    herm = np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    tr_err = np.abs(np.einsum("tii->t", states) - 1.0)
+    """Raise IntegrationError at the first unhealthy state; positivity (an
+    eigenvalue solve) is checked only once the cheap checks pass everywhere."""
     finite = np.isfinite(states.view(float)).reshape(states.shape[0], -1).all(axis=1)
-    bad = ~finite | (herm > HERMITICITY_TOL) | (tr_err > TRACE_TOL)
+    checks = [
+        ("non-finite", np.where(finite, 0.0, np.inf), 0.0),
+        ("Hermiticity", np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+         HERMITICITY_TOL),
+        ("trace", np.abs(np.einsum("tii->t", states) - 1.0), TRACE_TOL),
+    ]
+    bad = np.array([r > tol for _, r, tol in checks])
     if not bad.any():
-        min_eig = np.linalg.eigvalsh(states).min(axis=1)
-        bad = min_eig < -POSITIVITY_TOL
+        checks = [("positivity", -np.linalg.eigvalsh(states).min(axis=1), POSITIVITY_TOL)]
+        bad = np.array([r > tol for _, r, tol in checks])
         if not bad.any():
             return
-    i = int(np.argmax(bad))
+    i = int(np.argmax(bad.any(axis=0)))
+    j = int(np.argmax(bad[:, i]))
+    name, resid, tol = checks[j]
     raise IntegrationError(
-        f"state at t = {times[i]:.6g} violates density-matrix checks "
+        f"{name} check failed at t = {times[i]:.6g}: worst residual "
+        f"{resid[bad[j]].max():.3g} exceeds tolerance {tol:.3g} "
         "(step size too large for this system?)",
         time=float(times[i]),
+        check=name,
     )
 
 
-def integrate(
-    spec: SystemSpec,
-    T: float,
-    dt: float = DEFAULT_DT,
-    signal: ControlSignal | None = None,
-) -> Trajectory:
+def _rk4_propagator(gen: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = gen x, which for constant gen is
+    exactly the Taylor polynomial sum_{k<=4} (h gen)^k / k! (Horner form)."""
+    eye = np.eye(gen.shape[0])
+    p = eye
+    for k in (4.0, 3.0, 2.0, 1.0):
+        p = eye + (h / k) * gen @ p
+    return p
+
+
+def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> Trajectory:
     """Propagate rho_0 = |psi0><psi0| with fixed-step classical RK4.
 
     The sample times are 0, dt, 2 dt, ... with the last step shortened so
-    the final sample lands exactly on T.  ``signal`` supplies u(t) and is
-    evaluated at every RK4 node; it must stay within +-u_max.
+    the final sample lands exactly on T.  The control u is constant and must
+    stay within +-u_max.  The generator is time-invariant, so each RK4 step
+    is one product with the matrix _rk4_propagator(L, dt).
     """
-    if signal is not None and spec.h_control is None:
-        raise ValueError("control signal supplied but spec has no control Hamiltonian")
-
     steps = _step_sizes(T, dt)
-    dim = spec.dim
-    rho0 = linalg.outer(spec.psi0)
-
-    # rhs(rho) = K rho + rho K^dag + sum_k M_k rho M_k^dag,
-    # K = -i H - (1/2) sum_k M_k^dag M_k; algebraically identical to
-    # master_rhs but with the constant pieces hoisted out of the loop.
-    ops = spec.lindblad_ops
-    k_diss = sum((m.conj().T @ m for m in ops), np.zeros((dim, dim), dtype=complex))
-    k_drift = -1j * spec.h_drift - 0.5 * k_diss
-    hc = spec.h_control
-    u_max = spec.u_max
-
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        if signal is None:
-            k = k_drift
-        else:
-            u = float(signal(t))
-            if abs(u) > u_max + 1e-12:
-                raise ValueError(f"control signal |u({t:.6g})| = {abs(u)} exceeds u_max = {u_max}")
-            k = k_drift - 1j * u * hc
-        out = k @ rho + rho @ k.conj().T
-        for m in ops:
-            out += m @ rho @ m.conj().T
-        return out
+    d2 = spec.dim ** 2
+    basis = np.eye(d2, dtype=complex).reshape(d2, spec.dim, spec.dim)
+    gen = lindblad(_hamiltonian(spec, u), spec.lindblad_ops, basis).reshape(d2, d2).T
 
     n = len(steps)
-    states = np.empty((n + 1, dim, dim), dtype=complex)
-    times = np.empty(n + 1)
-    states[0] = rho0
-    times[0] = 0.0
-    rho = rho0
-    t = 0.0
+    vecs = np.empty((n + 1, d2), dtype=complex)
+    vecs[0] = linalg.outer(spec.psi0).reshape(d2)
+    p = _rk4_propagator(gen, dt)
     for i, h in enumerate(steps):
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * h, rho + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, rho + (0.5 * h) * k2)
-        k4 = rhs(t + h, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (i + 1) * dt if h == dt else T
-        states[i + 1] = rho
-        times[i + 1] = t
+        if h != dt:
+            p = _rk4_propagator(gen, h)
+        vecs[i + 1] = p @ vecs[i]
+    states = vecs.reshape(n + 1, spec.dim, spec.dim)
+    times = np.arange(n + 1) * dt
     times[-1] = T
 
     _check_states(times, states)

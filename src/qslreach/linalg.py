@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for small (dim <= 4) operators and states.
+"""Validation and a few products for small (dim <= 4) operators and states.
 
 Matrices are plain ``numpy.ndarray`` of complex128, square and dense; pure
-states are unit-norm 1-D complex arrays.  Every operation returns a fresh
-array and never mutates its arguments, so values can be shared freely
-between workers.
+states are unit-norm 1-D complex arrays.  Besides the input checks
+(``as_matrix``, ``as_state``, ``is_hermitian``) this module holds only what
+the rest of the package calls: the Frobenius norm, the projector
+|psi><psi| and the expectation value <psi|m|psi>.  Every operation returns
+a fresh array and never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -38,39 +40,9 @@ def as_state(psi) -> np.ndarray:
     return v
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.ascontiguousarray(np.asarray(m).conj().T)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_same_dim(a, b)
-    return a @ b
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt(sum |m_ij|^2), identical to sqrt(trace(m^dag m))."""
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def trace(m: np.ndarray) -> complex:
-    return complex(np.trace(np.asarray(m)))
 
 
 def outer(psi: np.ndarray) -> np.ndarray:
@@ -86,15 +58,6 @@ def expectation(psi: np.ndarray, m: np.ndarray) -> complex:
     if a.shape[0] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[0]}")
     return complex(np.vdot(v, a @ v))
-
-
-def apply(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """m |psi> as a plain vector (not necessarily normalized)."""
-    a = np.asarray(m)
-    v = np.asarray(psi, dtype=complex)
-    if a.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[0]}")
-    return a @ v
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

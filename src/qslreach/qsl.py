@@ -14,6 +14,9 @@ generators:
     A = sqrt(2) || i [H, rho_0] + sum_k D^dag[M_k] rho_0 ||_F,
     E = sum_k ( ||M_k psi_0||^2 - |<psi_0| M_k |psi_0>|^2 ).
 
+The operator inside A is the adjoint generator
+``dynamics.lindblad(..., adjoint=True)`` applied to rho_0, term by term in A'.
+
 For a bounded control |u(t)| <= u_max the triangle inequality gives the
 controlled variant
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import SystemSpec, adjoint_dissipator
+from .dynamics import SystemSpec, lindblad
 
 #: Coefficients below this are treated as exactly degenerate; the limits of
 #: T* are removable there and are substituted analytically.
@@ -70,19 +73,12 @@ class QslCoefficients:
             raise ValueError(f"unknown coefficient source {self.source!r}")
 
 
-def _displacement_operator(spec: SystemSpec) -> np.ndarray:
-    rho0 = linalg.outer(spec.psi0)
-    x = 1j * linalg.commutator(spec.h_drift, rho0)
-    for m in spec.lindblad_ops:
-        x = x + adjoint_dissipator(m, rho0)
-    return x
-
-
 def speed_coefficient(spec: SystemSpec) -> float:
     """A = sqrt(2) ||i[H, rho0] + sum_k D^dag[M_k] rho0||_F (uncontrolled)."""
     if spec.has_control:
         raise ValueError("spec has a control Hamiltonian; use controlled_speed_coefficient")
-    return math.sqrt(2.0) * linalg.frobenius_norm(_displacement_operator(spec))
+    x = lindblad(spec.h_drift, spec.lindblad_ops, linalg.outer(spec.psi0), adjoint=True)
+    return math.sqrt(2.0) * linalg.frobenius_norm(x)
 
 
 def controlled_speed_coefficient(spec: SystemSpec) -> float:
@@ -94,12 +90,11 @@ def controlled_speed_coefficient(spec: SystemSpec) -> float:
     if not spec.has_control:
         raise ValueError("spec has no control Hamiltonian; use speed_coefficient")
     rho0 = linalg.outer(spec.psi0)
-    drift = linalg.frobenius_norm(linalg.commutator(spec.h_drift, rho0))
-    ctrl = linalg.frobenius_norm(linalg.commutator(spec.h_control, rho0))
-    diss = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for m in spec.lindblad_ops:
-        diss = diss + adjoint_dissipator(m, rho0)
-    return math.sqrt(2.0) * (drift + spec.u_max * ctrl + linalg.frobenius_norm(diss))
+    terms = ((spec.h_drift, (), 1.0), (spec.h_control, (), spec.u_max),
+             (np.zeros_like(rho0), spec.lindblad_ops, 1.0))
+    norms = [w * linalg.frobenius_norm(lindblad(h, ops, rho0, adjoint=True))
+             for h, ops, w in terms]
+    return math.sqrt(2.0) * sum(norms)
 
 
 def noise_coefficient(psi0: np.ndarray, lindblad_ops) -> float:

@@ -20,6 +20,10 @@ def random_hermitian(rng, dim):
     return (x + x.conj().T) / 2
 
 
+def random_matrix(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def random_density(rng, dim):
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = x @ x.conj().T
@@ -66,6 +70,20 @@ class TestDissipators:
             dynamics.dissipator(np.eye(2), np.eye(3))
 
 
+class TestLindblad:
+    def test_dual_is_hilbert_schmidt_adjoint(self):
+        # tr(X^dag L(Y)) = tr((L^dag X)^dag Y); A and integrate rely on both sides
+        rng = np.random.default_rng(12)
+        for dim in (2, 3, 4):
+            for n_ops in (1, 2, 3):
+                h = random_hermitian(rng, dim)
+                ops = [random_matrix(rng, dim) for _ in range(n_ops)]
+                x, y = random_matrix(rng, dim), random_matrix(rng, dim)
+                lhs = np.vdot(x, dynamics.lindblad(h, ops, y))
+                rhs = np.vdot(dynamics.lindblad(h, ops, x, adjoint=True), y)
+                assert abs(lhs - rhs) < 1e-12
+
+
 class TestMasterRhs:
     def test_free_system(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
@@ -98,8 +116,9 @@ class TestMasterRhs:
             dynamics.master_rhs(spec, 1.5, EXC)
 
     def test_matches_integrator_kernel(self):
-        # integrate() uses a refactored rhs; one RK4 step must agree with
-        # stepping master_rhs by hand.
+        # integrate() steps with the RK4 polynomial of the generator matrix;
+        # it must agree with classical RK4 stages of master_rhs, also with a
+        # control value and a shortened last step.
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
@@ -108,15 +127,25 @@ class TestMasterRhs:
             h_drift=random_hermitian(rng, 3),
             lindblad_ops=(0.7 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))),),
         )
+        spec_c = SystemSpec(
+            psi0=psi,
+            h_drift=spec.h_drift,
+            h_control=random_hermitian(rng, 3),
+            u_max=1.0,
+            lindblad_ops=spec.lindblad_ops,
+        )
         dt = 1e-3
-        rho = linalg.outer(psi)
-        k1 = dynamics.master_rhs(spec, 0.0, rho)
-        k2 = dynamics.master_rhs(spec, 0.0, rho + 0.5 * dt * k1)
-        k3 = dynamics.master_rhs(spec, 0.0, rho + 0.5 * dt * k2)
-        k4 = dynamics.master_rhs(spec, 0.0, rho + dt * k3)
-        manual = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        traj = integrate(spec, T=dt, dt=dt)
-        assert_allclose(traj.states[1], manual, atol=1e-14)
+        for spec, u, steps in ((spec, 0.0, (dt,)), (spec_c, -0.7, (dt, dt, 0.4 * dt))):
+            rho = linalg.outer(psi)
+            for h in steps:
+                k1 = dynamics.master_rhs(spec, u, rho)
+                k2 = dynamics.master_rhs(spec, u, rho + 0.5 * h * k1)
+                k3 = dynamics.master_rhs(spec, u, rho + 0.5 * h * k2)
+                k4 = dynamics.master_rhs(spec, u, rho + h * k3)
+                rho = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            traj = integrate(spec, T=sum(steps), dt=dt, u=u)
+            assert len(traj.times) == len(steps) + 1
+            assert_allclose(traj.states[-1], rho, atol=1e-14)
 
 
 class TestSystemSpecValidation:
@@ -190,6 +219,8 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(spec, T=2.0, dt=0.5)
         assert err.value.time >= 0.0
+        assert err.value.check == "positivity"
+        assert "positivity check failed" in str(err.value)
 
     def test_invalid_T_and_dt(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
@@ -202,7 +233,7 @@ class TestIntegrate:
         # constant u: controlled evolution equals the merged static drift
         p = QubitParams(theta=math.pi / 8, omega=1.0, u_max=1.0)
         spec_c = qubit_spec(p, with_control=True)
-        traj_c = integrate(spec_c, T=0.7, dt=1e-3, signal=lambda t: 0.6)
+        traj_c = integrate(spec_c, T=0.7, dt=1e-3, u=0.6)
         spec_s = SystemSpec(
             psi0=spec_c.psi0, h_drift=spec_c.h_drift + 0.6 * spec_c.h_control
         )
@@ -212,12 +243,12 @@ class TestIntegrate:
     def test_control_signal_beyond_bound(self):
         spec = qubit_spec(QubitParams(theta=0.1, u_max=0.5), with_control=True)
         with pytest.raises(ValueError, match="u_max"):
-            integrate(spec, T=0.1, dt=1e-3, signal=lambda t: 1.0)
+            integrate(spec, T=0.1, dt=1e-3, u=1.0)
 
     def test_signal_without_control_hamiltonian(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
         with pytest.raises(ValueError, match="no control"):
-            integrate(spec, T=0.1, dt=1e-3, signal=lambda t: 0.0)
+            integrate(spec, T=0.1, dt=1e-3, u=0.5)
 
 
 class TestRelativePurity:

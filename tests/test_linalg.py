@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from qslreach import linalg
 
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def random_matrix(rng, dim):
@@ -16,69 +15,6 @@ def random_matrix(rng, dim):
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-class TestDagger:
-    def test_identity_is_self_adjoint(self):
-        assert_allclose(linalg.dagger(np.eye(3)), np.eye(3))
-
-    def test_ladder_adjoint(self):
-        assert_allclose(linalg.dagger(SIGMA_MINUS), SIGMA_PLUS)
-
-    @settings(deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    def test_involution(self, seed, dim):
-        m = random_matrix(np.random.default_rng(seed), dim)
-        assert_allclose(linalg.dagger(linalg.dagger(m)), m, atol=1e-12)
-
-    def test_does_not_mutate(self):
-        m = random_matrix(np.random.default_rng(0), 3)
-        before = m.copy()
-        linalg.dagger(m)
-        assert_allclose(m, before)
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = random_matrix(np.random.default_rng(1), 4)
-        assert_allclose(linalg.matmul(m, np.eye(4)), m)
-
-    def test_ladder_product_is_excited_projector(self):
-        assert_allclose(
-            linalg.matmul(SIGMA_PLUS, SIGMA_MINUS), np.diag([1.0, 0.0]).astype(complex)
-        )
-
-    def test_associativity(self):
-        rng = np.random.default_rng(2)
-        a, b, c = (random_matrix(rng, 4) for _ in range(3))
-        assert_allclose(
-            linalg.matmul(linalg.matmul(a, b), c),
-            linalg.matmul(a, linalg.matmul(b, c)),
-            atol=1e-12,
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-
-class TestCommutator:
-    def test_self_commutator_vanishes(self):
-        m = random_matrix(np.random.default_rng(3), 3)
-        assert_allclose(linalg.commutator(m, m), np.zeros((3, 3)), atol=1e-12)
-
-    def test_pauli_algebra(self):
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        assert_allclose(linalg.commutator(sz, SIGMA_MINUS), -2 * SIGMA_MINUS)
-
-    def test_eigenprojector_commutes(self):
-        h = np.diag([2.0, -1.0, 0.5]).astype(complex)
-        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert_allclose(linalg.commutator(h, proj), np.zeros((3, 3)), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.commutator(np.eye(2), np.eye(4))
 
 
 class TestFrobeniusNorm:
@@ -100,19 +36,11 @@ class TestFrobeniusNorm:
     def test_invariant_under_dagger(self, seed):
         m = random_matrix(np.random.default_rng(seed), 3)
         assert_allclose(
-            linalg.frobenius_norm(m), linalg.frobenius_norm(linalg.dagger(m)), atol=1e-12
+            linalg.frobenius_norm(m), linalg.frobenius_norm(m.conj().T), atol=1e-12
         )
 
 
 class TestTraceOuterExpectationApply:
-    def test_trace_of_projector(self):
-        assert linalg.trace(np.diag([1.0, 0.0]).astype(complex)) == 1.0 + 0j
-
-    def test_hermitian_trace_is_real(self):
-        m = random_matrix(np.random.default_rng(5), 4)
-        h = (m + m.conj().T) / 2
-        assert abs(linalg.trace(h).imag) < 1e-12
-
     def test_expectation_excited_state(self):
         sz = np.diag([1.0, -1.0]).astype(complex)
         assert_allclose(linalg.expectation(np.array([1.0, 0.0]), sz), 1.0 + 0j)
@@ -120,14 +48,9 @@ class TestTraceOuterExpectationApply:
     def test_outer_is_projector(self):
         psi = random_state(np.random.default_rng(6), 4)
         proj = linalg.outer(psi)
-        assert_allclose(proj, linalg.dagger(proj), atol=1e-12)
+        assert_allclose(proj, proj.conj().T, atol=1e-12)
         assert_allclose(proj @ proj, proj, atol=1e-10)
-        assert_allclose(linalg.trace(proj), 1.0, atol=1e-12)
-
-    def test_apply(self):
-        assert_allclose(
-            linalg.apply(SIGMA_MINUS, np.array([1.0, 0.0])), np.array([0.0, 1.0])
-        )
+        assert_allclose(np.trace(proj), 1.0, atol=1e-12)
 
     def test_expectation_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
