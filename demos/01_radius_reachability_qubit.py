@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from qslreach import GridAxis, SweepGrid, sweep_reachable_radius, write_lambda_sweep_csv
+from qslreach import GridAxis, SweepGrid, sweep_reachable_radius, write_rows
 
 HORIZONS = (0.3, 0.5, 0.8)
 
@@ -34,18 +34,20 @@ def sweep(gamma: float):
     return sweep_reachable_radius(grid, gamma=gamma, omega=1.0)
 
 
-def describe(records, gamma: float) -> None:
+def describe(cols, gamma: float) -> None:
     print(f"\n--- decay rate gamma = {gamma:g} ---")
-    thetas = np.array([r.coords["theta"] for r in records])
+    # one row per theta, one column per horizon
+    thetas = cols["theta"][:: len(HORIZONS)]
+    table = cols["lambda_max"].reshape(-1, len(HORIZONS))
     for i, T in enumerate(HORIZONS):
-        lams = np.array([r.lambda_max[i] for r in records])
+        lams = table[:, i]
         peak = thetas[np.argmax(lams)]
         print(
             f"T = {T:3.1f}: largest radius {lams.max():.4f} at theta = {peak:.4f} "
             f"({peak / math.pi:.3f} pi); radius at the poles: "
             f"{lams[0]:.4f} (theta=0), {lams[-1]:.4f} (theta=pi/2)"
         )
-    lams = np.array([r.lambda_max[-1] for r in records])  # largest horizon
+    lams = table[:, -1]  # largest horizon
     full = thetas[lams >= 1.0 - 1e-9]
     if full.size:
         print(
@@ -58,9 +60,9 @@ def describe(records, gamma: float) -> None:
 
 def main() -> None:
     for gamma, path in ((0.0, "lambda_sweep_gamma0.csv"), (1.0, "lambda_sweep_gamma1.csv")):
-        records = sweep(gamma)
-        describe(records, gamma)
-        write_lambda_sweep_csv(records, path)
+        cols = sweep(gamma)
+        describe(cols, gamma)
+        write_rows(cols, path, "csv")
         print(f"wrote {path}")
 
 

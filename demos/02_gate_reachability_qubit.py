@@ -31,14 +31,14 @@ from qslreach import (
     SweepGrid,
     gate_reach_map,
     qubit_gate_time_bound,
-    write_gate_map_csv,
+    write_rows,
 )
 
 HORIZONS = (0.3, 0.5, 0.8)
 
 
-def reach_fraction(records, horizon_index: int) -> float:
-    return sum(r.reachable[horizon_index] for r in records) / len(records)
+def reach_fraction(cols, horizon_index: int) -> float:
+    return cols[f"reach_T{horizon_index + 1}"].mean()
 
 
 def main() -> None:
@@ -51,19 +51,19 @@ def main() -> None:
     )
 
     print("--- initial state |0> (theta = 0) ---")
-    records = gate_reach_map("qubit", grid, theta=0.0)
+    cols = gate_reach_map("qubit", grid, theta=0.0)
     for i, T in enumerate(HORIZONS):
-        print(f"T = {T:3.1f}: {100 * reach_fraction(records, i):5.1f}% of gates reachable")
+        print(f"T = {T:3.1f}: {100 * reach_fraction(cols, i):5.1f}% of gates reachable")
     p0 = QubitParams(theta=0.0, omega=1.0, u_max=1.0)
     t_frontier = qubit_gate_time_bound(p0, GateParams(0.0, math.pi / 3))
     print(f"frontier at T = 0.5: beta = pi/3 gives T* = {t_frontier:.6f}")
-    write_gate_map_csv(records, "gate_map_theta0.csv")
+    write_rows(cols, "gate_map_theta0.csv", "csv")
     print("wrote gate_map_theta0.csv")
 
     print("\n--- initial state |+> (theta = pi/4) ---")
-    records = gate_reach_map("qubit", grid, theta=math.pi / 4)
+    cols = gate_reach_map("qubit", grid, theta=math.pi / 4)
     for i, T in enumerate(HORIZONS):
-        print(f"T = {T:3.1f}: {100 * reach_fraction(records, i):5.1f}% of gates reachable")
+        print(f"T = {T:3.1f}: {100 * reach_fraction(cols, i):5.1f}% of gates reachable")
     p = QubitParams(theta=math.pi / 4, omega=1.0, u_max=1.0)
     for alpha, beta, what in (
         (0.0, math.pi, "y-flip G(0, pi)"),
@@ -72,7 +72,7 @@ def main() -> None:
     ):
         t = qubit_gate_time_bound(p, GateParams(alpha, beta))
         print(f"{what}: T* = {t:.6f}")
-    write_gate_map_csv(records, "gate_map_theta_pi4.csv")
+    write_rows(cols, "gate_map_theta_pi4.csv", "csv")
     print("wrote gate_map_theta_pi4.csv")
 
 

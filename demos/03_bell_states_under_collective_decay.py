@@ -22,7 +22,7 @@ from qslreach import (
     bell_coefficients,
     bell_sweep,
     bell_time_bound,
-    write_bell_sweep_csv,
+    write_rows,
 )
 
 T = 0.5
@@ -40,12 +40,10 @@ def main() -> None:
         print(f"  {label:10s}: T* = {t:.6f}" if math.isfinite(t) else
               f"  {label:10s}: T* = inf (state cannot move)")
 
-    records = bell_sweep(GridAxis("gamma", 0.05, 2.0, 200), T=T)
+    cols = bell_sweep(GridAxis("gamma", 0.05, 2.0, 200), T=T)
     by_state: dict[str, list] = {}
-    for rec in records:
-        by_state.setdefault(rec.coords["state"], []).append(
-            (rec.coords["gamma"], rec.lambda_max[0])
-        )
+    for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
+        by_state.setdefault(state, []).append((gamma, lam))
     print(f"\nreachable radius at T = {T} as gamma grows:")
     for label, pairs in by_state.items():
         lam_low, lam_high = pairs[0][1], pairs[-1][1]
@@ -56,7 +54,7 @@ def main() -> None:
     assert all(psi[g] >= phi[g] for g in psi), "psi-plus must spread fastest"
     print("ordering check: lambda_max(psi-plus) >= lambda_max(phi+/-) at every gamma")
 
-    write_bell_sweep_csv(records, "bell_sweep.csv")
+    write_rows(cols, "bell_sweep.csv", "csv")
     print("wrote bell_sweep.csv")
 
 

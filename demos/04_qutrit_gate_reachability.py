@@ -26,7 +26,7 @@ from qslreach import (
     qutrit_gate_fidelity,
     qutrit_gate_time_bound,
     so3_gate,
-    write_gate_map_csv,
+    write_rows,
 )
 from qslreach.models import QUTRIT_PSI0
 
@@ -57,11 +57,11 @@ def main() -> None:
         ),
         horizons=HORIZONS,
     )
-    records = gate_reach_map("qutrit", grid, omega=OMEGA, u_max=U_MAX)
-    for i, T in enumerate(HORIZONS):
-        frac = sum(r.reachable[i] for r in records) / len(records)
+    cols = gate_reach_map("qutrit", grid, omega=OMEGA, u_max=U_MAX)
+    for i, T in enumerate(HORIZONS, start=1):
+        frac = cols[f"reach_T{i}"].mean()
         print(f"T = {T:3.1f}: {100 * frac:5.1f}% of the (alpha, beta) grid reachable")
-    write_gate_map_csv(records, "gate_map_qutrit.csv")
+    write_rows(cols, "gate_map_qutrit.csv", "csv")
     print("wrote gate_map_qutrit.csv")
 
 

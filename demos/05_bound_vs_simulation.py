@@ -30,9 +30,10 @@ from qslreach import (
     qubit_spec,
     theta_rate_check,
     verify_bound,
-    write_trajectory_csv,
-    write_verify_csv,
+    verify_columns,
+    write_rows,
 )
+from qslreach.reachset import VERIFY_CSV_COMMENT
 
 T, DT = 1.0, 1e-3
 
@@ -54,7 +55,7 @@ def main() -> None:
     samples = theta_rate_check(traj, coeffs)
     worst = max(lhs - rhs for _, lhs, rhs in samples)
     print(f"rate check on {len(samples)} samples: worst lhs - rhs = {worst:.3e} (<= 0 expected)")
-    write_trajectory_csv(traj, "trajectory_ampdamp.csv")
+    write_rows(traj.columns(), "trajectory_ampdamp.csv", "csv")
     print("wrote trajectory_ampdamp.csv")
 
     print("\n--- one random open system per dimension ---")
@@ -70,7 +71,7 @@ def main() -> None:
     margins = np.array([r.margin for r in records])
     print(f"violations: {sum(r.violated for r in records)} of {len(records)}; "
           f"min margin {margins.min():.4f}")
-    write_verify_csv(records, "verify_demo.csv")
+    write_rows(verify_columns(records), "verify_demo.csv", "csv", comment=VERIFY_CSV_COMMENT)
     print("wrote verify_demo.csv")
 
 

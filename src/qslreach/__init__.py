@@ -14,7 +14,6 @@ from .dynamics import (
     master_rhs,
     relative_purity,
     theta_rate_check,
-    write_trajectory_csv,
 )
 from .models import (
     BELL_LABELS,
@@ -46,6 +45,7 @@ from .qsl import (
     QslCoefficients,
     angle_from_radius,
     closed_system_radius_bound,
+    coefficients,
     controlled_speed_coefficient,
     del_campo_time,
     generic_coefficients,
@@ -58,7 +58,6 @@ from .qsl import (
 )
 from .reachset import (
     GridAxis,
-    ReachRecord,
     SweepGrid,
     VerifyRecord,
     bell_sweep,
@@ -67,11 +66,9 @@ from .reachset import (
     measured_radius,
     sweep_reachable_radius,
     verify_bound,
+    verify_columns,
     violations,
-    write_bell_sweep_csv,
-    write_gate_map_csv,
-    write_lambda_sweep_csv,
-    write_verify_csv,
+    write_rows,
 )
 
 __version__ = "0.1.0"

@@ -194,21 +194,9 @@ def _json_safe(value):
     return value
 
 
-def _emit_rows(rows: list[dict], cfg: RunConfig) -> None:
-    fmt = cfg["format"]
-    out = cfg["out"]
-    if fmt == "csv":
-        reachset.write_rows_csv(rows, sys.stdout if out == "-" else out)
-    elif fmt == "json":
-        payload = [{k: _json_safe(v) for k, v in row.items()} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-        if out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(out, "w", newline="\n") as fh:
-                fh.write(text)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def _out(cfg: RunConfig):
+    """The output path, or stdout for '-'."""
+    return sys.stdout if cfg["out"] == "-" else cfg["out"]
 
 
 def _print_report(pairs: list[tuple[str, object]], fmt: str) -> None:
@@ -302,25 +290,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
     t_star = qsl.qsl_time(coeffs, lam)
     margin = cfg["T"] - t_star
 
-    out = cfg["out"]
+    cols = traj.columns()
     if cfg["format"] == "json":
-        rows = [
-            {"t": float(t), "theta": float(th), "fidelity": float(f), "trace_err": float(e)}
-            for t, th, f, e in zip(traj.times, traj.thetas, traj.fidelities, traj.trace_errors)
-        ]
+        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
         payload = {
             "trajectory": rows,
             "summary": {"theta_T": theta_t, "lambda": lam,
                         "t_star": _json_safe(t_star), "margin": _json_safe(margin)},
         }
         text = json.dumps(payload, indent=2) + "\n"
-        if out == "-":
+        if cfg["out"] == "-":
             sys.stdout.write(text)
         else:
-            with open(out, "w", newline="\n") as fh:
+            with open(cfg["out"], "w", newline="\n") as fh:
                 fh.write(text)
     else:
-        dynamics.write_trajectory_csv(traj, sys.stdout if out == "-" else out)
+        reachset.write_rows(cols, _out(cfg), "csv")
     verdict = "bound holds" if margin >= -reachset.MARGIN_TOL else "bound violated"
     print(
         f"theta_T = {theta_t:.9g}  lambda = {lam:.9g}  T_star = {t_star:.9g}  "
@@ -334,8 +319,8 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
         axes=(reachset.GridAxis("theta", cfg["theta_min"], cfg["theta_max"], cfg["points"]),),
         horizons=cfg["horizons"],
     )
-    records = reachset.sweep_reachable_radius(grid, gamma=cfg["gamma"], omega=cfg["omega"])
-    _emit_rows(reachset.lambda_sweep_rows(records), cfg)
+    cols = reachset.sweep_reachable_radius(grid, gamma=cfg["gamma"], omega=cfg["omega"])
+    reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 
 
@@ -347,10 +332,10 @@ def cmd_gate_map(cfg: RunConfig) -> int:
         ),
         horizons=cfg["horizons"],
     )
-    records = reachset.gate_reach_map(
+    cols = reachset.gate_reach_map(
         cfg["model"], grid, theta=cfg["theta"], omega=cfg["omega"], u_max=cfg["u_max"]
     )
-    _emit_rows(reachset.gate_map_rows(records), cfg)
+    reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 
 
@@ -358,8 +343,8 @@ def cmd_bell_sweep(cfg: RunConfig) -> int:
     if cfg["gamma_min"] <= 0:
         raise ValueError("gamma-min must be > 0")
     axis = reachset.GridAxis("gamma", cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
-    records = reachset.bell_sweep(axis, cfg["T"])
-    _emit_rows(reachset.bell_sweep_rows(records), cfg)
+    cols = reachset.bell_sweep(axis, cfg["T"])
+    reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 
 
@@ -368,11 +353,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed=cfg["seed"], n_trials=cfg["trials"], dims=cfg["dims"],
         T=cfg["T"], dt=cfg["dt"],
     )
-    if cfg["format"] == "csv":
-        out = cfg["out"]
-        reachset.write_verify_csv(records, sys.stdout if out == "-" else out)
-    else:
-        _emit_rows(reachset.verify_rows(records), cfg)
+    reachset.write_rows(reachset.verify_columns(records), _out(cfg), cfg["format"],
+                        comment=reachset.VERIFY_CSV_COMMENT)
     bad = reachset.violations(records)
     min_margin = min(r.margin for r in records)
     print(

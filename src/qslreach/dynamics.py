@@ -126,13 +126,19 @@ class Trajectory:
     def trace_errors(self) -> np.ndarray:
         return np.abs(np.einsum("tii->t", self.states) - 1.0)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The trajectory file's columns: t, theta, fidelity, trace_err."""
+        return {"t": self.times, "theta": self.thetas,
+                "fidelity": self.fidelities, "trace_err": self.trace_errors}
+
 
 def lindblad(h: np.ndarray, ops, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """The Lindblad generator K rho + rho K^dag + sum_k M_k rho M_k^dag.
 
     Here K = -i h - (1/2) sum_k M_k^dag M_k, so this equals
-    -i[h, rho] + sum_k D[M_k] rho.  ``rho`` may be a stack of shape
-    (..., d, d).  ``adjoint=True`` evaluates the Hilbert-Schmidt dual
+    -i[h, rho] + sum_k D[M_k] rho.  ``rho``, ``h`` and each M_k may be
+    stacks of shape (..., d, d) that broadcast against each other.
+    ``adjoint=True`` evaluates the Hilbert-Schmidt dual
     i[h, rho] + sum_k D^dag[M_k] rho by swapping K -> K^dag and M_k -> M_k^dag.
     """
     h = np.asarray(h)
@@ -143,16 +149,21 @@ def lindblad(h: np.ndarray, ops, rho: np.ndarray, adjoint: bool = False) -> np.n
     jumps = []
     for m in ops:
         m = np.asarray(m)
-        md = m.conj().T
+        md = _dagger(m)
         k = k - 0.5 * (md @ m)
         jumps.append(md if adjoint else m)
-    kd = k.conj().T
+    kd = _dagger(k)
     if adjoint:
         k, kd = kd, k
     out = k @ rho + rho @ kd
     for m in jumps:
-        out = out + m @ rho @ m.conj().T
+        out = out + m @ rho @ _dagger(m)
     return out
+
+
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def dissipator(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -308,15 +319,3 @@ def theta_rate_check(
         for i in np.flatnonzero(keep)
     ]
 
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Columns: t, theta, fidelity, trace_err (floats at 9 significant digits)."""
-    fids = traj.fidelities
-    terr = traj.trace_errors
-    with open(path, "w", newline="\n") as f:
-        f.write("t,theta,fidelity,trace_err\n")
-        for i in range(len(traj.times)):
-            f.write(
-                f"{traj.times[i]:.9g},{traj.thetas[i]:.9g},"
-                f"{fids[i]:.9g},{terr[i]:.9g}\n"
-            )

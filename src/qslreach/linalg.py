@@ -3,9 +3,9 @@
 Matrices are plain ``numpy.ndarray`` of complex128, square and dense; pure
 states are unit-norm 1-D complex arrays.  Besides the input checks
 (``as_matrix``, ``as_state``, ``is_hermitian``) this module holds only what
-the rest of the package calls: the Frobenius norm, the projector
-|psi><psi| and the expectation value <psi|m|psi>.  Every operation returns
-a fresh array and never mutates its arguments.
+the rest of the package calls: the projector |psi><psi| and the
+expectation value <psi|m|psi>.  Every operation returns a fresh array and
+never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ def as_state(psi) -> np.ndarray:
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state must have unit norm, got ||psi|| = {nrm!r}")
     return v
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt(sum |m_ij|^2), identical to sqrt(trace(m^dag m))."""
-    return float(np.linalg.norm(np.asarray(m)))
 
 
 def outer(psi: np.ndarray) -> np.ndarray:

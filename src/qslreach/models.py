@@ -4,6 +4,8 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
 Each model comes with closed-form bound coefficients or gate bounds that
 can be cross-checked against the generic pipeline in :mod:`qslreach.qsl`.
+Angles in ``QubitParams.theta`` and ``GateParams`` may be arrays, which
+``qubit_state`` and the closed-form gate functions evaluate elementwise.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ SPIN1_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 BELL_LABELS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
 
 _ANGLE_SLACK = 1e-9
+
+#: sigma_- x I + I x sigma_-, the collective lowering operator at gamma = 1.
+_COLLECTIVE = np.kron(SIGMA_MINUS, np.eye(2)) + np.kron(np.eye(2), SIGMA_MINUS)
+
+
+def _check_angle(name: str, x, hi: float, hi_text: str) -> None:
+    """Raise unless the angle ``x``, or every entry of an array of angles,
+    lies in [0, hi] (within _ANGLE_SLACK)."""
+    ok = (x >= 0.0) & (x <= hi + _ANGLE_SLACK)
+    if not np.asarray(ok).all():
+        bad = np.asarray(x, dtype=float)[~np.asarray(ok)]
+        raise ValueError(f"{name} must lie in [0, {hi_text}], got {bad.flat[0].item()!r}")
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -65,10 +79,8 @@ class QubitParams:
     u_max: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi + _ANGLE_SLACK:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi <= math.pi + _ANGLE_SLACK:
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi!r}")
+        _check_angle("theta", self.theta, math.pi, "pi")
+        _check_angle("phi", self.phi, math.pi, "pi")
         if self.omega <= 0.0:
             raise ValueError(f"omega must be > 0, got {self.omega!r}")
         if self.gamma < 0.0:
@@ -86,12 +98,9 @@ class GateParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 2 * math.pi + _ANGLE_SLACK:
-            raise ValueError(f"alpha must lie in [0, 2pi], got {self.alpha!r}")
-        if not 0.0 <= self.beta <= math.pi + _ANGLE_SLACK:
-            raise ValueError(f"beta must lie in [0, pi], got {self.beta!r}")
-        if not 0.0 <= self.delta <= 4 * math.pi + _ANGLE_SLACK:
-            raise ValueError(f"delta must lie in [0, 4pi], got {self.delta!r}")
+        _check_angle("alpha", self.alpha, 2 * math.pi, "2pi")
+        _check_angle("beta", self.beta, math.pi, "pi")
+        _check_angle("delta", self.delta, 4 * math.pi, "4pi")
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,10 @@ class BellState:
 
 
 def qubit_state(p: QubitParams) -> np.ndarray:
-    """|psi0> = [cos(theta), e^{i phi} sin(theta)]."""
-    return np.array(
-        [math.cos(p.theta), np.exp(1j * p.phi) * math.sin(p.theta)], dtype=complex
-    )
+    """|psi0> = [cos(theta), e^{i phi} sin(theta)]; a stack of shape (n, 2)
+    when theta is an array of n angles."""
+    theta = np.asarray(p.theta, dtype=float)
+    return np.stack([np.cos(theta) + 0j, np.exp(1j * p.phi) * np.sin(theta)], axis=-1)
 
 
 def qubit_spec(p: QubitParams, with_control: bool = False) -> SystemSpec:
@@ -166,31 +175,37 @@ def gate_fidelity(psi0: np.ndarray, gate: np.ndarray) -> float:
     return min(abs(np.vdot(psi0, gate @ psi0)) ** 2, 1.0)
 
 
-def qubit_gate_radius(theta: float, g: GateParams) -> float:
+def qubit_gate_radius(theta: float, g: GateParams):
     """Closed form of sqrt(1 - fidelity) for the su2 gate family at phi = 0:
 
     sqrt(1 - cos^2(a/2) cos^2(b/2) - sin^2(a/2) cos^2(2 th + b/2)).
     """
-    ca, sa = math.cos(g.alpha / 2), math.sin(g.alpha / 2)
-    cb = math.cos(g.beta / 2)
-    cmix = math.cos(2 * theta + g.beta / 2)
-    return math.sqrt(max(1.0 - ca * ca * cb * cb - sa * sa * cmix * cmix, 0.0))
+    ca, sa = np.cos(g.alpha / 2), np.sin(g.alpha / 2)
+    cb = np.cos(g.beta / 2)
+    cmix = np.cos(2 * theta + g.beta / 2)
+    return qsl._scalar(np.sqrt(np.maximum(1.0 - ca * ca * cb * cb - sa * sa * cmix * cmix, 0.0)))
 
 
-def qubit_gate_time_bound(p: QubitParams, g: GateParams) -> float:
+def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     """Minimum time to implement G(alpha, beta) with drift omega sigma_x and
-    control |u| <= u_max:
+    control |u| <= u_max, from a scalar initial angle theta:
 
         T* = qubit_gate_radius / (omega |cos 2th| + u_max |sin 2th|).
+
+    The denominator is A'/2.  Where it vanishes (below 1e-12) no drive term
+    moves the state and the qsl_time convention applies: T* = inf, or 0 for
+    gates whose radius is below RADIUS_RESOLUTION (the identity up to
+    roundoff).
     """
     if p.phi != 0.0:
         raise ValueError("the closed-form gate bound assumes phi = 0")
-    if g.delta != 0.0:
+    if np.asarray(g.delta != 0.0).any():
         raise ValueError("the closed-form gate bound assumes delta = 0")
     denom = p.omega * abs(math.cos(2 * p.theta)) + p.u_max * abs(math.sin(2 * p.theta))
+    radius = qubit_gate_radius(p.theta, g)
     if denom < 1e-12:
-        raise ValueError("zero denominator: both drive terms vanish at this theta")
-    return qubit_gate_radius(p.theta, g) / denom
+        return qsl._scalar(np.where(np.asarray(radius) < qsl.RADIUS_RESOLUTION, 0.0, np.inf))
+    return radius / denom
 
 
 def bell_state(label: str) -> BellState:
@@ -207,12 +222,12 @@ def bell_state(label: str) -> BellState:
     return BellState(label=label, vector=vectors[label])
 
 
-def collective_decay(gamma: float) -> np.ndarray:
-    """Collective lowering operator sqrt(gamma) (sigma_- x I + I x sigma_-)."""
-    if gamma < 0:
+def collective_decay(gamma) -> np.ndarray:
+    """Collective lowering operator sqrt(gamma) (sigma_- x I + I x sigma_-);
+    a stack of shape (n, 4, 4) when gamma is an array of n rates."""
+    if (np.asarray(gamma) < 0).any():
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    eye = np.eye(2, dtype=complex)
-    return math.sqrt(gamma) * (np.kron(SIGMA_MINUS, eye) + np.kron(eye, SIGMA_MINUS))
+    return np.sqrt(np.asarray(gamma, dtype=float))[..., None, None] * _COLLECTIVE
 
 
 def bell_spec(label: str, gamma: float) -> SystemSpec:
@@ -287,18 +302,18 @@ def so3_gate(g: GateParams) -> np.ndarray:
     return rz @ rx @ ry
 
 
-def qutrit_gate_fidelity(g: GateParams) -> float:
+def qutrit_gate_fidelity(g: GateParams):
     """Closed-form cos(Theta_T) for the qutrit gate family from [1,0,1]/sqrt(2):
 
     (cos a cos b + cos a sin b + cos b - sin b)^2 / 4.
     """
-    ca, cb = math.cos(g.alpha), math.cos(g.beta)
-    sb = math.sin(g.beta)
+    ca, cb = np.cos(g.alpha), np.cos(g.beta)
+    sb = np.sin(g.beta)
     val = 0.25 * (ca * cb + ca * sb + cb - sb) ** 2
-    return min(val, 1.0)
+    return qsl._scalar(np.minimum(val, 1.0))
 
 
-def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams) -> float:
+def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams):
     """Minimum time to implement the qutrit rotation G(alpha, beta):
 
         T* = sqrt(1 - cos Theta_T) / (omega + u_max).
@@ -307,6 +322,6 @@ def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams) -> float:
         raise ValueError(f"omega must be > 0, got {omega!r}")
     if u_max < 0:
         raise ValueError(f"u_max must be >= 0, got {u_max!r}")
-    if g.delta != 0.0:
+    if np.asarray(g.delta != 0.0).any():
         raise ValueError("the closed-form gate bound assumes delta = 0")
     return qsl.radius_from_fidelity(qutrit_gate_fidelity(g)) / (omega + u_max)

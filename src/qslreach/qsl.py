@@ -25,9 +25,12 @@ controlled variant
                    + ||sum_k D^dag[M_k] rho_0||_F ).
 
 Inverting T*(lambda) at a fixed horizon T yields the largest reachable
-radius; together with the comparison bound T_DC = sqrt(2) lambda / A this
-characterizes which final states (or target gates) are compatible with a
-given control setup and time budget.
+radius in closed form (through the Lambert W branch W_{-1}); together with
+the comparison bound T_DC = sqrt(2) lambda / A this characterizes which
+final states (or target gates) are compatible with a given control setup
+and time budget.  ``coefficients``, ``qsl_time`` and
+``max_reachable_radius`` work on whole stacks of states or coefficients at
+once.
 """
 
 from __future__ import annotations
@@ -44,8 +47,12 @@ from .dynamics import SystemSpec, lindblad
 #: T* are removable there and are substituted analytically.
 DEGENERACY_EPS = 1e-14
 
-#: Bisection tolerance for the reachable-radius inversion.
-RADIUS_TOL = 1e-10
+#: Radii below this are indistinguishable from zero: a simulated angle is
+#: arccos of a fidelity carrying integrator roundoff, and a closed-form gate
+#: radius sqrt(1 - fidelity) carries the roundoff of cos terms, so an
+#: unmoved state can come back with lambda ~ 1e-8 of pure noise (fatal
+#: where A = 0, which maps any nonzero radius to an infinite bound).
+RADIUS_RESOLUTION = 1e-6
 
 #: Root of 1 - ln(1+x)/x = 1/sqrt(2) with x = A*lambda/E: for x above this
 #: value the logarithmic bound T* exceeds the comparison bound T_DC, below
@@ -59,26 +66,52 @@ class QslCoefficients:
 
     ``speed`` multiplies the displacement term (A above) and ``noise`` is
     the dissipative floor (E above); ``source`` records how they were
-    obtained: "generic", "controlled", or "closed_form".
+    obtained: "generic", "controlled", or "closed_form".  ``speed`` and
+    ``noise`` may be arrays of one shape, one entry per system of a stack.
     """
 
-    speed: float
-    noise: float
+    speed: float | np.ndarray
+    noise: float | np.ndarray
     source: str = "generic"
 
     def __post_init__(self):
-        if self.speed < 0 or self.noise < 0:
+        if (np.asarray(self.speed) < 0).any() or (np.asarray(self.noise) < 0).any():
             raise ValueError("coefficients must be nonnegative")
         if self.source not in ("generic", "controlled", "closed_form"):
             raise ValueError(f"unknown coefficient source {self.source!r}")
+
+
+def _scalar(x):
+    """A Python float for a 0-d numpy result, the array itself otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
+def coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
+    """A and E for a stack of pure states ``psi`` of shape (n, d).
+
+    ``h`` and each Lindblad operator are (d, d) or stacked (n, d, d).  With
+    rho_i = |psi_i><psi_i| returns the arrays, of shape (n,),
+
+        A_i = sqrt(2) ||lindblad(h, ops, rho_i, adjoint=True)||_F,
+        E_i = sum_k (||M_k psi_i||^2 - |<psi_i|M_k|psi_i>|^2),  floored at 0.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    x = lindblad(h, ops, rho, adjoint=True)
+    a = math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1))
+    e = np.zeros(psi.shape[0])
+    for m in ops:
+        mpsi = (np.asarray(m) @ psi[:, :, None])[:, :, 0]
+        e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
+                 - np.abs(np.sum(psi.conj() * mpsi, axis=-1)) ** 2)
+    return a, np.maximum(e, 0.0)
 
 
 def speed_coefficient(spec: SystemSpec) -> float:
     """A = sqrt(2) ||i[H, rho0] + sum_k D^dag[M_k] rho0||_F (uncontrolled)."""
     if spec.has_control:
         raise ValueError("spec has a control Hamiltonian; use controlled_speed_coefficient")
-    x = lindblad(spec.h_drift, spec.lindblad_ops, linalg.outer(spec.psi0), adjoint=True)
-    return math.sqrt(2.0) * linalg.frobenius_norm(x)
+    return float(coefficients(spec.psi0[None], spec.h_drift, spec.lindblad_ops)[0][0])
 
 
 def controlled_speed_coefficient(spec: SystemSpec) -> float:
@@ -89,51 +122,51 @@ def controlled_speed_coefficient(spec: SystemSpec) -> float:
     """
     if not spec.has_control:
         raise ValueError("spec has no control Hamiltonian; use speed_coefficient")
-    rho0 = linalg.outer(spec.psi0)
+    psi = spec.psi0[None]
     terms = ((spec.h_drift, (), 1.0), (spec.h_control, (), spec.u_max),
-             (np.zeros_like(rho0), spec.lindblad_ops, 1.0))
-    norms = [w * linalg.frobenius_norm(lindblad(h, ops, rho0, adjoint=True))
-             for h, ops, w in terms]
-    return math.sqrt(2.0) * sum(norms)
+             (np.zeros_like(spec.h_drift), spec.lindblad_ops, 1.0))
+    return float(sum(w * coefficients(psi, h, ops)[0][0] for h, ops, w in terms))
 
 
 def noise_coefficient(psi0: np.ndarray, lindblad_ops) -> float:
     """E = sum_k (||M_k psi0||^2 - |<psi0|M_k|psi0>|^2), nonnegative."""
     psi0 = linalg.as_state(psi0)
-    total = 0.0
-    for m in lindblad_ops:
-        mpsi = np.asarray(m) @ psi0
-        total += float(np.vdot(mpsi, mpsi).real - abs(np.vdot(psi0, mpsi)) ** 2)
-    return max(total, 0.0)
+    zero = np.zeros((psi0.size, psi0.size))
+    return float(coefficients(psi0[None], zero, lindblad_ops)[1][0])
 
 
 def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
     """Coefficients straight from the definitions, for any SystemSpec."""
-    e = noise_coefficient(spec.psi0, spec.lindblad_ops)
     if spec.has_control:
+        e = noise_coefficient(spec.psi0, spec.lindblad_ops)
         return QslCoefficients(controlled_speed_coefficient(spec), e, "controlled")
-    return QslCoefficients(speed_coefficient(spec), e, "generic")
+    a, e = coefficients(spec.psi0[None], spec.h_drift, spec.lindblad_ops)
+    return QslCoefficients(float(a[0]), float(e[0]), "generic")
 
 
-def qsl_time(coeffs: QslCoefficients, lam: float) -> float:
+def _regular(coeffs: QslCoefficients):
+    """(A, E, A ok, E ok), with 1 added to the degenerate entries of A and E
+    so the generic formulas stay finite and warning-free there.  Scalars
+    stay scalars: numpy arithmetic on 0-d arrays costs a microsecond an op."""
+    a, e = coeffs.speed, coeffs.noise
+    a_deg, e_deg = a < DEGENERACY_EPS, e < DEGENERACY_EPS
+    return a + a_deg, e + e_deg, ~np.asarray(a_deg), ~np.asarray(e_deg)
+
+
+def qsl_time(coeffs: QslCoefficients, lam):
     """Minimum-time bound T*(lambda).
 
     Degenerate limits (thresholds at DEGENERACY_EPS) are substituted
     analytically: lambda = 0 -> 0; E -> 0 gives 2 lambda / A; A -> 0 gives
     lambda^2 / E; A = E = 0 with lambda > 0 is unreachable (+inf).  The log
     term is evaluated as -E log1p(A lambda / E) to stay accurate for small
-    E.
+    E.  Coefficients and ``lam`` broadcast; all-scalar input gives a float.
     """
-    a, e = coeffs.speed, coeffs.noise
-    if lam <= 0.0:
-        return 0.0
-    if a < DEGENERACY_EPS and e < DEGENERACY_EPS:
-        return math.inf
-    if e < DEGENERACY_EPS:
-        return 2.0 * lam / a
-    if a < DEGENERACY_EPS:
-        return lam * lam / e
-    return 2.0 * lam / a - (2.0 / (a * a)) * e * math.log1p(a * lam / e)
+    a, e, a_ok, e_ok = _regular(coeffs)
+    t = np.where(e_ok, 2.0 * lam / a - (2.0 / (a * a)) * e * np.log1p(a * lam / e),
+                 2.0 * lam / a)
+    t = np.where(a_ok, t, np.where(e_ok, lam * lam / e, np.inf))
+    return _scalar(np.where(lam > 0.0, t, 0.0))
 
 
 def del_campo_time(coeffs: QslCoefficients, lam: float) -> float:
@@ -145,28 +178,46 @@ def del_campo_time(coeffs: QslCoefficients, lam: float) -> float:
     return math.sqrt(2.0) * lam / coeffs.speed
 
 
-def max_reachable_radius(coeffs: QslCoefficients, T: float) -> float:
-    """Largest lambda in [0, 1] with T*(lambda) <= T.
+def _log1p_root(c: np.ndarray) -> np.ndarray:
+    """The root v >= 0 of v - log1p(v) = c >= 0, i.e. -W_{-1}(-e^{-1-c}) - 1.
 
-    T* is strictly increasing in lambda whenever it is finite, so bisection
-    (to RADIUS_TOL, returning the inner bracket end) finds the supremum.
+    Solving in v avoids the underflow of e^{-1-c} at large c.  The start is
+    the branch-point series p + p^2/3 + p^3/36 (p = sqrt(2c)) for c < 2 and
+    c + log1p(c) above; two Halley steps then reach about 1e-15 relative.
+    Below c = 1e-7 the series alone is exact to 1e-13 while the residual
+    v - log1p(v) - c loses its digits to cancellation, so it is kept as is.
     """
-    if T < 0:
+    p = np.sqrt(2.0 * np.minimum(c, 2.0))
+    series = p + p * p / 3.0 + p ** 3 / 36.0
+    v = np.where(c < 2.0, series, c + np.log1p(c))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2):
+            f = v - np.log1p(v) - c
+            v = v - 2.0 * f * (1.0 + 1.0 / v) / (2.0 - f / (v * v))
+    return np.where(c < 1e-7, series, v)
+
+
+def max_reachable_radius(coeffs: QslCoefficients, T):
+    """Largest lambda in [0, 1] with T*(lambda) <= T, in closed form.
+
+    With v = A lambda / E and c = A^2 T / (2E), T*(lambda) = T reads
+    v - log1p(v) = c, so lambda = (E / A) v with v = -W_{-1}(-e^{-1-c}) - 1
+    (Lambert W; Corless et al., Adv. Comput. Math. 5, 329 (1996)).  The
+    degenerate limits are E -> 0: A T / 2; A -> 0: sqrt(E T); A = E = 0: 0.
+    The result is capped at 1 and is 0 at T = 0.  Coefficients and ``T``
+    broadcast; all-scalar input gives a float.
+    """
+    a, e, a_ok, e_ok = _regular(coeffs)
+    if np.asarray(T < 0).any():
         raise ValueError("T must be >= 0")
-    if T == 0.0:
-        return 0.0
-    if coeffs.speed < DEGENERACY_EPS and coeffs.noise < DEGENERACY_EPS:
-        return 0.0
-    if qsl_time(coeffs, 1.0) <= T:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > RADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if qsl_time(coeffs, mid) <= T:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lam = np.where(e_ok, e / a * _log1p_root(a * a * T / (2.0 * e)), a * T / 2.0)
+    lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
+    # The root lands within rounding of T on either side of the evaluated
+    # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is
+    # well conditioned, so the radius is never overstated.
+    for _ in range(3):
+        lam = np.where(qsl_time(coeffs, lam) > T, np.nextafter(lam, 0.0), lam)
+    return _scalar(lam)
 
 
 def closed_system_radius_bound(psi0: np.ndarray, h: np.ndarray, T: float) -> float:
@@ -198,6 +249,7 @@ def angle_from_radius(lam: float) -> float:
     return math.acos(min(max(1.0 - lam * lam, 0.0), 1.0))
 
 
-def radius_from_fidelity(fidelity: float) -> float:
-    """lambda = sqrt(1 - f) with the fidelity clamped into [0, 1]."""
-    return math.sqrt(1.0 - min(max(fidelity, 0.0), 1.0))
+def radius_from_fidelity(fidelity):
+    """lambda = sqrt(1 - f) with the fidelity clamped into [0, 1]; takes
+    arrays, and gives a float for a scalar."""
+    return _scalar(np.sqrt(1.0 - np.minimum(np.maximum(fidelity, 0.0), 1.0)))

@@ -1,15 +1,18 @@
 """Parameter sweeps behind the reachable-set datasets, plus the randomized
 harness that validates the time bound against direct simulation.
 
-Grid points and verification trials are independent pure-function
-evaluations; records are always emitted in grid/trial order, so output
-files are byte-identical for identical configuration and seed.
+The sweeps evaluate whole grids as arrays and return column dicts: column
+name -> 1-D array, in file column order, one entry per output row.
+``write_rows`` writes such a dict as CSV or JSON.  Rows are always in
+grid/trial order, so output files are byte-identical for identical
+configuration and seed.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,9 +22,11 @@ from .models import (
     BELL_LABELS,
     GateParams,
     QubitParams,
-    bell_coefficients,
+    bell_state,
+    collective_decay,
     qubit_gate_time_bound,
     qubit_spec,
+    qubit_state,
     qutrit_gate_time_bound,
 )
 
@@ -30,18 +35,12 @@ DEFAULT_SWEEP_POINTS = 200
 DEFAULT_MAP_POINTS = 100
 MARGIN_TOL = 1e-4  # numerical slack on T >= T*
 
-#: Simulated radii below this are indistinguishable from zero: the angle is
-#: arccos of a fidelity carrying integrator roundoff, so a frozen state can
-#: come back with lambda ~ 1e-8 of pure noise (fatal when A = E = 0, where
-#: any nonzero radius maps to an infinite bound).
-RADIUS_RESOLUTION = 1e-6
-
 
 def measured_radius(theta_t: float) -> float:
-    """Radius of a *simulated* final angle, with sub-resolution displacements
-    reported as exactly zero."""
+    """Radius of a *simulated* final angle, with displacements below
+    qsl.RADIUS_RESOLUTION reported as exactly zero."""
     lam = qsl.radius_from_angle(theta_t)
-    return lam if lam >= RADIUS_RESOLUTION else 0.0
+    return lam if lam >= qsl.RADIUS_RESOLUTION else 0.0
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,6 @@ class SweepGrid:
 
 
 @dataclass(frozen=True)
-class ReachRecord:
-    """One grid point: its coordinates and per-horizon reachability data.
-
-    Radius sweeps fill ``lambda_max`` (one value per horizon); gate maps
-    fill ``t_star`` and ``reachable`` (t_star <= T per horizon).
-    """
-
-    coords: dict
-    horizons: tuple[float, ...]
-    t_star: float | None = None
-    lambda_max: tuple[float, ...] | None = None
-    reachable: tuple[bool, ...] | None = None
-
-
-@dataclass(frozen=True)
 class VerifyRecord:
     """One randomized trial of the bound-validity check."""
 
@@ -113,27 +97,29 @@ class VerifyRecord:
         return self.margin < -MARGIN_TOL
 
 
-def sweep_reachable_radius(grid: SweepGrid, gamma: float, omega: float = 1.0) -> list[ReachRecord]:
+def sweep_reachable_radius(grid: SweepGrid, gamma: float, omega: float = 1.0) -> dict:
     """Largest reachable radius versus initial-state angle theta.
 
     Coefficients come from the generic pipeline for the driven, decaying
     qubit; for gamma = 0 the result reduces to min(1, omega |sin 2th| T).
+    Columns theta, gamma, omega, T, lambda_max; one row per (theta, T),
+    theta-major.
     """
     if len(grid.axes) != 1:
         raise ValueError("radius sweep expects a single theta axis")
-    records = []
-    for theta in grid.axes[0].values():
-        p = QubitParams(theta=float(theta), omega=omega, gamma=gamma)
-        coeffs = qsl.generic_coefficients(qubit_spec(p))
-        lams = tuple(qsl.max_reachable_radius(coeffs, T) for T in grid.horizons)
-        records.append(
-            ReachRecord(
-                coords={"theta": float(theta), "gamma": gamma, "omega": omega},
-                horizons=grid.horizons,
-                lambda_max=lams,
-            )
-        )
-    return records
+    p = QubitParams(theta=grid.axes[0].values(), omega=omega, gamma=gamma)
+    gens = qubit_spec(replace(p, theta=0.0))  # H and M_k do not depend on theta
+    a, e = qsl.coefficients(qubit_state(p), gens.h_drift, gens.lindblad_ops)
+    hs = np.array(grid.horizons)
+    lam = qsl.max_reachable_radius(qsl.QslCoefficients(a[:, None], e[:, None]), hs)
+    n = lam.size
+    return {
+        "theta": np.repeat(p.theta, hs.size),
+        "gamma": np.full(n, gamma),
+        "omega": np.full(n, omega),
+        "T": np.tile(hs, p.theta.size),
+        "lambda_max": lam.ravel(),
+    }
 
 
 def gate_reach_map(
@@ -142,63 +128,53 @@ def gate_reach_map(
     theta: float = 0.0,
     omega: float = 1.0,
     u_max: float = 1.0,
-) -> list[ReachRecord]:
+) -> dict:
     """Gate-implementation time bound over an (alpha, beta) grid.
 
     ``model`` is "qubit" (su2 rotations, initial angle theta) or "qutrit"
     (so3 rotations from [1, 0, 1]/sqrt(2); theta is reported as pi).
+    Columns model, theta, alpha, beta, t_star and reach_T1, reach_T2, ...
+    (1 where t_star <= T for each horizon); one row per gate, alpha-major.
     """
     if model not in ("qubit", "qutrit"):
         raise ValueError(f"model must be 'qubit' or 'qutrit', got {model!r}")
     if len(grid.axes) != 2:
         raise ValueError("gate map expects alpha and beta axes")
     alphas, betas = (ax.values() for ax in grid.axes)
-    records = []
+    g = GateParams(alpha=np.repeat(alphas, betas.size), beta=np.tile(betas, alphas.size))
     if model == "qubit":
-        p = QubitParams(theta=theta, omega=omega, u_max=u_max)
-        theta_out = theta
+        t_star = qubit_gate_time_bound(QubitParams(theta=theta, omega=omega, u_max=u_max), g)
     else:
-        theta_out = math.pi
-    for a in alphas:
-        for b in betas:
-            g = GateParams(alpha=float(a), beta=float(b))
-            if model == "qubit":
-                t_star = qubit_gate_time_bound(p, g)
-            else:
-                t_star = qutrit_gate_time_bound(omega, u_max, g)
-            records.append(
-                ReachRecord(
-                    coords={
-                        "model": model,
-                        "theta": theta_out,
-                        "alpha": float(a),
-                        "beta": float(b),
-                    },
-                    horizons=grid.horizons,
-                    t_star=t_star,
-                    reachable=tuple(t_star <= T for T in grid.horizons),
-                )
-            )
-    return records
+        t_star = qutrit_gate_time_bound(omega, u_max, g)
+        theta = math.pi
+    n = t_star.size
+    cols = {"model": np.full(n, model), "theta": np.full(n, theta),
+            "alpha": g.alpha, "beta": g.beta, "t_star": t_star}
+    for i, T in enumerate(grid.horizons, start=1):
+        cols[f"reach_T{i}"] = (t_star <= T).astype(int)
+    return cols
 
 
-def bell_sweep(gamma_axis: GridAxis, T: float) -> list[ReachRecord]:
-    """Largest reachable radius per Bell state versus decay rate gamma."""
+def bell_sweep(gamma_axis: GridAxis, T: float) -> dict:
+    """Largest reachable radius per Bell state versus decay rate gamma.
+
+    Columns state, gamma, T, lambda_max; one row per (state, gamma),
+    state-major in BELL_LABELS order.
+    """
     if T <= 0:
         raise ValueError("T must be > 0")
-    records = []
-    for label in BELL_LABELS:
-        for g in gamma_axis.values():
-            coeffs = bell_coefficients(label, float(g))
-            lam = qsl.max_reachable_radius(coeffs, T)
-            records.append(
-                ReachRecord(
-                    coords={"state": label, "gamma": float(g)},
-                    horizons=(T,),
-                    lambda_max=(lam,),
-                )
-            )
-    return records
+    gammas = np.tile(gamma_axis.values(), len(BELL_LABELS))
+    n = gammas.size
+    vectors = np.stack([bell_state(label).vector for label in BELL_LABELS])
+    psi = np.repeat(vectors, gamma_axis.count, axis=0)
+    # collective decay alone: H = 0
+    a, e = qsl.coefficients(psi, np.zeros((4, 4)), (collective_decay(gammas),))
+    return {
+        "state": np.repeat(BELL_LABELS, gamma_axis.count),
+        "gamma": gammas,
+        "T": np.full(n, float(T)),
+        "lambda_max": qsl.max_reachable_radius(qsl.QslCoefficients(a, e), T),
+    }
 
 
 def draw_random_system(seed: int, dim: int, trial: int) -> SystemSpec:
@@ -268,108 +244,12 @@ def violations(records: list[VerifyRecord]) -> list[VerifyRecord]:
     return [r for r in records if r.violated]
 
 
-# ---------------------------------------------------------------------------
-# Tabular output.  Floats are rendered with 9 significant digits; an
-# unreachable bound serializes as the literal "inf".
-
-def _f(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def lambda_sweep_rows(records: list[ReachRecord]) -> list[dict]:
-    rows = []
-    for r in records:
-        for T, lam in zip(r.horizons, r.lambda_max):
-            rows.append(
-                {
-                    "theta": r.coords["theta"],
-                    "gamma": r.coords["gamma"],
-                    "omega": r.coords["omega"],
-                    "T": T,
-                    "lambda_max": lam,
-                }
-            )
-    return rows
-
-
-def gate_map_rows(records: list[ReachRecord]) -> list[dict]:
-    rows = []
-    for r in records:
-        row = {
-            "model": r.coords["model"],
-            "theta": r.coords["theta"],
-            "alpha": r.coords["alpha"],
-            "beta": r.coords["beta"],
-            "t_star": r.t_star,
-        }
-        for i, flag in enumerate(r.reachable, start=1):
-            row[f"reach_T{i}"] = int(flag)
-        rows.append(row)
-    return rows
-
-
-def bell_sweep_rows(records: list[ReachRecord]) -> list[dict]:
-    return [
-        {
-            "state": r.coords["state"],
-            "gamma": r.coords["gamma"],
-            "T": r.horizons[0],
-            "lambda_max": r.lambda_max[0],
-        }
-        for r in records
-    ]
-
-
-def verify_rows(records: list[VerifyRecord]) -> list[dict]:
-    return [
-        {
-            "trial": r.trial,
-            "seed": r.seed,
-            "dim": r.dim,
-            "T": r.T,
-            "theta_T": r.theta_T,
-            "lambda": r.lam,
-            "t_star": r.t_star,
-            "margin": r.margin,
-        }
-        for r in records
-    ]
-
-
-def write_rows_csv(rows: list[dict], path) -> None:
-    """Write dict rows as CSV in insertion order, floats at 9 significant
-    digits, booleans/ints verbatim, +inf as "inf".  ``path`` may be a file
-    path or an open text stream."""
-    if not rows:
-        raise ValueError("no rows to write")
-    cols = list(rows[0].keys())
-
-    def _write(fh):
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(_f(v) if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
-
-    if hasattr(path, "write"):
-        _write(path)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            _write(fh)
-
-
-def write_lambda_sweep_csv(records: list[ReachRecord], path) -> None:
-    write_rows_csv(lambda_sweep_rows(records), path)
-
-
-def write_gate_map_csv(records: list[ReachRecord], path) -> None:
-    write_rows_csv(gate_map_rows(records), path)
-
-
-def write_bell_sweep_csv(records: list[ReachRecord], path) -> None:
-    write_rows_csv(bell_sweep_rows(records), path)
+def verify_columns(records: list[VerifyRecord]) -> dict:
+    """The verify file's columns: trial, seed, dim, T, theta_T, lambda,
+    t_star, margin."""
+    names = {"trial": "trial", "seed": "seed", "dim": "dim", "T": "T",
+             "theta_T": "theta_T", "lambda": "lam", "t_star": "t_star", "margin": "margin"}
+    return {col: [getattr(r, attr) for r in records] for col, attr in names.items()}
 
 
 #: Fixed provenance note for verify output; parsers should skip '#' lines.
@@ -380,12 +260,50 @@ VERIFY_CSV_COMMENT = (
 )
 
 
-def write_verify_csv(records: list[VerifyRecord], path) -> None:
-    rows = verify_rows(records)
-    if hasattr(path, "write"):
-        path.write(VERIFY_CSV_COMMENT + "\n")
-        write_rows_csv(rows, path)
+def _cells(column, fmt: str) -> list[str]:
+    """One column rendered cell by cell.  CSV: floats at 9 significant
+    digits (+inf as "inf"), everything else verbatim.  JSON: the tokens
+    json.dumps writes, except that non-finite floats become strings
+    ("inf")."""
+    arr = np.asarray(column)
+    values = arr.tolist()
+    if arr.dtype.kind == "f":
+        if fmt == "csv":
+            return [f"{v:.9g}" for v in values]
+        cells = [repr(v) for v in values]
+        for i in np.flatnonzero(~np.isfinite(arr)):
+            cells[i] = f'"{values[i]}"'
+        return cells
+    if fmt == "csv":
+        return [str(v) for v in values]
+    tokens = {v: json.dumps(v) for v in set(values)}
+    return [tokens[v] for v in values]
+
+
+def write_rows(columns: dict, out, fmt: str, comment: str | None = None) -> None:
+    """Write a column dict (name -> 1-D sequence, in column order) as rows.
+
+    ``fmt`` is "csv" (a header line, then comma-separated cells; a
+    ``comment`` line, if given, goes first) or "json" (a list of one object
+    per row, laid out as json.dumps(..., indent=2) lays it out).  ``out``
+    is a file path or an open text stream.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if not columns or not len(next(iter(columns.values()))):
+        raise ValueError("no rows to write")
+    cells = [_cells(col, fmt) for col in columns.values()]
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+        if comment is not None:
+            lines.insert(0, comment)
+        text = "\n".join(lines) + "\n"
     else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(VERIFY_CSV_COMMENT + "\n")
-            write_rows_csv(rows, fh)
+        keys = [json.dumps(name).replace("{", "{{").replace("}", "}}") for name in columns]
+        record = "  {{\n" + ",\n".join(f"    {k}: {{}}" for k in keys) + "\n  }}"
+        text = "[\n" + ",\n".join(record.format(*row) for row in zip(*cells)) + "\n]\n"
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)

@@ -212,15 +212,15 @@ def test_acceptance_8_figure_data_regression():
         horizons=(0.3, 0.5, 0.8),
     )
     worst = 0.0
-    for rec in reachset.sweep_reachable_radius(grid, gamma=0.0, omega=1.0):
-        for T, lam in zip(rec.horizons, rec.lambda_max):
-            expected = min(1.0, abs(math.sin(2 * rec.coords["theta"])) * T)
-            worst = max(worst, abs(lam - expected))
+    cols = reachset.sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
+    for theta, T, lam in zip(cols["theta"], cols["T"], cols["lambda_max"]):
+        expected = min(1.0, abs(math.sin(2 * theta)) * T)
+        worst = max(worst, abs(lam - expected))
 
     monotone = True
     for gamma in (0.0, 1.0):
-        for rec in reachset.sweep_reachable_radius(grid, gamma=gamma):
-            lams = rec.lambda_max
+        cols = reachset.sweep_reachable_radius(grid, gamma=gamma)
+        for lams in cols["lambda_max"].reshape(-1, len(grid.horizons)):  # one theta per row
             monotone &= all(lams[i] <= lams[i + 1] + 1e-12 for i in range(len(lams) - 1))
     map_grid = reachset.SweepGrid(
         axes=(
@@ -234,9 +234,8 @@ def test_acceptance_8_figure_data_regression():
         reachset.gate_reach_map("qubit", map_grid, theta=math.pi / 4),
         reachset.gate_reach_map("qutrit", map_grid),
     ]
-    for records in maps:
-        for rec in records:
-            flags = rec.reachable
+    for cols in maps:
+        for flags in zip(cols["reach_T1"], cols["reach_T2"], cols["reach_T3"]):
             monotone &= all(flags[i] <= flags[i + 1] for i in range(len(flags) - 1))
     _report(
         8, "figure-data regression",

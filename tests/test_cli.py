@@ -192,6 +192,19 @@ class TestSweepCommands:
         ) == 0
         assert out_path.read_text().splitlines()[1].startswith("qutrit,")
 
+    def test_gate_map_without_drive(self, tmp_path, capsys):
+        # theta = pi/4 with u_max = 0: A' = 0, so T* = inf except for gates
+        # that leave the state in place: G(0, 0), G(pi, pi) (|+> is its
+        # eigenstate) and G(2pi, 0) = -I, rows 0, 14 and 20 of the 5 x 5 map
+        out_path = tmp_path / "probe.csv"
+        assert run(
+            ["gate-map", "--model", "qubit", "--theta", "0.25pi", "--u-max", "0",
+             "--points", "5", "--out", str(out_path)]
+        ) == 0
+        t_star = [l.split(",")[4] for l in out_path.read_text().splitlines()[1:]]
+        assert [i for i, t in enumerate(t_star) if t == "0"] == [0, 14, 20]
+        assert {t for t in t_star if t != "0"} == {"inf"}
+
     def test_bell_sweep_file(self, tmp_path):
         out_path = tmp_path / "bell.csv"
         assert run(

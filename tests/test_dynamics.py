@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qslreach import dynamics, linalg, qsl
+from qslreach import dynamics, linalg, qsl, reachset
 from qslreach.dynamics import IntegrationError, SystemSpec, integrate
 from qslreach.models import PAULI_Z, SIGMA_MINUS, QubitParams, qubit_spec
 
@@ -82,6 +82,22 @@ class TestLindblad:
                 lhs = np.vdot(x, dynamics.lindblad(h, ops, y))
                 rhs = np.vdot(dynamics.lindblad(h, ops, x, adjoint=True), y)
                 assert abs(lhs - rhs) < 1e-12
+
+    def test_stacked_operators_match_loop(self):
+        # h, the operators and rho stacked along a leading axis (one operator
+        # shared by the whole stack) against one call per element
+        rng = np.random.default_rng(8)
+        n = 5
+        for d in (2, 3, 4):
+            h = np.stack([random_hermitian(rng, d) for _ in range(n)])
+            m1 = np.stack([random_matrix(rng, d) for _ in range(n)])
+            m2 = random_matrix(rng, d)
+            rho = np.stack([random_density(rng, d) for _ in range(n)])
+            for adjoint in (False, True):
+                got = dynamics.lindblad(h, (m1, m2), rho, adjoint=adjoint)
+                for i in range(n):
+                    ref = dynamics.lindblad(h[i], (m1[i], m2), rho[i], adjoint=adjoint)
+                    assert_allclose(got[i], ref, rtol=0, atol=1e-14)
 
 
 class TestMasterRhs:
@@ -300,7 +316,7 @@ class TestTrajectoryCsv:
         spec = qubit_spec(QubitParams(theta=0.0, gamma=1.0))
         traj = integrate(spec, T=0.01, dt=1e-3)
         path = tmp_path / "traj.csv"
-        dynamics.write_trajectory_csv(traj, path)
+        reachset.write_rows(traj.columns(), path, "csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t,theta,fidelity,trace_err"
         assert len(lines) == len(traj.times) + 1

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qslreach import linalg
@@ -8,36 +7,9 @@ from qslreach import linalg
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
-def random_matrix(rng, dim):
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_identity(self):
-        for n in (1, 2, 3, 4):
-            assert_allclose(linalg.frobenius_norm(np.eye(n)), np.sqrt(n))
-
-    def test_matches_trace_route(self):
-        # independent route: sqrt(Tr(X^dag X))
-        x = random_matrix(np.random.default_rng(4), 4)
-        via_trace = np.sqrt(np.trace(x.conj().T @ x).real)
-        assert_allclose(linalg.frobenius_norm(x), via_trace, atol=1e-12)
-
-    @settings(deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_invariant_under_dagger(self, seed):
-        m = random_matrix(np.random.default_rng(seed), 3)
-        assert_allclose(
-            linalg.frobenius_norm(m), linalg.frobenius_norm(m.conj().T), atol=1e-12
-        )
 
 
 class TestTraceOuterExpectationApply:

@@ -259,10 +259,23 @@ class TestQubitGateBound:
             qubit_gate_time_bound(
                 QubitParams(theta=0.1), GateParams(0.0, 0.1, delta=1.0)
             )
-        with pytest.raises(ValueError, match="denominator"):
-            qubit_gate_time_bound(
-                QubitParams(theta=math.pi / 4, u_max=0.0), GateParams(0.0, 0.1)
-            )
+
+    def test_vanishing_drive_follows_qsl_time_convention(self):
+        # at theta = pi/4 with u_max = 0 neither drive term moves the state
+        # (A' = 0): T* = inf, or 0 for gates of radius below RADIUS_RESOLUTION
+        p = QubitParams(theta=math.pi / 4, u_max=0.0)
+        coeffs = qsl.generic_coefficients(qubit_spec(p, with_control=True))
+        assert coeffs.speed < qsl.DEGENERACY_EPS
+        g = GateParams(0.0, 0.1)
+        assert qubit_gate_time_bound(p, g) == math.inf
+        lam = qsl.radius_from_fidelity(gate_fidelity(qubit_state(p), su2_gate(g)))
+        assert qsl.qsl_time(coeffs, lam) == math.inf
+        assert qubit_gate_time_bound(p, GateParams(0.0, 0.0)) == 0.0
+        # G(2pi, 0) = -I: a radius of pure roundoff
+        assert qubit_gate_time_bound(p, GateParams(2 * math.pi, 0.0)) == 0.0
+        stacked = GateParams(alpha=np.array([0.0, 2 * math.pi, 0.0]),
+                             beta=np.array([0.0, 0.0, 0.1]))
+        assert list(qubit_gate_time_bound(p, stacked)) == [0.0, 0.0, math.inf]
 
 
 class TestBellStates:

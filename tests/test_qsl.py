@@ -245,6 +245,99 @@ class TestMaxReachableRadius:
             qsl.max_reachable_radius(coeffs(1.0, 1.0), -0.1)
 
 
+class TestClosedFormInversion:
+    """The Lambert-W inversion of T*(lambda), on seeded arrays."""
+
+    @staticmethod
+    def _draw(n=4000, seed=29):
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** rng.uniform(-3, 1, n)
+        e = 10.0 ** rng.uniform(-3, 1, n)
+        T = 10.0 ** rng.uniform(-4, 1, n)
+        return a, e, T
+
+    def test_matches_scipy_lambert_w(self):
+        from scipy.special import lambertw
+
+        a, e, T = self._draw()
+        c = a * a * T / (2 * e)
+        # scipy's W_{-1} is wrong near the branch point (it returns -1, an
+        # error of up to 100% in v, for c below about 1e-8), and
+        # exp(-1 - c) underflows beyond c ~ 745
+        keep = (c >= 1e-6) & (c <= 700.0)
+        assert keep.sum() > 2000
+        ref = np.minimum(e / a * (-lambertw(-np.exp(-1 - c), -1).real - 1), 1.0)
+        lam = qsl.max_reachable_radius(qsl.QslCoefficients(a, e), T)
+        assert_allclose(lam[keep], ref[keep], rtol=0, atol=1e-10)
+
+    def test_round_trip(self):
+        a, e, T = self._draw()
+        c = qsl.QslCoefficients(a, e)
+        lam = qsl.max_reachable_radius(c, T)
+        keep = (a * lam / e >= 1e-3) & (lam < 1.0)
+        assert keep.sum() > 1000
+        assert_allclose(qsl.qsl_time(c, lam)[keep], T[keep], rtol=1e-10)
+
+    def test_degenerate_limits(self):
+        T = np.array([0.0, 0.02, 0.3, 500.0])
+        for e in (0.0, 1e-15):  # E -> 0: A T / 2
+            lam = qsl.max_reachable_radius(coeffs(1.5, e), T)
+            assert_allclose(lam, np.minimum(1.5 * T / 2, 1.0), rtol=1e-15)
+        for a in (0.0, 1e-15):  # A -> 0: sqrt(E T)
+            lam = qsl.max_reachable_radius(coeffs(a, 0.8), T)
+            assert_allclose(lam, np.minimum(np.sqrt(0.8 * T), 1.0), rtol=1e-15)
+        assert list(qsl.max_reachable_radius(coeffs(0.0, 0.0), T)) == [0.0] * 4
+        zero = qsl.max_reachable_radius(qsl.QslCoefficients(*self._draw()[:2]), 0.0)
+        assert not zero.any()
+        assert qsl.max_reachable_radius(coeffs(0.3, 2.0), 1e6) == 1.0
+
+    def test_continuous_at_degeneracy_thresholds(self):
+        # just above DEGENERACY_EPS the generic branch meets the limits
+        assert abs(qsl.max_reachable_radius(coeffs(1.5, 1e-13), 0.4) - 0.3) < 1e-10
+        assert abs(qsl.max_reachable_radius(coeffs(1e-13, 0.8), 0.4)
+                   - math.sqrt(0.32)) < 1e-10
+
+    def test_scalar_and_array_calls_agree(self):
+        a, e, T = (x[:300] for x in self._draw(seed=31))
+        a[::7], e[::5] = 0.0, 0.0
+        c = qsl.QslCoefficients(a, e)
+        lam = qsl.max_reachable_radius(c, T)
+        t = qsl.qsl_time(c, T / 3)
+        for i in range(a.size):
+            ci = coeffs(float(a[i]), float(e[i]))
+            assert qsl.max_reachable_radius(ci, float(T[i])) == lam[i]
+            assert qsl.qsl_time(ci, float(T[i] / 3)) == t[i]
+        assert isinstance(qsl.max_reachable_radius(coeffs(1.0, 1.0), 0.3), float)
+        assert isinstance(qsl.qsl_time(coeffs(1.0, 1.0), 0.3), float)
+
+    def test_broadcasts_over_horizons(self):
+        c = qsl.QslCoefficients(np.array([[1.0], [2.0]]), np.array([[0.5], [0.1]]))
+        lam = qsl.max_reachable_radius(c, np.array([0.1, 0.2, 0.3]))
+        assert lam.shape == (2, 3)
+        assert lam[1, 2] == qsl.max_reachable_radius(coeffs(2.0, 0.1), 0.3)
+
+
+class TestStackedCoefficients:
+    def test_matches_per_system_loop(self):
+        # stacked states, Hamiltonians and two Lindblad operators against one
+        # SystemSpec per system
+        rng = np.random.default_rng(17)
+        n = 6
+        for d in (2, 3, 4):
+            psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            h = (x + np.swapaxes(x.conj(), -1, -2)) / 2
+            m1 = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            m2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a, e = qsl.coefficients(psi, h, (m1, m2))
+            for i in range(n):
+                spec = SystemSpec(psi0=psi[i], h_drift=h[i], lindblad_ops=(m1[i], m2))
+                assert_allclose(a[i], qsl.speed_coefficient(spec), rtol=0, atol=1e-14)
+                assert_allclose(e[i], qsl.noise_coefficient(psi[i], (m1[i], m2)),
+                                rtol=0, atol=1e-14)
+
+
 class TestClosedSystemRadiusBound:
     def test_eigenstate_cannot_move(self):
         assert qsl.closed_system_radius_bound(KET0, PAULI_Z, 3.0) == 0.0

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -44,27 +46,25 @@ class TestRadiusSweep:
             axes=(GridAxis("theta", 0.0, math.pi / 2, 101),),
             horizons=(0.3, 0.5, 0.8),
         )
-        records = sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
-        for rec in records:
-            theta = rec.coords["theta"]
-            for T, lam in zip(rec.horizons, rec.lambda_max):
-                expected = min(1.0, abs(math.sin(2 * theta)) * T)
-                assert abs(lam - expected) <= 1e-8
+        cols = sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
+        for theta, T, lam in zip(cols["theta"], cols["T"], cols["lambda_max"]):
+            expected = min(1.0, abs(math.sin(2 * theta)) * T)
+            assert abs(lam - expected) <= 1e-8
 
     def test_poles_cannot_move_under_rotation(self):
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 3),), horizons=(0.5,))
-        records = sweep_reachable_radius(grid, gamma=0.0)
-        assert records[0].lambda_max[0] == 0.0   # theta = 0
-        assert records[-1].lambda_max[0] <= 1e-8  # theta = pi/2
+        lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
+        assert lams[0] == 0.0   # theta = 0
+        assert lams[-1] <= 1e-8  # theta = pi/2
 
     def test_superposition_at_half_time(self):
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 3),), horizons=(0.5,))
-        records = sweep_reachable_radius(grid, gamma=0.0)
-        assert_allclose(records[1].lambda_max[0], 0.5, atol=1e-8)  # theta = pi/4
+        lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
+        assert_allclose(lams[1], 0.5, atol=1e-8)  # theta = pi/4
 
     def test_decaying_case_matches_dense_scan(self):
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 2),), horizons=(0.3,))
-        lam = sweep_reachable_radius(grid, gamma=1.0)[0].lambda_max[0]  # theta = 0
+        lam = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"][0]  # theta = 0
         c = qsl.QslCoefficients(math.sqrt(2), 1.0)
         scan = max(
             l for l in np.arange(0.0, 1.0001, 1e-4) if qsl.qsl_time(c, float(l)) <= 0.3
@@ -74,15 +74,16 @@ class TestRadiusSweep:
     def test_radius_monotone_in_horizon(self):
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 25),),
                          horizons=(0.3, 0.5, 0.8))
-        for rec in sweep_reachable_radius(grid, gamma=1.0):
-            assert rec.lambda_max[0] <= rec.lambda_max[1] <= rec.lambda_max[2]
+        lams = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"].reshape(-1, 3)
+        for lam in lams:  # one row per theta, one column per horizon
+            assert lam[0] <= lam[1] <= lam[2]
 
     def test_radius_monotone_in_decay_rate(self):
         # amplitude damping from the excited state: a stronger noise can only
         # enlarge the reachable ball at fixed T
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, 0.1, 2),), horizons=(0.5,))
         lams = [
-            sweep_reachable_radius(grid, gamma=g)[0].lambda_max[0]
+            sweep_reachable_radius(grid, gamma=g)["lambda_max"][0]
             for g in (0.2, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))
@@ -105,33 +106,33 @@ class TestGateReachMap:
     def test_excited_state_boundary(self):
         # at theta = 0 reachability within T depends on beta alone, with the
         # frontier at |sin(beta/2)| = omega T
-        records = gate_reach_map("qubit", self._grid(), theta=0.0, omega=1.0, u_max=1.0)
-        for rec in records:
-            expected = abs(math.sin(rec.coords["beta"] / 2)) <= 0.5
-            assert rec.reachable[1] == expected
+        cols = gate_reach_map("qubit", self._grid(), theta=0.0, omega=1.0, u_max=1.0)
+        for beta, reach in zip(cols["beta"], cols["reach_T2"]):
+            expected = abs(math.sin(beta / 2)) <= 0.5
+            assert reach == expected
 
     def test_equator_hard_gates_unreachable(self):
-        records = gate_reach_map("qubit", self._grid(5), theta=math.pi / 4)
+        cols = gate_reach_map("qubit", self._grid(5), theta=math.pi / 4)
         hard = {(0.0, math.pi), (2 * math.pi, math.pi), (math.pi, 0.0)}
         seen = 0
-        for rec in records:
-            key = (rec.coords["alpha"], rec.coords["beta"])
+        for alpha, beta, reach in zip(cols["alpha"], cols["beta"], cols["reach_T3"]):
+            key = (alpha, beta)
             if any(abs(key[0] - a) < 1e-12 and abs(key[1] - b) < 1e-12 for a, b in hard):
                 seen += 1
-                assert not rec.reachable[2]  # not even within T = 0.8
+                assert not reach  # not even within T = 0.8
         assert seen == len(hard)
 
     def test_identity_gate_always_reachable(self):
         for model in ("qubit", "qutrit"):
-            records = gate_reach_map(model, self._grid(5))
-            first = records[0]  # alpha = beta = 0
-            assert first.t_star == 0.0
-            assert all(first.reachable)
+            cols = gate_reach_map(model, self._grid(5))
+            # row 0 is alpha = beta = 0
+            assert cols["t_star"][0] == 0.0
+            assert all(cols[f"reach_T{i}"][0] for i in (1, 2, 3))
 
     def test_reachability_monotone_in_horizon(self):
         for model in ("qubit", "qutrit"):
-            for rec in gate_reach_map(model, self._grid(9), theta=0.1):
-                flags = rec.reachable
+            cols = gate_reach_map(model, self._grid(9), theta=0.1)
+            for flags in zip(cols["reach_T1"], cols["reach_T2"], cols["reach_T3"]):
                 assert all(flags[i] <= flags[i + 1] for i in range(len(flags) - 1))
 
     def test_unknown_model(self):
@@ -141,28 +142,28 @@ class TestGateReachMap:
 
 class TestBellSweep:
     def test_dark_state_stays_at_origin(self):
-        records = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
-        for rec in records:
-            if rec.coords["state"] == "psi-minus":
-                assert rec.lambda_max[0] == 0.0
+        cols = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
+        for state, lam in zip(cols["state"], cols["lambda_max"]):
+            if state == "psi-minus":
+                assert lam == 0.0
 
     def test_psi_plus_spreads_fastest(self):
-        records = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
+        cols = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
         by_state = {}
-        for rec in records:
-            by_state.setdefault(rec.coords["state"], []).append(rec.lambda_max[0])
+        for state, lam in zip(cols["state"], cols["lambda_max"]):
+            by_state.setdefault(state, []).append(lam)
         for psi, phi in zip(by_state["psi-plus"], by_state["phi-plus"]):
             assert psi >= phi - 1e-12
         assert_allclose(by_state["phi-plus"], by_state["phi-minus"], atol=1e-12)
 
     def test_weak_noise_limit(self):
         # lambda_max shrinks like sqrt(gamma T) as the noise switches off
-        records = bell_sweep(GridAxis("gamma", 1e-6, 2e-6, 2), T=0.5)
-        for rec in records:
-            if rec.coords["state"] == "psi-minus":
-                assert rec.lambda_max[0] == 0.0
+        cols = bell_sweep(GridAxis("gamma", 1e-6, 2e-6, 2), T=0.5)
+        for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
+            if state == "psi-minus":
+                assert lam == 0.0
             else:
-                assert rec.lambda_max[0] <= 2 * math.sqrt(rec.coords["gamma"] * 0.5)
+                assert lam <= 2 * math.sqrt(gamma * 0.5)
 
     def test_invalid_horizon(self):
         with pytest.raises(ValueError, match="T must be"):
@@ -226,9 +227,9 @@ class TestVerifyBound:
 class TestCsvOutput:
     def test_lambda_sweep_columns(self, tmp_path):
         grid = SweepGrid(axes=(GridAxis("theta", 0.0, 1.0, 3),), horizons=(0.3, 0.5))
-        records = sweep_reachable_radius(grid, gamma=1.0)
+        cols = sweep_reachable_radius(grid, gamma=1.0)
         path = tmp_path / "sweep.csv"
-        reachset.write_lambda_sweep_csv(records, path)
+        reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,gamma,omega,T,lambda_max"
         assert len(lines) == 1 + 3 * 2
@@ -238,18 +239,18 @@ class TestCsvOutput:
             axes=(GridAxis("alpha", 0.0, 1.0, 2), GridAxis("beta", 0.0, 1.0, 2)),
             horizons=(0.3, 0.5, 0.8),
         )
-        records = gate_reach_map("qutrit", grid)
+        cols = gate_reach_map("qutrit", grid)
         path = tmp_path / "gates.csv"
-        reachset.write_gate_map_csv(records, path)
+        reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "model,theta,alpha,beta,t_star,reach_T1,reach_T2,reach_T3"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("qutrit,")
 
     def test_bell_sweep_columns(self, tmp_path):
-        records = bell_sweep(GridAxis("gamma", 0.5, 1.0, 2), T=0.5)
+        cols = bell_sweep(GridAxis("gamma", 0.5, 1.0, 2), T=0.5)
         path = tmp_path / "bell.csv"
-        reachset.write_bell_sweep_csv(records, path)
+        reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "state,gamma,T,lambda_max"
         assert lines[1].split(",")[0] == "phi-plus"
@@ -257,7 +258,8 @@ class TestCsvOutput:
     def test_verify_columns(self, tmp_path):
         records = verify_bound(seed=1, n_trials=2, dims=(2,), T=0.2, dt=1e-3)
         path = tmp_path / "verify.csv"
-        reachset.write_verify_csv(records, path)
+        reachset.write_rows(reachset.verify_columns(records), path, "csv",
+                            comment=reachset.VERIFY_CSV_COMMENT)
         lines = path.read_text().splitlines()
         # the sampling distribution is recorded ahead of the column header
         assert lines[0].startswith("# random systems:")
@@ -266,22 +268,78 @@ class TestCsvOutput:
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "digits.csv"
-        reachset.write_rows_csv([{"x": 1.0 / 3.0, "n": 7}], path)
+        reachset.write_rows({"x": [1.0 / 3.0], "n": [7]}, path, "csv")
         assert path.read_text().splitlines()[1] == "0.333333333,7"
 
     def test_infinity_serializes_as_inf(self, tmp_path):
         path = tmp_path / "inf.csv"
-        reachset.write_rows_csv([{"t_star": math.inf}], path)
+        reachset.write_rows({"t_star": [math.inf]}, path, "csv")
         assert path.read_text().splitlines()[1] == "inf"
 
     def test_byte_identical_reruns(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
-            reachset.write_verify_csv(
-                verify_bound(seed=5, n_trials=3, dims=(2, 3), T=0.3, dt=1e-3), p
-            )
+            records = verify_bound(seed=5, n_trials=3, dims=(2, 3), T=0.3, dt=1e-3)
+            reachset.write_rows(reachset.verify_columns(records), p, "csv",
+                                comment=reachset.VERIFY_CSV_COMMENT)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
-            reachset.write_rows_csv([], "unused.csv")
+            reachset.write_rows({}, "unused.csv", "csv")
+
+
+class TestWriteRows:
+    TABLE = {
+        "label": ["phi-plus", 'a "quoted" one', "x"],
+        "x": [1.0 / 3.0, -2.5e-12, math.inf],
+        "n": [7, -1, 0],
+        "flag": [True, False, True],
+        "big": [1e300, 0.1, 123456789.123],
+    }
+
+    def _rows(self):
+        return [dict(zip(self.TABLE, row)) for row in zip(*self.TABLE.values())]
+
+    def test_json_matches_json_dumps(self, tmp_path):
+        payload = [
+            {k: "inf" if isinstance(v, float) and math.isinf(v) else v for k, v in row.items()}
+            for row in self._rows()
+        ]
+        path = tmp_path / "t.json"
+        reachset.write_rows(self.TABLE, path, "json")
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_csv_matches_per_cell_formatting(self, tmp_path):
+        expected = ",".join(self.TABLE) + "\n" + "".join(
+            ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n"
+            for row in self._rows()
+        )
+        path = tmp_path / "t.csv"
+        reachset.write_rows(self.TABLE, path, "csv")
+        assert path.read_text() == expected
+
+    def test_numpy_columns_write_like_lists(self):
+        arrays = {k: np.array(v) for k, v in self.TABLE.items()}
+        for fmt in ("csv", "json"):
+            a, b = io.StringIO(), io.StringIO()
+            reachset.write_rows(self.TABLE, a, fmt)
+            reachset.write_rows(arrays, b, fmt)
+            assert a.getvalue() == b.getvalue()
+
+    def test_comment_precedes_csv_header_only(self):
+        cols = {"x": [0.5]}
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        reachset.write_rows(cols, csv_out, "csv", comment="# note")
+        reachset.write_rows(cols, json_out, "json", comment="# note")
+        assert csv_out.getvalue() == "# note\nx\n0.5\n"
+        assert json.loads(json_out.getvalue()) == [{"x": 0.5}]
+
+    def test_negative_infinity_keeps_its_sign(self):
+        out = io.StringIO()
+        reachset.write_rows({"margin": [-math.inf]}, out, "json")
+        assert json.loads(out.getvalue()) == [{"margin": "-inf"}]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format"):
+            reachset.write_rows({"x": [1.0]}, io.StringIO(), "xml")
