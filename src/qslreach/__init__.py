@@ -7,12 +7,9 @@ from .dynamics import (
     IntegrationError,
     SystemSpec,
     Trajectory,
-    adjoint_dissipator,
-    dissipator,
     integrate,
     lindblad,
     master_rhs,
-    relative_purity,
     theta_rate_check,
 )
 from .models import (
@@ -59,15 +56,12 @@ from .qsl import (
 from .reachset import (
     GridAxis,
     SweepGrid,
-    VerifyRecord,
     bell_sweep,
     draw_random_system,
     gate_reach_map,
     measured_radius,
     sweep_reachable_radius,
     verify_bound,
-    verify_columns,
-    violations,
     write_rows,
 )
 

@@ -6,16 +6,18 @@ The density matrix evolves under
     D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2,
 
 with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  L is written
-once, in ``lindblad``; the dissipators, ``master_rhs``, the integrator (via
-L as a d^2 x d^2 matrix) and, through its adjoint, ``qsl``'s A all call it.  The
-distance of the evolved state from the initial one is tracked through the
-relative-purity angle
+once, in ``lindblad``; ``master_rhs``, the integrator (via L as a d^2 x d^2
+matrix) and, through its adjoint, ``qsl``'s A all call it.  The distance of
+the evolved state from the initial one is tracked through the fidelity
+F_t = <psi_0| rho_t |psi_0> and the relative-purity angle
 
-    Theta_t = arccos(<psi_0| rho_t |psi_0>),   0 <= Theta_t <= pi/2.
+    Theta_t = arccos(F_t),   0 <= Theta_t <= pi/2.
 
 Trajectories produced here are the ground truth that every speed-limit
 bound in this package is validated against, so states are *checked*
-(Hermiticity, unit trace, positivity) rather than silently repaired.
+(Hermiticity, unit trace, positivity) rather than silently repaired.  Each
+trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
+|psi_0>, against which ``theta_rate_check`` tests the differential bound.
 """
 
 from __future__ import annotations
@@ -33,18 +35,6 @@ POSITIVITY_TOL = 1e-8
 
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
-
-#: Rate-check samples with sin(Theta) below this are excluded: the
-#: inequality is trivially satisfiable near Theta = 0 and the finite
-#: difference is pure noise there.
-RATE_CHECK_SIN_FLOOR = 1e-3
-
-#: Number of leading interior samples excluded from the rate check.  When
-#: the noise term is nonzero, Theta grows like sqrt(t) at the start and the
-#: differential bound is saturated at leading order; a centered difference
-#: straddling that square-root transient overshoots the true derivative by
-#: up to 41%, which is an artifact of differencing, not a bound violation.
-RATE_CHECK_BURN_IN = 10
 
 
 class IntegrationError(RuntimeError):
@@ -115,6 +105,7 @@ class Trajectory:
     times: np.ndarray            # (n,) increasing, times[0] = 0
     states: np.ndarray           # (n, dim, dim) density matrices
     thetas: np.ndarray           # (n,) relative-purity angles, thetas[0] = 0
+    fidelity_rates: np.ndarray   # (n,) exact dF/dt = <psi0| L(rho_t) |psi0>
     psi0: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -164,16 +155,6 @@ def lindblad(h: np.ndarray, ops, rho: np.ndarray, adjoint: bool = False) -> np.n
 def _dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(x.conj(), -1, -2)
-
-
-def dissipator(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2."""
-    return lindblad(np.zeros_like(m), (m,), rho)
-
-
-def adjoint_dissipator(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D^dag[M] rho = M^dag rho M - (M^dag M rho + rho M^dag M) / 2."""
-    return lindblad(np.zeros_like(m), (m,), rho, adjoint=True)
 
 
 def _hamiltonian(spec: SystemSpec, u: float) -> np.ndarray:
@@ -248,7 +229,9 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     The sample times are 0, dt, 2 dt, ... with the last step shortened so
     the final sample lands exactly on T.  The control u is constant and must
     stay within +-u_max.  The generator is time-invariant, so each RK4 step
-    is one product with the matrix _rk4_propagator(L, dt).
+    is one product with the matrix _rk4_propagator(L, dt).  The trajectory's
+    ``fidelity_rates`` evaluate the same L at every sample, so they are the
+    exact dF/dt of the sampled states under this u.
     """
     steps = _step_sizes(T, dt)
     d2 = spec.dim ** 2
@@ -258,6 +241,8 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     n = len(steps)
     vecs = np.empty((n + 1, d2), dtype=complex)
     vecs[0] = linalg.outer(spec.psi0).reshape(d2)
+    # dF/dt = vec(rho_0)^dag L vec(rho_t): one row vector, then one product
+    rate_row = vecs[0].conj() @ gen
     p = _rk4_propagator(gen, dt)
     for i, h in enumerate(steps):
         if h != dt:
@@ -272,50 +257,21 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     fids = np.einsum("i,tij,j->t", spec.psi0.conj(), states, spec.psi0).real
     thetas = np.arccos(np.clip(fids, 0.0, 1.0))
     thetas[0] = 0.0
-    return Trajectory(times=times, states=states, thetas=thetas, psi0=spec.psi0)
+    return Trajectory(times=times, states=states, thetas=thetas,
+                      fidelity_rates=(vecs @ rate_row).real, psi0=spec.psi0)
 
 
-def relative_purity(psi0: np.ndarray, rho: np.ndarray) -> float:
-    """Theta = arccos(<psi0| rho |psi0>), clamped into [0, pi/2]."""
-    fid = linalg.expectation(psi0, rho).real
-    return float(np.arccos(np.clip(fid, 0.0, 1.0)))
+def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
+    """Excess of the fidelity's decay rate over its bound, at every sample:
 
+        -dF/dt - (A lambda_t + E),   lambda_t = sqrt(1 - F_t),
 
-def theta_rate_check(
-    traj: Trajectory,
-    coeffs,
-    burn_in: int = RATE_CHECK_BURN_IN,
-) -> list[tuple[float, float, float]]:
-    """Compare dTheta/dt against its upper bound along a trajectory.
-
-    For each retained interior sample returns (time, lhs, rhs) with
-
-        lhs = centered finite difference of Theta_t,
-        rhs = (A sqrt(1 - cos Theta_t) + E) / sin(Theta_t),
-
-    where A = ``coeffs.speed`` and E = ``coeffs.noise``.  Samples with
-    sin(Theta_t) < RATE_CHECK_SIN_FLOOR and the first ``burn_in`` interior
-    samples are excluded (see RATE_CHECK_BURN_IN).
+    with F_t = cos Theta_t, dF/dt = ``traj.fidelity_rates``, A =
+    ``coeffs.speed`` and E = ``coeffs.noise``.  This is the differential
+    bound dTheta/dt <= (A lambda + E) / sin Theta multiplied by sin Theta.
+    For any density matrix it is <= 0 up to roundoff: -dF/dt = E -
+    tr(X (rho_t - rho_0)) with X = L^dag(rho_0), sqrt(2) ||X||_F <= A and
+    ||rho_t - rho_0||_F <= sqrt(2) lambda_t.
     """
-    if len(traj.times) < 3:
-        raise ValueError("trajectory needs at least 3 samples for a centered difference")
-    t = traj.times
-    th = traj.thetas
-    lhs = (th[2:] - th[:-2]) / (t[2:] - t[:-2])
-    mid = th[1:-1]
-    s = np.sin(mid)
-    a, e = coeffs.speed, coeffs.noise
-    keep = s >= RATE_CHECK_SIN_FLOOR
-    keep[:burn_in] = False
-    rhs = np.divide(
-        a * np.sqrt(np.maximum(1.0 - np.cos(mid), 0.0)) + e,
-        s,
-        out=np.full_like(s, np.inf),
-        where=s > 0,
-    )
-    tm = t[1:-1]
-    return [
-        (float(tm[i]), float(lhs[i]), float(rhs[i]))
-        for i in np.flatnonzero(keep)
-    ]
-
+    lam = np.sqrt(np.maximum(1.0 - traj.fidelities, 0.0))
+    return -traj.fidelity_rates - (coeffs.speed * lam + coeffs.noise)

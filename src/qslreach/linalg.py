@@ -3,9 +3,8 @@
 Matrices are plain ``numpy.ndarray`` of complex128, square and dense; pure
 states are unit-norm 1-D complex arrays.  Besides the input checks
 (``as_matrix``, ``as_state``, ``is_hermitian``) this module holds only what
-the rest of the package calls: the projector |psi><psi| and the
-expectation value <psi|m|psi>.  Every operation returns a fresh array and
-never mutates its arguments.
+the rest of the package calls: the projector |psi><psi|.  Every operation
+returns a fresh array and never mutates its arguments.
 """
 
 from __future__ import annotations
@@ -44,15 +43,6 @@ def outer(psi: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| (Hermitian, idempotent, trace one)."""
     v = np.asarray(psi, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def expectation(psi: np.ndarray, m: np.ndarray) -> complex:
-    """<psi| m |psi>."""
-    v = np.asarray(psi, dtype=complex)
-    a = np.asarray(m)
-    if a.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(v, a @ v))
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

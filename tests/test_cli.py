@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -160,6 +161,13 @@ class TestSimulateCommand:
     def test_invalid_time_config(self, capsys):
         assert run(["simulate", "--model", "qubit", "--T", "-1"]) == 2
 
+    def test_unknown_format_writes_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "x.xml"
+        assert run(["simulate", "--T", "0.1", "--format", "xml",
+                    "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+        assert "format" in capsys.readouterr().err
+
 
 class TestSweepCommands:
     def test_sweep_lambda_file(self, tmp_path):
@@ -247,7 +255,10 @@ class TestVerifyCommand:
         assert lines[0].startswith("# random systems:")
         assert lines[1] == "trial,seed,dim,T,theta_T,lambda,t_star,margin"
         assert len(lines) == 2 + 8
-        assert "violations = 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "violations = 0" in err
+        excess = float(err.split("max_rate_excess = ")[1].split()[0])
+        assert excess <= 1e-12
 
     def test_deterministic_output(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -259,10 +270,10 @@ class TestVerifyCommand:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_violation_exits_4(self, tmp_path, capsys, monkeypatch):
-        from qslreach.reachset import VerifyRecord
-
-        fake = [VerifyRecord(trial=0, seed=1, dim=2, T=0.5, theta_T=1.0,
-                             lam=0.8, t_star=0.9, margin=-0.4)]
+        fake = {"trial": np.array([0]), "seed": np.array([1]), "dim": np.array([2]),
+                "T": np.array([0.5]), "theta_T": np.array([1.0]), "lambda": np.array([0.8]),
+                "t_star": np.array([0.9]), "margin": np.array([-0.4]),
+                "rate_excess": np.array([-0.1])}
         monkeypatch.setattr("qslreach.reachset.verify_bound", lambda **kw: fake)
         assert run(
             ["verify", "--seed", "1", "--trials", "1", "--dims", "2",
@@ -270,7 +281,10 @@ class TestVerifyCommand:
         ) == 4
         err = capsys.readouterr().err
         assert "violations = 1" in err
+        assert "max_rate_excess = -0.1" in err
         assert "violation: seed = 1 dim = 2 trial = 0" in err
+        header = (tmp_path / "v.csv").read_text().splitlines()[1]
+        assert header == "trial,seed,dim,T,theta_T,lambda,t_star,margin"
 
 
 class TestConfigFile:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qslreach import dynamics, linalg, qsl, reachset
 from qslreach.dynamics import IntegrationError, SystemSpec, integrate
-from qslreach.models import PAULI_Z, SIGMA_MINUS, QubitParams, qubit_spec
+from qslreach.models import PAULI_Z, SIGMA_MINUS, QubitParams, qubit_spec, qutrit_spec
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -30,30 +30,35 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+def dissipator(m, rho, adjoint=False):
+    """D[M] rho (or D^dag[M] rho): the generator with a zero Hamiltonian."""
+    return dynamics.lindblad(np.zeros_like(m), (m,), rho, adjoint=adjoint)
+
+
 class TestDissipators:
     def test_zero_operator(self):
         rho = random_density(np.random.default_rng(0), 3)
-        assert_allclose(dynamics.dissipator(np.zeros((3, 3)), rho), np.zeros((3, 3)))
-        assert_allclose(dynamics.adjoint_dissipator(np.zeros((3, 3)), rho), np.zeros((3, 3)))
+        assert_allclose(dissipator(np.zeros((3, 3)), rho), np.zeros((3, 3)))
+        assert_allclose(dissipator(np.zeros((3, 3)), rho, adjoint=True), np.zeros((3, 3)))
 
     def test_amplitude_damping_on_excited_state(self):
         # hand evaluation: M rho M^dag = g |1><1|, the anticommutator gives g |0><0|
         g = 1.7
         m = math.sqrt(g) * SIGMA_MINUS
-        assert_allclose(dynamics.dissipator(m, EXC), g * (GND - EXC), atol=1e-12)
+        assert_allclose(dissipator(m, EXC), g * (GND - EXC), atol=1e-12)
 
     def test_adjoint_on_excited_state(self):
         # M^dag rho M vanishes because sigma_+ |0> = 0
         g = 1.7
         m = math.sqrt(g) * SIGMA_MINUS
-        assert_allclose(dynamics.adjoint_dissipator(m, EXC), -g * EXC, atol=1e-12)
+        assert_allclose(dissipator(m, EXC, adjoint=True), -g * EXC, atol=1e-12)
 
     def test_dissipator_is_traceless(self):
         rng = np.random.default_rng(1)
         for dim in (2, 3, 4):
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = random_density(rng, dim)
-            out = dynamics.dissipator(m, rho)
+            out = dissipator(m, rho)
             assert abs(np.trace(out)) < 1e-12
             assert_allclose(out, out.conj().T, atol=1e-12)
 
@@ -62,12 +67,12 @@ class TestDissipators:
         from qslreach.models import bell_state, collective_decay
 
         rho0 = linalg.outer(bell_state("phi-plus").vector)
-        out = dynamics.adjoint_dissipator(collective_decay(1.0), rho0)
+        out = dissipator(collective_decay(1.0), rho0, adjoint=True)
         assert_allclose(np.linalg.norm(out), math.sqrt(2.5), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            dynamics.dissipator(np.eye(2), np.eye(3))
+            dissipator(np.eye(2), np.eye(3))
 
 
 class TestLindblad:
@@ -267,48 +272,82 @@ class TestIntegrate:
             integrate(spec, T=0.1, dt=1e-3, u=0.5)
 
 
-class TestRelativePurity:
-    def test_same_state(self):
-        assert dynamics.relative_purity(KET0, EXC) == 0.0
+class TestFidelityRates:
+    def test_amplitude_damping_matches_analytic_rate(self):
+        # F(t) = exp(-gamma t) from the excited state, so dF/dt = -gamma exp(-gamma t)
+        for gamma in (1.0, 0.3):
+            spec = qubit_spec(QubitParams(theta=0.0, gamma=gamma))
+            traj = integrate(spec, T=1.0, dt=1e-3)
+            assert_allclose(traj.fidelity_rates, -gamma * np.exp(-gamma * traj.times),
+                            rtol=0, atol=1e-12)
 
-    def test_orthogonal_state(self):
-        assert_allclose(dynamics.relative_purity(KET0, GND), math.pi / 2)
-
-    def test_partial_overlap(self):
-        rho = 0.75 * EXC + 0.25 * GND
-        assert_allclose(dynamics.relative_purity(KET0, rho), math.acos(0.75), atol=1e-12)
-
-    def test_clamps_roundoff(self):
-        rho = EXC * (1 + 5e-16)
-        assert dynamics.relative_purity(KET0, rho) == 0.0
+    def test_equals_generator_on_states(self):
+        # <psi0| L(rho_t) |psi0>, evaluated directly with master_rhs
+        rng = np.random.default_rng(9)
+        spec = reachset.draw_random_system(5, 3, 0)
+        traj = integrate(spec, T=0.05, dt=1e-3)
+        for i in rng.choice(len(traj.times), 5, replace=False):
+            rate = np.vdot(spec.psi0, dynamics.master_rhs(spec, 0.0, traj.states[i]) @ spec.psi0)
+            assert abs(traj.fidelity_rates[i] - rate.real) < 1e-13
 
 
 class TestThetaRateCheck:
-    def test_static_trajectory_has_no_retained_samples(self):
+    def test_static_trajectory_has_no_excess(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
         traj = integrate(spec, T=0.1, dt=1e-3)
-        coeffs = qsl.generic_coefficients(spec)
-        assert dynamics.theta_rate_check(traj, coeffs) == []
+        excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+        assert excess.shape == traj.times.shape
+        assert (excess <= 0.0).all()
 
     def test_amplitude_damping_respects_bound(self):
         spec = qubit_spec(QubitParams(theta=0.0, gamma=1.0))
         traj = integrate(spec, T=1.0, dt=1e-3)
-        samples = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
-        assert samples, "expected retained samples"
-        assert max(lhs - rhs for _, lhs, rhs in samples) <= 1e-4
+        excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+        assert excess.size == len(traj.times)
+        assert excess.max() <= 1e-12
+        # saturated at t = 0: -dF/dt = E and lambda = 0
+        assert abs(excess[0]) <= 1e-12
 
     def test_closed_qubit_respects_bound(self):
         spec = SystemSpec(psi0=PLUS, h_drift=PAULI_Z)
         traj = integrate(spec, T=1.0, dt=1e-3)
-        samples = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
-        assert samples, "expected retained samples"
-        assert max(lhs - rhs for _, lhs, rhs in samples) <= 1e-4
+        excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+        assert excess.size == len(traj.times)
+        assert excess.max() <= 1e-12
 
-    def test_requires_three_samples(self):
-        spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
+    def test_two_sample_trajectory_is_checked(self):
+        spec = qubit_spec(QubitParams(theta=0.3, gamma=1.0))
         traj = integrate(spec, T=0.1, dt=0.1)
-        with pytest.raises(ValueError, match="3 samples"):
-            dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+        excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+        assert excess.shape == (2,)
+        assert excess.max() <= 1e-12
+
+    def test_several_lindblad_operators(self):
+        rng = np.random.default_rng(10)
+        for dim in (2, 3, 4):
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            spec = SystemSpec(
+                psi0=psi / np.linalg.norm(psi),
+                h_drift=random_hermitian(rng, dim),
+                lindblad_ops=tuple(0.5 * random_matrix(rng, dim) for _ in range(3)),
+            )
+            traj = integrate(spec, T=0.5, dt=1e-3)
+            excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(spec))
+            assert excess.max() <= 1e-12
+
+    def test_controlled_runs_respect_primed_bound(self):
+        # a constant admissible control is checked against A', which covers
+        # every |u| <= u_max
+        cases = (
+            (qutrit_spec(1.2, 0.8), -0.5),
+            (qubit_spec(QubitParams(theta=0.4, omega=1.0, u_max=0.7),
+                        with_control=True), 0.7),
+        )
+        for spec, u in cases:
+            traj = integrate(spec, T=1.0, dt=1e-3, u=u)
+            coeffs = qsl.generic_coefficients(spec)
+            assert coeffs.source == "controlled"
+            assert dynamics.theta_rate_check(traj, coeffs).max() <= 1e-12
 
 
 class TestTrajectoryCsv:

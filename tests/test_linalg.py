@@ -13,20 +13,12 @@ def random_state(rng, dim):
 
 
 class TestTraceOuterExpectationApply:
-    def test_expectation_excited_state(self):
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        assert_allclose(linalg.expectation(np.array([1.0, 0.0]), sz), 1.0 + 0j)
-
     def test_outer_is_projector(self):
         psi = random_state(np.random.default_rng(6), 4)
         proj = linalg.outer(psi)
         assert_allclose(proj, proj.conj().T, atol=1e-12)
         assert_allclose(proj @ proj, proj, atol=1e-10)
         assert_allclose(np.trace(proj), 1.0, atol=1e-12)
-
-    def test_expectation_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.expectation(np.array([1.0, 0.0]), np.eye(3))
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qslreach import qsl, reachset
+from qslreach import dynamics, qsl, reachset
 from qslreach.dynamics import integrate
 from qslreach.models import QubitParams, qubit_spec
 from qslreach.reachset import (
@@ -201,20 +201,42 @@ class TestVerifyBound:
         assert np.linalg.norm(a.h_drift - c.h_drift) > 1e-6
 
     def test_small_batch_has_no_violations(self):
-        records = verify_bound(seed=42, n_trials=10, dims=(2, 3, 4), T=0.5, dt=1e-3)
-        assert len(records) == 30
-        assert reachset.violations(records) == []
-        assert all(r.margin >= -reachset.MARGIN_TOL for r in records)
-        assert all(r.rate_excess <= 1e-4 for r in records)
+        cols = verify_bound(seed=42, n_trials=10, dims=(2, 3, 4), T=0.5, dt=1e-3)
+        assert list(cols) == ["trial", "seed", "dim", "T", "theta_T", "lambda",
+                              "t_star", "margin", "rate_excess"]
+        assert all(len(c) == 30 for c in cols.values())
+        assert not (cols["margin"] < -reachset.MARGIN_TOL).any()
+        assert (cols["margin"] >= -reachset.MARGIN_TOL).all()
+        assert (cols["rate_excess"] <= 1e-4).all()
 
     def test_records_are_reproducible(self):
         a = verify_bound(seed=7, n_trials=3, dims=(2,), T=0.3, dt=1e-3)
         b = verify_bound(seed=7, n_trials=3, dims=(2,), T=0.3, dt=1e-3)
-        assert a == b
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[name], b[name]) for name in a)
+
+    def test_columns_match_per_trial_route(self):
+        # batched A/E and one qsl_time call give the per-trial numbers bit for bit
+        cols = verify_bound(seed=3, n_trials=4, dims=(2, 4), T=0.3, dt=1e-3)
+        for i, (k, dim) in enumerate(zip(cols["trial"], cols["dim"])):
+            spec = draw_random_system(3, int(dim), int(k))
+            traj = integrate(spec, T=0.3, dt=1e-3)
+            coeffs = qsl.generic_coefficients(spec)
+            lam = reachset.measured_radius(float(traj.thetas[-1]))
+            t_star = qsl.qsl_time(coeffs, lam)
+            assert cols["theta_T"][i] == traj.thetas[-1]
+            assert cols["lambda"][i] == lam
+            assert cols["t_star"][i] == t_star
+            assert cols["margin"][i] == 0.3 - t_star
+            assert cols["rate_excess"][i] == dynamics.theta_rate_check(traj, coeffs).max()
+        assert list(cols["trial"]) == [0, 1, 2, 3] * 2
+        assert list(cols["dim"]) == [2] * 4 + [4] * 4
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="n_trials"):
             verify_bound(seed=1, n_trials=0)
+        with pytest.raises(ValueError, match="dim"):
+            verify_bound(seed=1, n_trials=1, dims=())
 
     def test_measured_radius_floors_roundoff_noise(self):
         # a frozen state comes back with an angle of pure float noise; that
@@ -256,10 +278,10 @@ class TestCsvOutput:
         assert lines[1].split(",")[0] == "phi-plus"
 
     def test_verify_columns(self, tmp_path):
-        records = verify_bound(seed=1, n_trials=2, dims=(2,), T=0.2, dt=1e-3)
+        cols = verify_bound(seed=1, n_trials=2, dims=(2,), T=0.2, dt=1e-3)
+        cols.pop("rate_excess")
         path = tmp_path / "verify.csv"
-        reachset.write_rows(reachset.verify_columns(records), path, "csv",
-                            comment=reachset.VERIFY_CSV_COMMENT)
+        reachset.write_rows(cols, path, "csv", comment=reachset.VERIFY_CSV_COMMENT)
         lines = path.read_text().splitlines()
         # the sampling distribution is recorded ahead of the column header
         assert lines[0].startswith("# random systems:")
@@ -279,9 +301,9 @@ class TestCsvOutput:
     def test_byte_identical_reruns(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
-            records = verify_bound(seed=5, n_trials=3, dims=(2, 3), T=0.3, dt=1e-3)
-            reachset.write_rows(reachset.verify_columns(records), p, "csv",
-                                comment=reachset.VERIFY_CSV_COMMENT)
+            cols = verify_bound(seed=5, n_trials=3, dims=(2, 3), T=0.3, dt=1e-3)
+            cols.pop("rate_excess")
+            reachset.write_rows(cols, p, "csv", comment=reachset.VERIFY_CSV_COMMENT)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rows_rejected(self):
