@@ -8,6 +8,7 @@ from .dynamics import (
     SystemSpec,
     Trajectory,
     integrate,
+    integrate_many,
     lindblad,
     master_rhs,
     theta_rate_check,

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,7 +152,10 @@ _OPTIONS: dict[str, list] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Every flag defaults to
+    None and parse_args fills a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="qslreach",
         description="Quantum-speed-limit bounds and reachable sets for Markovian systems.",
@@ -189,8 +193,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _json_safe(value):
+    """Infinite floats as the strings "inf" and "-inf", as ``write_rows``
+    writes them."""
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return str(value)
     return value
 
 

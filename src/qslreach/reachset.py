@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qsl
-from .dynamics import SystemSpec, integrate, theta_rate_check
+from . import dynamics, qsl
+from .dynamics import SystemSpec, integrate_many, theta_rate_check
 from .models import (
     BELL_LABELS,
     GateParams,
@@ -193,12 +193,16 @@ def verify_bound(
     t_star and margin (= T - t_star), followed by rate_excess: the largest
     ``theta_rate_check`` value of each trial, <= 0 up to roundoff.  One row
     per trial, dim-major.  A and E come from one ``qsl.coefficients`` call
-    per dim and t_star from one ``qsl_time`` call over all trials.
+    per dim and t_star from one ``qsl_time`` call over all trials.  Each
+    dim's trials are integrated by ``integrate_many`` in blocks of about
+    ``dynamics.STACK_ENTRIES`` state entries, which bounds memory; the block
+    size does not change any result.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if not dims:
         raise ValueError("at least one dim is required")
+    samples = len(dynamics._step_sizes(T, dt)) + 1
     theta_t, lam, rate_excess, a, e = [], [], [], [], []
     for dim in dims:
         specs = [draw_random_system(seed, dim, k) for k in range(n_trials)]
@@ -207,11 +211,14 @@ def verify_bound(
             np.stack([s.h_drift for s in specs]),
             tuple(np.stack(ms) for ms in zip(*(s.lindblad_ops for s in specs))),
         )
-        for spec, a_k, e_k in zip(specs, a_dim, e_dim):
-            traj = integrate(spec, T, dt)
-            theta_t.append(float(traj.thetas[-1]))
-            lam.append(measured_radius(theta_t[-1]))
-            rate_excess.append(theta_rate_check(traj, qsl.QslCoefficients(a_k, e_k)).max())
+        block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))
+        for start in range(0, n_trials, block):
+            trajs = integrate_many(specs[start:start + block], T, dt)
+            for k, traj in enumerate(trajs, start):
+                theta_t.append(float(traj.thetas[-1]))
+                lam.append(measured_radius(theta_t[-1]))
+                coeffs = qsl.QslCoefficients(a_dim[k], e_dim[k])
+                rate_excess.append(theta_rate_check(traj, coeffs).max())
         a.append(a_dim)
         e.append(e_dim)
     t_star = qsl.qsl_time(qsl.QslCoefficients(np.concatenate(a), np.concatenate(e)),

@@ -287,6 +287,41 @@ class TestVerifyCommand:
         assert header == "trial,seed,dim,T,theta_T,lambda,t_star,margin"
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_in_one_process_match_separate_runs(self, tmp_path, capsys):
+        argvs = [
+            ["verify", "--seed", "3", "--trials", "2", "--dims", "2,3", "--T", "0.1"],
+            ["gate-map", "--model", "qutrit", "--points", "5", "--format", "json"],
+            ["verify", "--seed", "8", "--trials", "3", "--dims", "2", "--dt", "2e-3",
+             "--format", "json"],
+        ]
+
+        def outputs(tag, fresh_parser):
+            result = []
+            for i, argv in enumerate(argvs):
+                if fresh_parser:
+                    cli.build_parser.cache_clear()
+                path = tmp_path / f"{tag}{i}.out"
+                code = run(argv + ["--out", str(path)])
+                result.append((code, path.read_bytes(), capsys.readouterr()))
+            return result
+
+        shared = outputs("shared", fresh_parser=False)
+        separate = outputs("separate", fresh_parser=True)
+        assert [code for code, *_ in shared] == [0, 0, 0]
+        assert shared == separate
+
+
+class TestJsonReport:
+    def test_infinities_keep_their_sign(self, capsys):
+        cli._print_report([("t_star", math.inf), ("margin", -math.inf), ("A", 0.5)], "json")
+        assert json.loads(capsys.readouterr().out) == {
+            "t_star": "inf", "margin": "-inf", "A": 0.5}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qslreach import dynamics, linalg, qsl, reachset
-from qslreach.dynamics import IntegrationError, SystemSpec, integrate
+from qslreach.dynamics import IntegrationError, SystemSpec, integrate, integrate_many
 from qslreach.models import PAULI_Z, SIGMA_MINUS, QubitParams, qubit_spec, qutrit_spec
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -270,6 +270,139 @@ class TestIntegrate:
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
         with pytest.raises(ValueError, match="no control"):
             integrate(spec, T=0.1, dt=1e-3, u=0.5)
+
+
+class TestIntegrateMany:
+    FIELDS = ("states", "thetas", "fidelity_rates")
+
+    def assert_members_equal_single_runs(self, specs, T, dt, u=0.0):
+        many = integrate_many(specs, T, dt, u)
+        assert len(many) == len(specs)
+        for spec, traj in zip(specs, many):
+            single = integrate(spec, T, dt, u)
+            assert np.array_equal(traj.times, single.times)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(traj, name), getattr(single, name)), name
+
+    def test_members_equal_single_runs(self):
+        for dim in (2, 3, 4):
+            specs = [reachset.draw_random_system(3, dim, k) for k in range(4)]
+            self.assert_members_equal_single_runs(specs, T=0.2, dt=1e-3)
+
+    def test_controlled_stack(self):
+        specs = [qutrit_spec(1.2, 0.8), qutrit_spec(0.7, 1.0), qutrit_spec(1.0, 0.7)]
+        self.assert_members_equal_single_runs(specs, T=0.3, dt=1e-3, u=-0.7)
+
+    def test_shortened_last_step(self):
+        dt = 1e-2
+        specs = [reachset.draw_random_system(8, 3, k) for k in range(3)]
+        traj = integrate_many(specs, T=2.4 * dt, dt=dt)[0]
+        assert traj.times[-1] == 2.4 * dt and len(traj.times) == 4
+        self.assert_members_equal_single_runs(specs, T=2.4 * dt, dt=dt)
+
+    def test_differing_operator_counts(self):
+        rng = np.random.default_rng(12)
+        specs = [SystemSpec(psi0=PLUS, h_drift=random_hermitian(rng, 2),
+                            lindblad_ops=tuple(0.5 * random_matrix(rng, 2) for _ in range(k)))
+                 for k in (0, 2, 1)]
+        self.assert_members_equal_single_runs(specs, T=0.1, dt=1e-3)
+
+    def test_rejects_empty_and_mixed_stacks(self):
+        with pytest.raises(ValueError, match="at least one"):
+            integrate_many([], T=0.1)
+        specs = [reachset.draw_random_system(1, 2, 0), reachset.draw_random_system(1, 3, 0)]
+        with pytest.raises(ValueError, match="dimension"):
+            integrate_many(specs, T=0.1)
+
+    def test_first_failing_member_is_reported(self):
+        stable = qubit_spec(QubitParams(theta=0.0, gamma=0.1))
+        unstable = qubit_spec(QubitParams(theta=0.0, gamma=40.0))
+        with pytest.raises(IntegrationError) as many:
+            integrate_many([stable, unstable, stable], T=2.0, dt=0.5)
+        with pytest.raises(IntegrationError) as single:
+            integrate(unstable, T=2.0, dt=0.5)
+        assert str(many.value) == str(single.value)
+        assert (many.value.time, many.value.check) == (single.value.time, single.value.check)
+
+    @pytest.mark.parametrize("entries", [1, 2 * 201 * 9])
+    def test_verify_blocks_do_not_change_columns(self, monkeypatch, entries):
+        # 1 entry gives blocks of one trial; 2 * samples * d^2 at d = 3 gives
+        # blocks of four, two and one trials at d = 2, 3 and 4
+        args = dict(seed=17, n_trials=5, dims=(2, 3, 4), T=0.2, dt=1e-3)
+        whole = reachset.verify_bound(**args)
+        monkeypatch.setattr(dynamics, "STACK_ENTRIES", entries)
+        blocked = reachset.verify_bound(**args)
+        assert list(blocked) == list(whole)
+        for name in whole:
+            assert np.array_equal(blocked[name], whole[name]), name
+
+
+def hermitian_stack(rng, eigenvalues, n):
+    """n unit-trace Hermitian matrices with the given spectrum, each in a
+    random basis."""
+    out = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(random_matrix(rng, len(eigenvalues)))
+        rho = q @ np.diag(eigenvalues) @ q.conj().T
+        out.append((rho + rho.conj().T) / 2)
+    return np.array(out)
+
+
+class TestPositivityScreen:
+    TOL = dynamics.POSITIVITY_TOL
+
+    def spied_check(self, monkeypatch, states, times=None):
+        """Run _check_states, recording whether each positivity test ran."""
+        calls = []
+        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        if times is None:
+            times = np.arange(len(states)) * 0.1
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", spy("cholesky", cholesky))
+            m.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
+            dynamics._check_states(times, states)
+        return calls
+
+    def states(self, factor, dim=3, n=6):
+        rng = np.random.default_rng(dim)
+        lam = factor * self.TOL
+        return hermitian_stack(rng, [lam] + [(1.0 - lam) / (dim - 1)] * (dim - 1), n)
+
+    def test_screen_passes_slightly_negative_states(self, monkeypatch):
+        for dim in (2, 3, 4):
+            states = self.states(-0.4, dim)
+            assert np.linalg.eigvalsh(states).min() < -0.39 * self.TOL
+            assert self.spied_check(monkeypatch, states) == ["cholesky"]
+
+    def test_eigenvalues_decide_when_screen_fails(self, monkeypatch):
+        for dim in (2, 3, 4):
+            states = self.states(-0.9, dim)
+            assert self.spied_check(monkeypatch, states) == ["cholesky", "eigvalsh"]
+
+    def test_negative_eigenvalue_beyond_tolerance_fails(self, monkeypatch):
+        states = self.states(-1.1)
+        with pytest.raises(IntegrationError) as err:
+            self.spied_check(monkeypatch, states)
+        assert err.value.check == "positivity"
+        assert err.value.time == 0.0
+        assert "worst residual 1.1e-08 exceeds tolerance 1e-08" in str(err.value)
+
+    def test_failure_names_the_bad_sample(self, monkeypatch):
+        states = self.states(0.0, n=8)
+        states[5] = self.states(-1.1, n=1)[0]
+        times = np.linspace(0.0, 0.7, 8)
+        with pytest.raises(IntegrationError) as err:
+            self.spied_check(monkeypatch, states, times)
+        assert err.value.check == "positivity"
+        assert err.value.time == times[5]
+        assert "positivity check failed at t = 0.5:" in str(err.value)
 
 
 class TestFidelityRates:
