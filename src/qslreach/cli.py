@@ -300,24 +300,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     cols = traj.columns()
     if cfg["format"] == "json":
-        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
-        payload = {
-            "trajectory": rows,
-            "summary": {"theta_T": theta_t, "lambda": lam,
-                        "t_star": _json_safe(t_star), "margin": _json_safe(margin)},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        if cfg["out"] == "-":
-            sys.stdout.write(text)
-        else:
-            with open(cfg["out"], "w", newline="\n") as fh:
-                fh.write(text)
+        # the layout of json.dumps({"trajectory": rows, "summary": ...}, indent=2)
+        summary = {"theta_T": theta_t, "lambda": lam,
+                   "t_star": _json_safe(t_star), "margin": _json_safe(margin)}
+        reachset.write_text(
+            '{\n  "trajectory": ' + reachset.format_rows(cols, "json", "  ")
+            + ',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ")
+            + "\n}\n",
+            _out(cfg),
+        )
     else:
         reachset.write_rows(cols, _out(cfg), "csv")
     verdict = "bound holds" if margin >= -reachset.MARGIN_TOL else "bound violated"
+    # with the data on stdout, the summary goes to stderr, as verify's does
     print(
         f"theta_T = {theta_t:.9g}  lambda = {lam:.9g}  T_star = {t_star:.9g}  "
-        f"margin = {margin:.9g}  [{verdict}]"
+        f"margin = {margin:.9g}  [{verdict}]",
+        file=sys.stderr if cfg["out"] == "-" else sys.stdout,
     )
     return EXIT_OK
 

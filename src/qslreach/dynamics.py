@@ -288,11 +288,13 @@ def integrate_many(specs, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> l
     vecs[:, 0] = np.stack([linalg.outer(s.psi0).reshape(d2) for s in specs])
     # dF/dt = vec(rho_0)^dag L vec(rho_t): one row vector, then one product
     rate_rows = np.matmul(vecs[:, :1].conj(), gen)
+    # one (B, d^2, 1) view per sample, with the strides of vecs[:, i, :, None]
+    samples = list(vecs[..., None].swapaxes(0, 1))
     p = _rk4_propagator(gen, dt)
-    for i, h in enumerate(steps):
+    for h, v, v_next in zip(steps, samples, samples[1:]):
         if h != dt:
             p = _rk4_propagator(gen, h)
-        np.matmul(p, vecs[:, i, :, None], out=vecs[:, i + 1, :, None])
+        np.matmul(p, v, out=v_next)
     rates = np.matmul(vecs, rate_rows.transpose(0, 2, 1))[..., 0].real
     states = vecs.reshape(len(specs), n + 1, dim, dim)
     times = np.arange(n + 1) * dt

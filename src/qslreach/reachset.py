@@ -4,9 +4,11 @@ harness that validates the time bound against direct simulation.
 The sweeps evaluate whole grids as arrays and, like ``verify_bound``, return
 column dicts: column name -> 1-D array, in file column order, one entry per
 output row.
-``write_rows`` writes such a dict as CSV or JSON.  Rows are always in
-grid/trial order, so output files are byte-identical for identical
-configuration and seed.
+``write_rows`` writes such a dict as CSV or JSON.  Every table, and the
+rows of the nested ``simulate --format json`` payload, is rendered by
+``format_rows``: one %-format of a per-row template over all cells at once.
+Rows are always in grid/trial order, so output files are byte-identical for
+identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -245,24 +248,52 @@ VERIFY_CSV_COMMENT = (
 )
 
 
-def _cells(column, fmt: str) -> list[str]:
-    """One column rendered cell by cell.  CSV: floats at 9 significant
-    digits (+inf as "inf"), everything else verbatim.  JSON: the tokens
-    json.dumps writes, except that non-finite floats become strings
-    ("inf")."""
+def _cells(column, fmt: str) -> tuple[str, list]:
+    """One column as a %-spec and the Python values it formats.  CSV:
+    floats at 9 significant digits (+inf as "inf"), everything else
+    verbatim.  JSON: the tokens json.dumps writes (str of a float is its
+    repr), except that non-finite floats become strings ("inf")."""
     arr = np.asarray(column)
     values = arr.tolist()
     if arr.dtype.kind == "f":
         if fmt == "csv":
-            return [f"{v:.9g}" for v in values]
-        cells = [repr(v) for v in values]
+            return "%.9g", values
         for i in np.flatnonzero(~np.isfinite(arr)):
-            cells[i] = f'"{values[i]}"'
-        return cells
+            values[i] = f'"{values[i]}"'
+        return "%s", values
     if fmt == "csv":
-        return [str(v) for v in values]
+        return "%s", values
     tokens = {v: json.dumps(v) for v in set(values)}
-    return [tokens[v] for v in values]
+    return "%s", [tokens[v] for v in values]
+
+
+def format_rows(columns: dict, fmt: str, indent: str = "") -> str:
+    """The rows of a column dict as text: one %-format of a per-row template
+    repeated once per row.  CSV: one line per row, no header.  JSON: the
+    list json.dumps(rows, indent=2) writes, without a final newline;
+    ``indent`` prefixes every line but the first, to nest it in an object."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if not columns or not len(next(iter(columns.values()))):
+        raise ValueError("no rows to write")
+    specs, values = zip(*(_cells(col, fmt) for col in columns.values()))
+    flat = tuple(chain.from_iterable(zip(*values)))
+    n = len(values[0])
+    if fmt == "csv":
+        return (",".join(specs) + "\n") * n % flat
+    keys = [json.dumps(name).replace("%", "%%") for name in columns]
+    fields = ",\n".join(f"{indent}    {k}: {s}" for k, s in zip(keys, specs))
+    record = f"{indent}  {{\n{fields}\n{indent}  }},\n"
+    return "[\n" + (record * n % flat)[:-2] + f"\n{indent}]"
+
+
+def write_text(text: str, out) -> None:
+    """Write ``text`` to a file path ("\\n" line ends) or an open text stream."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def write_rows(columns: dict, out, fmt: str, comment: str | None = None) -> None:
@@ -271,24 +302,14 @@ def write_rows(columns: dict, out, fmt: str, comment: str | None = None) -> None
     ``fmt`` is "csv" (a header line, then comma-separated cells; a
     ``comment`` line, if given, goes first) or "json" (a list of one object
     per row, laid out as json.dumps(..., indent=2) lays it out).  ``out``
-    is a file path or an open text stream.
+    is a file path or an open text stream.  The rows come from
+    ``format_rows``.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if not columns or not len(next(iter(columns.values()))):
-        raise ValueError("no rows to write")
-    cells = [_cells(col, fmt) for col in columns.values()]
+    text = format_rows(columns, fmt)
     if fmt == "csv":
-        lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+        text = ",".join(columns) + "\n" + text
         if comment is not None:
-            lines.insert(0, comment)
-        text = "\n".join(lines) + "\n"
+            text = comment + "\n" + text
     else:
-        keys = [json.dumps(name).replace("{", "{{").replace("}", "}}") for name in columns]
-        record = "  {{\n" + ",\n".join(f"    {k}: {{}}" for k in keys) + "\n  }}"
-        text = "[\n" + ",\n".join(record.format(*row) for row in zip(*cells)) + "\n]\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        text += "\n"
+    write_text(text, out)

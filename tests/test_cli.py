@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qslreach import cli
+from qslreach import cli, dynamics, models, qsl, reachset
 
 
 def run(args):
@@ -150,6 +150,52 @@ class TestSimulateCommand:
         payload = json.loads(out_path.read_text())
         assert payload["summary"]["lambda"] >= 0.0
         assert payload["trajectory"][0]["t"] == 0.0
+
+    @pytest.mark.parametrize("model_args,spec", [
+        (["--model", "qubit", "--theta", "0.7", "--phi", "0.3", "--gamma", "0.4"],
+         models.qubit_spec(models.QubitParams(theta=0.7, phi=0.3, gamma=0.4))),
+        (["--model", "bell", "--state", "psi-plus", "--gamma", "0.6"],
+         models.bell_spec("psi-plus", 0.6)),
+    ], ids=["qubit", "bell"])
+    @pytest.mark.parametrize("out", ["file", "-"], ids=["file", "stdout"])
+    def test_json_equals_json_dumps_of_payload(self, tmp_path, capsys, model_args, spec, out):
+        path = tmp_path / "traj.json"
+        assert run(["simulate", *model_args, "--T", "0.05", "--format", "json",
+                    "--out", str(path) if out == "file" else "-"]) == 0
+        text = path.read_text() if out == "file" else capsys.readouterr().out
+        # the reference: json.dumps over one dict per row plus the summary
+        traj = dynamics.integrate(spec, 0.05)
+        cols = traj.columns()
+        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+        theta_t = float(traj.thetas[-1])
+        lam = reachset.measured_radius(theta_t)
+        t_star = qsl.qsl_time(qsl.generic_coefficients(spec), lam)
+        payload = {"trajectory": rows, "summary": {
+            "theta_T": theta_t, "lambda": lam, "t_star": t_star, "margin": 0.05 - t_star}}
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_to_stdout_is_one_document(self, capsys):
+        assert run(["simulate", "--T", "0.002", "--format", "json", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert set(payload) == {"trajectory", "summary"}
+        assert captured.err.startswith("theta_T = ")
+        assert "bound holds" in captured.err
+
+    def test_csv_to_stdout_is_header_and_rows(self, capsys):
+        assert run(["simulate", "--T", "0.01", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "t,theta,fidelity,trace_err"
+        assert len(lines) == 1 + 11
+        assert all(len(line.split(",")) == 4 for line in lines)
+        assert captured.err.startswith("theta_T = ")
+
+    def test_summary_stays_on_stdout_with_a_file(self, tmp_path, capsys):
+        assert run(["simulate", "--T", "0.01", "--out", str(tmp_path / "t.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("theta_T = ")
+        assert captured.err == ""
 
     def test_unstable_step_exits_3(self, tmp_path, capsys):
         assert run(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qslreach import dynamics, qsl, reachset
@@ -311,6 +312,22 @@ class TestCsvOutput:
             reachset.write_rows({}, "unused.csv", "csv")
 
 
+# names and strings carry the characters that %-templates, str.format, JSON
+# and CSV treat specially
+_TEXT = st.text(alphabet='ab %{}",\\\'\u00e9', max_size=5)
+_CELLS = (st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), _TEXT)
+
+
+@st.composite
+def _tables(draw):
+    """A column dict of 1-6 rows and 1-5 columns, each column of one type;
+    floats include inf, -inf, nan and -0.0."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    return {name: draw(st.lists(draw(st.sampled_from(_CELLS)), min_size=n, max_size=n))
+            for name in names}
+
+
 class TestWriteRows:
     TABLE = {
         "label": ["phi-plus", 'a "quoted" one', "x"],
@@ -365,3 +382,18 @@ class TestWriteRows:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             reachset.write_rows({"x": [1.0]}, io.StringIO(), "xml")
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables())
+    def test_random_tables_match_reference_encoders(self, table):
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        reachset.write_rows(table, csv_out, "csv")
+        reachset.write_rows(table, json_out, "json")
+        assert csv_out.getvalue() == ",".join(table) + "\n" + "".join(
+            ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row.values())
+            + "\n" for row in rows
+        )
+        safe = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()} for row in rows]
+        assert json_out.getvalue() == json.dumps(safe, indent=2) + "\n"
