@@ -39,7 +39,6 @@ from .models import (
     su2_gate,
 )
 from .qsl import (
-    DEL_CAMPO_CROSSOVER,
     QslCoefficients,
     angle_from_radius,
     closed_system_radius_bound,

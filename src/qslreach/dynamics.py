@@ -19,11 +19,11 @@ bound in this package is validated against, so states are *checked*
 trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 |psi_0>, against which ``theta_rate_check`` tests the differential bound.
 
-``integrate_many`` is the one step loop: it steps a stack of systems of one
-dimension together, one (B, d^2, d^2) propagator product per step, and
-``integrate`` is its single-system case.  Positivity is screened by one
-Cholesky factorization per trajectory; the eigenvalue solve runs only when
-the screen fails.
+``integrate_many`` is the one integrator: it propagates a stack of systems
+of one dimension together, filling the samples by doubling (about
+2 log2(n) stacked products for n steps), and ``integrate`` is its
+single-system case.  Positivity is screened by one Cholesky factorization
+per trajectory; the eigenvalue solve runs only when the screen fails.
 """
 
 from __future__ import annotations
@@ -196,8 +196,11 @@ def _step_sizes(T: float, dt: float) -> np.ndarray:
 
 
 def _check_states(times: np.ndarray, states: np.ndarray) -> None:
-    """Raise IntegrationError at the first unhealthy state; positivity is
-    checked only once the cheap checks pass everywhere.
+    """Raise IntegrationError at the earliest unhealthy state over all four
+    checks.  The cheap checks (non-finite, Hermiticity, trace) run on every
+    sample; positivity runs on the samples before the first cheap failure,
+    so a state that is already indefinite is named before a later one that
+    has overflowed.
 
     Positivity is first screened by one Cholesky factorization of
     states + (POSITIVITY_TOL / 2) I.  It is backward stable, so success
@@ -212,16 +215,16 @@ def _check_states(times: np.ndarray, states: np.ndarray) -> None:
         ("trace", np.abs(np.einsum("tii->t", states) - 1.0), TRACE_TOL),
     ]
     bad = np.array([r > tol for _, r, tol in checks])
+    head = states[:int(np.argmax(bad.any(axis=0)))] if bad.any() else states
+    try:
+        np.linalg.cholesky(head + 0.5 * POSITIVITY_TOL * np.eye(states.shape[-1]))
+    except np.linalg.LinAlgError:
+        resid = -np.linalg.eigvalsh(head).min(axis=1)
+        if (resid > POSITIVITY_TOL).any():
+            checks = [("positivity", resid, POSITIVITY_TOL)]
+            bad = resid[None] > POSITIVITY_TOL
     if not bad.any():
-        try:
-            np.linalg.cholesky(states + 0.5 * POSITIVITY_TOL * np.eye(states.shape[-1]))
-            return
-        except np.linalg.LinAlgError:
-            pass
-        checks = [("positivity", -np.linalg.eigvalsh(states).min(axis=1), POSITIVITY_TOL)]
-        bad = np.array([r > tol for _, r, tol in checks])
-        if not bad.any():
-            return
+        return
     i = int(np.argmax(bad.any(axis=0)))
     j = int(np.argmax(bad[:, i]))
     name, resid, tol = checks[j]
@@ -253,18 +256,23 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
 
 def integrate_many(specs, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> list[Trajectory]:
     """Propagate each rho_0 = |psi0><psi0| of ``specs`` with fixed-step
-    classical RK4, all systems in one step loop.
+    classical RK4, all systems together.
 
     The specs must share one dimension.  The sample times are 0, dt,
     2 dt, ... with the last step shortened so the final sample lands
     exactly on T.  The control u is constant and must stay within +-u_max of
-    every spec.  The generators are time-invariant, so each RK4 step is one
-    product with the stack of matrices _rk4_propagator(L, dt), shape
-    (B, d^2, d^2).  Each trajectory's ``fidelity_rates`` evaluate its L at
-    every sample, so they are the exact dF/dt of the sampled states under
-    this u.  States are checked trajectory by trajectory, in stack order, so
-    a failure names the first unhealthy system.  Every trajectory equals
-    ``integrate`` of its spec alone, bit for bit.
+    every spec.  The generators are time-invariant, so the sample after i
+    full steps is P^i vec(rho_0) with P = _rk4_propagator(L, dt), a stack of
+    shape (B, d^2, d^2).  The samples are filled by doubling: with m filled,
+    the next m are one stacked product with P^m, and P^2m = P^m P^m; the
+    last block is clipped, and a shortened last step is one product with its
+    own propagator.  These are the RK4 iterates up to roundoff, computed in
+    about 2 log2(n) products instead of n.  Each trajectory's
+    ``fidelity_rates`` evaluate its L at every sample, so they are the exact
+    dF/dt of the sampled states under this u.  States are checked trajectory
+    by trajectory, in stack order, so a failure names the first unhealthy
+    system; overflow of an unstable step raises no numpy warning.  Every
+    trajectory equals ``integrate`` of its spec alone, bit for bit.
     """
     specs = list(specs)
     if not specs:
@@ -284,30 +292,38 @@ def integrate_many(specs, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> l
     gen = lindblad(hams, ops, basis).reshape(len(specs), d2, d2).transpose(0, 2, 1)
 
     n = len(steps)
+    n_full = n if steps[-1] == dt else n - 1
     vecs = np.empty((len(specs), n + 1, d2), dtype=complex)
     vecs[:, 0] = np.stack([linalg.outer(s.psi0).reshape(d2) for s in specs])
-    # dF/dt = vec(rho_0)^dag L vec(rho_t): one row vector, then one product
-    rate_rows = np.matmul(vecs[:, :1].conj(), gen)
-    # one (B, d^2, 1) view per sample, with the strides of vecs[:, i, :, None]
-    samples = list(vecs[..., None].swapaxes(0, 1))
-    p = _rk4_propagator(gen, dt)
-    for h, v, v_next in zip(steps, samples, samples[1:]):
-        if h != dt:
-            p = _rk4_propagator(gen, h)
-        np.matmul(p, v, out=v_next)
-    rates = np.matmul(vecs, rate_rows.transpose(0, 2, 1))[..., 0].real
-    states = vecs.reshape(len(specs), n + 1, dim, dim)
+    # dF/dt = vec(rho_0)^dag L vec(rho_t) and F = vec(rho_0)^dag vec(rho_t):
+    # two row vectors, multiplied into every sample by one product
+    probes = np.concatenate([np.matmul(vecs[:, :1].conj(), gen), vecs[:, :1].conj()], axis=1)
     times = np.arange(n + 1) * dt
     times[-1] = T
-
+    states = vecs.reshape(len(specs), n + 1, dim, dim)
     trajs = []
-    for spec, states_b, rates_b in zip(specs, states, rates):
-        _check_states(times, states_b)
-        fids = np.einsum("i,tij,j->t", spec.psi0.conj(), states_b, spec.psi0).real
+    # unstable steps overflow; _check_states then names the first bad sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        # samples are rows, vecs[:, i] = vecs[:, 0] (P^i)^T: with m samples
+        # filled, the next m are vecs[:, :m] (P^m)^T, then P^2m = P^m P^m
+        power = _rk4_propagator(gen, dt).transpose(0, 2, 1)
+        m = 1
+        while m <= n_full:
+            k = min(m, n_full + 1 - m)
+            np.matmul(vecs[:, :k], power, out=vecs[:, m:m + k])
+            m += k
+            if m <= n_full:
+                power = power @ power
+        if n > n_full:
+            np.matmul(vecs[:, n_full:n], _rk4_propagator(gen, steps[-1]).transpose(0, 2, 1),
+                      out=vecs[:, n:])
+        rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
-        thetas[0] = 0.0
-        trajs.append(Trajectory(times=times, states=states_b, thetas=thetas,
-                                fidelity_rates=rates_b, psi0=spec.psi0))
+        thetas[:, 0] = 0.0
+        for spec, states_b, thetas_b, rates_b in zip(specs, states, thetas, rates):
+            _check_states(times, states_b)
+            trajs.append(Trajectory(times=times, states=states_b, thetas=thetas_b,
+                                    fidelity_rates=rates_b, psi0=spec.psi0))
     return trajs
 
 
@@ -323,5 +339,12 @@ def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
     tr(X (rho_t - rho_0)) with X = L^dag(rho_0), sqrt(2) ||X||_F <= A and
     ||rho_t - rho_0||_F <= sqrt(2) lambda_t.
     """
-    lam = np.sqrt(np.maximum(1.0 - traj.fidelities, 0.0))
-    return -traj.fidelity_rates - (coeffs.speed * lam + coeffs.noise)
+    return fidelity_rate_excess(traj.fidelities, traj.fidelity_rates, coeffs)
+
+
+def fidelity_rate_excess(fidelities, fidelity_rates, coeffs) -> np.ndarray:
+    """``theta_rate_check`` on arrays: -dF/dt - (A sqrt(1 - F) + E).  The
+    arguments broadcast, so a stack of trajectories (B, n) is checked at
+    once against coefficients of shape (B, 1)."""
+    lam = np.sqrt(np.maximum(1.0 - fidelities, 0.0))
+    return -fidelity_rates - (coeffs.speed * lam + coeffs.noise)

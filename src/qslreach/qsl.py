@@ -26,7 +26,7 @@ controlled variant
 
 Inverting T*(lambda) at a fixed horizon T yields the largest reachable
 radius in closed form (through the Lambert W branch W_{-1}); together with
-the comparison bound T_DC = sqrt(2) lambda / A this characterizes which
+the comparison bound T_DC = sqrt(2) lambda^2 / A this characterizes which
 final states (or target gates) are compatible with a given control setup
 and time budget.  ``coefficients``, ``qsl_time`` and
 ``max_reachable_radius`` work on whole stacks of states or coefficients at
@@ -53,11 +53,6 @@ DEGENERACY_EPS = 1e-14
 #: unmoved state can come back with lambda ~ 1e-8 of pure noise (fatal
 #: where A = 0, which maps any nonzero radius to an infinite bound).
 RADIUS_RESOLUTION = 1e-6
-
-#: Root of 1 - ln(1+x)/x = 1/sqrt(2) with x = A*lambda/E: for x above this
-#: value the logarithmic bound T* exceeds the comparison bound T_DC, below
-#: it the ordering flips.  Frozen from a brentq root solve.
-DEL_CAMPO_CROSSOVER = 7.17248972434648
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,21 @@ def qsl_time(coeffs: QslCoefficients, lam):
     return _scalar(np.where(lam > 0.0, t, 0.0))
 
 
-def del_campo_time(coeffs: QslCoefficients, lam: float) -> float:
-    """Comparison bound T_DC = sqrt(2) lambda / A."""
-    if lam <= 0.0:
-        return 0.0
-    if coeffs.speed < DEGENERACY_EPS:
-        return math.inf
-    return math.sqrt(2.0) * lam / coeffs.speed
+def del_campo_time(coeffs: QslCoefficients, lam):
+    """Comparison bound T_DC = sqrt(2) lambda^2 / A of del Campo et al.
+    (PRL 110, 050403 (2013)) for a pure rho_0.
+
+    F_t = tr(rho_0 rho_t) has dF/dt = tr(L^dag(rho_0) rho_t), which
+    Cauchy-Schwarz with ||rho_t||_F <= 1 bounds by ||L^dag(rho_0)||_F =
+    A / sqrt(2); so lambda^2 = 1 - F_T <= A T / sqrt(2).  lambda = 0 gives
+    0 and A below DEGENERACY_EPS gives +inf.  Coefficients and ``lam``
+    broadcast; all-scalar input gives a float.  Unlike T*, its ratio to T*
+    depends on E / A as well as on A lambda / E, so no single crossover
+    value of A lambda / E decides which bound is larger.
+    """
+    a, _, a_ok, _ = _regular(coeffs)
+    t = np.where(a_ok, math.sqrt(2.0) * lam * lam / a, np.inf)
+    return _scalar(np.where(lam > 0.0, t, 0.0))
 
 
 def _log1p_root(c: np.ndarray) -> np.ndarray:

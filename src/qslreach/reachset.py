@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import dynamics, qsl
-from .dynamics import SystemSpec, integrate_many, theta_rate_check
+from .dynamics import SystemSpec, fidelity_rate_excess, integrate_many
 from .models import (
     BELL_LABELS,
     GateParams,
@@ -40,11 +40,12 @@ DEFAULT_MAP_POINTS = 100
 MARGIN_TOL = 1e-4  # numerical slack on T >= T*
 
 
-def measured_radius(theta_t: float) -> float:
-    """Radius of a *simulated* final angle, with displacements below
-    qsl.RADIUS_RESOLUTION reported as exactly zero."""
-    lam = qsl.radius_from_angle(theta_t)
-    return lam if lam >= qsl.RADIUS_RESOLUTION else 0.0
+def measured_radius(theta_t):
+    """Radius sqrt(1 - cos Theta) of *simulated* angles in [0, pi/2], with
+    displacements below qsl.RADIUS_RESOLUTION reported as exactly zero;
+    takes arrays, and gives a float for a scalar."""
+    lam = qsl.radius_from_fidelity(np.cos(theta_t))
+    return lam * (lam >= qsl.RADIUS_RESOLUTION)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def verify_bound(
     if not dims:
         raise ValueError("at least one dim is required")
     samples = len(dynamics._step_sizes(T, dt)) + 1
-    theta_t, lam, rate_excess, a, e = [], [], [], [], []
+    theta_t, rate_excess, a, e = [], [], [], []
     for dim in dims:
         specs = [draw_random_system(seed, dim, k) for k in range(n_trials)]
         a_dim, e_dim = qsl.coefficients(
@@ -217,26 +218,29 @@ def verify_bound(
         block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))
         for start in range(0, n_trials, block):
             trajs = integrate_many(specs[start:start + block], T, dt)
-            for k, traj in enumerate(trajs, start):
-                theta_t.append(float(traj.thetas[-1]))
-                lam.append(measured_radius(theta_t[-1]))
-                coeffs = qsl.QslCoefficients(a_dim[k], e_dim[k])
-                rate_excess.append(theta_rate_check(traj, coeffs).max())
+            thetas = np.stack([traj.thetas for traj in trajs])
+            rates = np.stack([traj.fidelity_rates for traj in trajs])
+            del trajs  # the block's states go before the next block is integrated
+            coeffs = qsl.QslCoefficients(a_dim[start:start + block, None],
+                                         e_dim[start:start + block, None])
+            theta_t.append(thetas[:, -1])
+            rate_excess.append(fidelity_rate_excess(np.cos(thetas), rates, coeffs).max(axis=1))
         a.append(a_dim)
         e.append(e_dim)
-    t_star = qsl.qsl_time(qsl.QslCoefficients(np.concatenate(a), np.concatenate(e)),
-                          np.array(lam))
+    theta_t = np.concatenate(theta_t)
+    lam = measured_radius(theta_t)
+    t_star = qsl.qsl_time(qsl.QslCoefficients(np.concatenate(a), np.concatenate(e)), lam)
     n = t_star.size
     return {
         "trial": np.tile(np.arange(n_trials), len(dims)),
         "seed": np.full(n, seed),
         "dim": np.repeat(dims, n_trials),
         "T": np.full(n, T),
-        "theta_T": np.array(theta_t),
-        "lambda": np.array(lam),
+        "theta_T": theta_t,
+        "lambda": lam,
         "t_star": t_star,
         "margin": T - t_star,
-        "rate_excess": np.array(rate_excess),
+        "rate_excess": np.concatenate(rate_excess),
     }
 
 
@@ -252,9 +256,14 @@ def _cells(column, fmt: str) -> tuple[str, list]:
     """One column as a %-spec and the Python values it formats.  CSV:
     floats at 9 significant digits (+inf as "inf"), everything else
     verbatim.  JSON: the tokens json.dumps writes (str of a float is its
-    repr), except that non-finite floats become strings ("inf")."""
+    repr), except that non-finite floats become strings ("inf").  The
+    strings of a list or tuple column are taken as given: numpy's unicode
+    dtype would drop their trailing NULs."""
     arr = np.asarray(column)
-    values = arr.tolist()
+    if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
+        values = list(column)
+    else:
+        values = arr.tolist()
     if arr.dtype.kind == "f":
         if fmt == "csv":
             return "%.9g", values

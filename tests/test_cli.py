@@ -47,6 +47,20 @@ class TestBoundCommand:
         assert_allclose(float(report_value(out, "T_dc")), 1.0, atol=1e-8)
         assert report_value(out, "larger") == "T_dc"
 
+    def test_qubit_half_radius(self, capsys):
+        # amplitude damping from |1>: lambda^2 = 1 - e^{-t} reaches 1/4 at
+        # t = ln(4/3) = 0.2877; A = sqrt(2), E = 1 give T_dc = sqrt(2)/4/A = 1/4
+        # and T* = sqrt(2)/2 - ln(1 + sqrt(2)/2) = 0.1723, both below it
+        assert run(
+            ["bound", "--model", "qubit", "--theta", "0", "--gamma", "1",
+             "--omega", "1", "--lambda", "0.5"]
+        ) == 0
+        out = capsys.readouterr().out
+        t_star = math.sqrt(2) / 2 - math.log1p(math.sqrt(2) / 2)
+        assert_allclose(float(report_value(out, "T_star")), t_star, atol=1e-8)
+        assert_allclose(float(report_value(out, "T_dc")), 0.25, atol=1e-8)
+        assert report_value(out, "larger") == "T_dc"
+
     def test_gate_bound_saturating_rotation(self, capsys):
         assert run(
             ["bound", "--model", "qubit-gate", "--theta", "0",

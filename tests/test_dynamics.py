@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ class TestIntegrate:
         assert err.value.check == "positivity"
         assert "positivity check failed" in str(err.value)
 
+    def test_unstable_run_names_the_earliest_bad_sample(self):
+        # the long run overflows; its first indefinite state is still the
+        # one the short run reports, and no numpy warning escapes
+        spec = qubit_spec(QubitParams(theta=0.0, gamma=40.0))
+        errors = []
+        for T in (2.0, 60.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError) as err:
+                    integrate(spec, T=T, dt=0.5)
+            errors.append((err.value.check, err.value.time))
+        assert errors == [("positivity", 0.5)] * 2
+
     def test_invalid_T_and_dt(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
         with pytest.raises(ValueError):
@@ -272,6 +286,11 @@ class TestIntegrate:
             integrate(spec, T=0.1, dt=1e-3, u=0.5)
 
 
+#: Step counts around the doubling blocks: one block, exact powers of two,
+#: one past them, and a long run.
+STEP_COUNTS = (1, 2, 3, 7, 8, 9, 500)
+
+
 class TestIntegrateMany:
     FIELDS = ("states", "thetas", "fidelity_rates")
 
@@ -288,6 +307,12 @@ class TestIntegrateMany:
         for dim in (2, 3, 4):
             specs = [reachset.draw_random_system(3, dim, k) for k in range(4)]
             self.assert_members_equal_single_runs(specs, T=0.2, dt=1e-3)
+
+    @pytest.mark.parametrize("n", STEP_COUNTS)
+    def test_members_equal_single_runs_at_every_step_count(self, n):
+        for dim in (2, 3, 4):
+            specs = [reachset.draw_random_system(29, dim, k) for k in range(3)]
+            self.assert_members_equal_single_runs(specs, T=n * 1e-2, dt=1e-2)
 
     def test_controlled_stack(self):
         specs = [qutrit_spec(1.2, 0.8), qutrit_spec(0.7, 1.0), qutrit_spec(1.0, 0.7)]
@@ -335,6 +360,60 @@ class TestIntegrateMany:
         assert list(blocked) == list(whole)
         for name in whole:
             assert np.array_equal(blocked[name], whole[name]), name
+
+
+def sequential_states(spec, steps):
+    """Reference states: vec(rho) stepped by one RK4 propagator product
+    P @ v per step, P = sum_{k<=4} (h G)^k / k! built from the generator
+    matrix G of ``lindblad``."""
+    dim = spec.dim
+    d2 = dim * dim
+    basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
+    gen = dynamics.lindblad(spec.h_drift, spec.lindblad_ops, basis).reshape(d2, d2).T
+    v = np.outer(spec.psi0, spec.psi0.conj()).reshape(d2)
+    out = [v]
+    for h in steps:
+        hg = h * gen
+        p = np.eye(d2) + hg + hg @ hg / 2 + hg @ hg @ hg / 6 + hg @ hg @ hg @ hg / 24
+        v = p @ v
+        out.append(v)
+    return np.array(out).reshape(-1, dim, dim)
+
+
+class TestDoublingPropagation:
+    """integrate_many fills the samples by doubling, vecs[:, m:2m] =
+    vecs[:, :m] (P^m)^T; it must agree with stepping one sample at a time."""
+
+    DT = 1e-2
+    TOL = 1e-12  # roundoff of the doubling products against the steps
+
+    def specs(self, dim, n=3):
+        return [reachset.draw_random_system(29, dim, k) for k in range(n)]
+
+    @pytest.mark.parametrize("n", STEP_COUNTS)
+    def test_matches_sequential_steps(self, n):
+        for dim in (2, 3, 4):
+            specs = self.specs(dim)
+            for spec, traj in zip(specs, integrate_many(specs, T=n * self.DT, dt=self.DT)):
+                assert traj.states.shape == (n + 1, dim, dim)
+                ref = sequential_states(spec, [self.DT] * n)
+                assert np.abs(traj.states - ref).max() <= self.TOL
+
+    def test_shortened_last_step_matches_sequential_steps(self):
+        for dim in (2, 3, 4):
+            specs = self.specs(dim)
+            for spec, traj in zip(specs, integrate_many(specs, T=2.4 * self.DT, dt=self.DT)):
+                ref = sequential_states(spec, [self.DT, self.DT, 0.4 * self.DT])
+                assert traj.states.shape == (4, dim, dim)
+                assert np.abs(traj.states - ref).max() <= self.TOL
+
+    def test_long_trajectory(self):
+        spec = qubit_spec(QubitParams(theta=0.7, phi=0.3, gamma=0.4))
+        traj = integrate(spec, T=15.0, dt=1e-3)
+        assert traj.states.shape == (15001, 2, 2) and traj.thetas.shape == (15001,)
+        assert traj.times[-1] == 15.0
+        ref = sequential_states(spec, [1e-3] * 15000)
+        assert np.abs(traj.states - ref).max() <= self.TOL
 
 
 def hermitian_stack(rng, eigenvalues, n):

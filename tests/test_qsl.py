@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
 
 from qslreach import qsl
-from qslreach.dynamics import SystemSpec
+from qslreach.dynamics import SystemSpec, integrate_many
 from qslreach.models import (
     PAULI_X,
     PAULI_Z,
@@ -17,6 +16,7 @@ from qslreach.models import (
     qubit_spec,
     qutrit_spec,
 )
+from qslreach.reachset import draw_random_system
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -170,36 +170,56 @@ class TestQslTime:
 
 
 class TestDelCampoComparison:
+    # T_DC = sqrt(2) lambda^2 / A: Cauchy-Schwarz on dF/dt = tr(L^dag(rho_0) rho_t)
+    # with ||rho_t||_F <= 1 gives 1 - F_T = lambda^2 <= T A / sqrt(2)
     def test_values(self):
         assert qsl.del_campo_time(coeffs(1.0, 0.0), 0.0) == 0.0
         assert_allclose(qsl.del_campo_time(coeffs(math.sqrt(2), 1.0), 1.0), 1.0)
+        assert_allclose(qsl.del_campo_time(coeffs(math.sqrt(2), 1.0), 0.5), 0.25)
         assert qsl.del_campo_time(coeffs(0.0, 1.0), 0.5) == math.inf
+
+    def test_arrays(self):
+        t = qsl.del_campo_time(coeffs(2.0, 0.0), np.array([0.0, 0.5, 1.0]))
+        assert_allclose(t, [0.0, math.sqrt(2) / 8, math.sqrt(2) / 2])
 
     def test_both_orderings_occur(self):
         c = coeffs(math.sqrt(2), 1.0)
         assert qsl.qsl_time(c, 1.0) < qsl.del_campo_time(c, 1.0)
-        c2 = coeffs(20.0, 0.1)  # x = A lam / E far above the crossover
+        c2 = coeffs(20.0, 0.1)  # T* = 0.1 - 5e-4 ln 201 = 0.0973 > sqrt(2) / 20
         assert qsl.qsl_time(c2, 1.0) > qsl.del_campo_time(c2, 1.0)
 
-    def test_crossover_constant(self):
-        # independent root solve of 1 - ln(1+x)/x = 1/sqrt(2)
-        x0 = brentq(lambda x: 1 - math.log1p(x) / x - 1 / math.sqrt(2), 1.0, 100.0,
-                    xtol=1e-13)
-        assert_allclose(qsl.DEL_CAMPO_CROSSOVER, x0, atol=1e-10)
+    def test_ordering_is_not_fixed_by_x(self):
+        # x = A lambda / E = 2 in both: T* = 2 lambda (1 - ln(3) / 2) / A
+        c, lam = coeffs(1.0, 0.25), 0.5
+        assert_allclose(qsl.qsl_time(c, lam), 1.0 - 0.5 * math.log(3.0))      # 0.4507
+        assert_allclose(qsl.del_campo_time(c, lam), math.sqrt(2) / 4)          # 0.3536
+        c, lam = coeffs(1.0, 0.45), 0.9
+        assert_allclose(qsl.qsl_time(c, lam), 1.8 - 0.9 * math.log(3.0))       # 0.8112
+        assert_allclose(qsl.del_campo_time(c, lam), math.sqrt(2) * 0.81)       # 1.1455
 
-    def test_crossover_separates_orderings(self):
+    def test_ordering_criterion(self):
+        # T* - T_DC = (2 lambda / A) (1 - ln(1 + x) / x - lambda / sqrt(2))
         rng = np.random.default_rng(12)
-        x0 = qsl.DEL_CAMPO_CROSSOVER
         for _ in range(200):
             a = rng.uniform(0.1, 5.0)
             e = rng.uniform(0.01, 5.0)
             lam = rng.uniform(0.01, 1.0)
             x = a * lam / e
-            if abs(x - x0) < 1e-3 * x0:
+            gap = 1.0 - math.log1p(x) / x - lam / math.sqrt(2)
+            if abs(gap) < 1e-9:
                 continue
             c = coeffs(a, e)
             diff = qsl.qsl_time(c, lam) - qsl.del_campo_time(c, lam)
-            assert (diff >= -1e-12) == (x >= x0)
+            assert (diff > 0) == (gap > 0)
+
+    def test_simulation_respects_the_bound(self):
+        # every sample of seeded random trajectories: T_DC(lambda_t) <= t
+        for dim in (2, 3, 4):
+            specs = [draw_random_system(42, dim, k) for k in range(40)]
+            for spec, traj in zip(specs, integrate_many(specs, T=0.5)):
+                lam = qsl.radius_from_fidelity(traj.fidelities)
+                t_dc = qsl.del_campo_time(qsl.generic_coefficients(spec), lam)
+                assert (t_dc <= traj.times * (1 + 1e-9) + 1e-12).all()
 
 
 class TestMaxReachableRadius:

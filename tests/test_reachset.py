@@ -313,8 +313,8 @@ class TestCsvOutput:
 
 
 # names and strings carry the characters that %-templates, str.format, JSON
-# and CSV treat specially
-_TEXT = st.text(alphabet='ab %{}",\\\'\u00e9', max_size=5)
+# and CSV treat specially, and the NUL that numpy's unicode dtype strips
+_TEXT = st.text(alphabet='ab %{}",\\\'\u00e9\x00', max_size=5)
 _CELLS = (st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), _TEXT)
 
 
@@ -382,6 +382,12 @@ class TestWriteRows:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             reachset.write_rows({"x": [1.0]}, io.StringIO(), "xml")
+
+    def test_trailing_nul_is_kept(self):
+        for fmt, expected in (("json", '"s": "a\\u0000"'), ("csv", "s\na\x00\n")):
+            out = io.StringIO()
+            reachset.write_rows({"s": ["a\x00"]}, out, fmt)
+            assert expected in out.getvalue()
 
     @settings(max_examples=200, deadline=None)
     @given(table=_tables())
