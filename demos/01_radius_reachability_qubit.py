@@ -29,7 +29,7 @@ HORIZONS = (0.3, 0.5, 0.8)
 
 def sweep(gamma: float):
     grid = SweepGrid(
-        axes=(GridAxis("theta", 0.0, math.pi / 2, 200),), horizons=HORIZONS
+        axes=(GridAxis(0.0, math.pi / 2, 200),), horizons=HORIZONS
     )
     return sweep_reachable_radius(grid, gamma=gamma, omega=1.0)
 

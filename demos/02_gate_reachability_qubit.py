@@ -44,8 +44,8 @@ def reach_fraction(cols, horizon_index: int) -> float:
 def main() -> None:
     grid = SweepGrid(
         axes=(
-            GridAxis("alpha", 0.0, 2 * math.pi, 100),
-            GridAxis("beta", 0.0, math.pi, 100),
+            GridAxis(0.0, 2 * math.pi, 100),
+            GridAxis(0.0, math.pi, 100),
         ),
         horizons=HORIZONS,
     )

@@ -40,7 +40,7 @@ def main() -> None:
         print(f"  {label:10s}: T* = {t:.6f}" if math.isfinite(t) else
               f"  {label:10s}: T* = inf (state cannot move)")
 
-    cols = bell_sweep(GridAxis("gamma", 0.05, 2.0, 200), T=T)
+    cols = bell_sweep(GridAxis(0.05, 2.0, 200), T=T)
     by_state: dict[str, list] = {}
     for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
         by_state.setdefault(state, []).append((gamma, lam))

@@ -8,9 +8,7 @@ from .dynamics import (
     SystemSpec,
     Trajectory,
     integrate,
-    integrate_many,
     lindblad,
-    master_rhs,
     theta_rate_check,
 )
 from .models import (
@@ -24,7 +22,6 @@ from .models import (
     bell_time_bound,
     collective_decay,
     gate_fidelity,
-    pauli,
     qubit_closed_form_coeffs,
     qubit_gate_radius,
     qubit_gate_time_bound,
@@ -33,25 +30,18 @@ from .models import (
     qutrit_gate_fidelity,
     qutrit_gate_time_bound,
     qutrit_spec,
-    qutrit_state,
     so3_gate,
-    spin1,
     su2_gate,
 )
 from .qsl import (
     QslCoefficients,
-    angle_from_radius,
-    closed_system_radius_bound,
     coefficients,
-    controlled_speed_coefficient,
     del_campo_time,
     generic_coefficients,
     max_reachable_radius,
-    noise_coefficient,
     qsl_time,
     radius_from_angle,
     radius_from_fidelity,
-    speed_coefficient,
 )
 from .reachset import (
     GridAxis,

@@ -289,8 +289,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     spec = _simulate_spec(cfg)
-    if cfg["T"] <= 0 or cfg["dt"] <= 0:
-        raise ValueError("T and dt must be positive")
     traj = dynamics.integrate(spec, cfg["T"], cfg["dt"])
     theta_t = float(traj.thetas[-1])
     lam = reachset.measured_radius(theta_t)
@@ -323,7 +321,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_sweep_lambda(cfg: RunConfig) -> int:
     grid = reachset.SweepGrid(
-        axes=(reachset.GridAxis("theta", cfg["theta_min"], cfg["theta_max"], cfg["points"]),),
+        axes=(reachset.GridAxis(cfg["theta_min"], cfg["theta_max"], cfg["points"]),),
         horizons=cfg["horizons"],
     )
     cols = reachset.sweep_reachable_radius(grid, gamma=cfg["gamma"], omega=cfg["omega"])
@@ -334,8 +332,8 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
 def cmd_gate_map(cfg: RunConfig) -> int:
     grid = reachset.SweepGrid(
         axes=(
-            reachset.GridAxis("alpha", cfg["alpha_min"], cfg["alpha_max"], cfg["points"]),
-            reachset.GridAxis("beta", cfg["beta_min"], cfg["beta_max"], cfg["points"]),
+            reachset.GridAxis(cfg["alpha_min"], cfg["alpha_max"], cfg["points"]),
+            reachset.GridAxis(cfg["beta_min"], cfg["beta_max"], cfg["points"]),
         ),
         horizons=cfg["horizons"],
     )
@@ -349,7 +347,7 @@ def cmd_gate_map(cfg: RunConfig) -> int:
 def cmd_bell_sweep(cfg: RunConfig) -> int:
     if cfg["gamma_min"] <= 0:
         raise ValueError("gamma-min must be > 0")
-    axis = reachset.GridAxis("gamma", cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
+    axis = reachset.GridAxis(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
     cols = reachset.bell_sweep(axis, cfg["T"])
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK

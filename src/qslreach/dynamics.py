@@ -6,9 +6,9 @@ The density matrix evolves under
     D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2,
 
 with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  L is written
-once, in ``lindblad``; ``master_rhs``, the integrator (via L as a d^2 x d^2
-matrix) and, through its adjoint, ``qsl``'s A all call it.  The distance of
-the evolved state from the initial one is tracked through the fidelity
+once, in ``lindblad``; the integrator (via L as a d^2 x d^2 matrix) and,
+through its adjoint, ``qsl``'s A both call it.  The distance of the evolved
+state from the initial one is tracked through the fidelity
 F_t = <psi_0| rho_t |psi_0> and the relative-purity angle
 
     Theta_t = arccos(F_t),   0 <= Theta_t <= pi/2.
@@ -19,15 +19,16 @@ bound in this package is validated against, so states are *checked*
 trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 |psi_0>, against which ``theta_rate_check`` tests the differential bound.
 
-``integrate_many`` is the one integrator: it propagates a stack of systems
-of one dimension together, filling the samples by doubling (about
-2 log2(n) stacked products for n steps), and ``integrate`` is its
-single-system case.  Positivity is screened by one Cholesky factorization
-per trajectory; the eigenvalue solve runs only when the screen fails.
+A ``SystemSpec`` is one system or a stack of systems of one dimension, and
+``integrate`` is the one integrator for both: it propagates the whole stack
+together, filling the samples by doubling (about 2 log2(n) stacked products
+for n steps).  Positivity is screened by one Cholesky factorization per
+trajectory; the eigenvalue solve runs only when the screen fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ POSITIVITY_TOL = 1e-8
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
 
-#: Complex entries (trials x samples x d^2) per ``integrate_many`` stack that
+#: Complex entries (trials x samples x d^2) per ``integrate`` stack that
 #: callers aim for: 4 MB of states.
 STACK_ENTRIES = 2 ** 18
 
@@ -60,63 +61,75 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Initial state plus generators of the master equation.
+    """Initial state plus generators of the master equation, for one system
+    or for a stack of B systems of one dimension d.
 
-    ``u_max`` bounds the admissible control amplitude and is required
-    exactly when a control Hamiltonian is present.
+    A stacked field carries a leading axis of length B: ``psi0`` (B, d), a
+    matrix (B, d, d), ``u_max`` (B,).  An unstacked field is shared by every
+    system of the stack.  ``u_max`` bounds the admissible control amplitude
+    and is required exactly when a control Hamiltonian is present.
     """
 
     psi0: np.ndarray
     h_drift: np.ndarray
     h_control: np.ndarray | None = None
-    u_max: float = 0.0
+    u_max: float | np.ndarray = 0.0
     lindblad_ops: tuple[np.ndarray, ...] = ()
+    #: () for one system, (B,) for a stack of B
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         psi0 = linalg.as_state(self.psi0)
-        h_drift = linalg.as_matrix(self.h_drift)
-        dim = psi0.shape[0]
-        if h_drift.shape[0] != dim:
-            raise ValueError("h_drift dimension does not match psi0")
-        if not linalg.is_hermitian(h_drift, 1e-10):
-            raise ValueError("h_drift must be Hermitian within 1e-10")
-        h_control = self.h_control
-        if h_control is not None:
-            h_control = linalg.as_matrix(h_control)
-            if h_control.shape[0] != dim:
-                raise ValueError("h_control dimension does not match psi0")
-            if not linalg.is_hermitian(h_control, 1e-10):
-                raise ValueError("h_control must be Hermitian within 1e-10")
-            if self.u_max < 0:
-                raise ValueError("u_max must be >= 0")
-        ops = tuple(linalg.as_matrix(m) for m in self.lindblad_ops)
-        for m in ops:
-            if m.shape[0] != dim:
-                raise ValueError("Lindblad operator dimension does not match psi0")
+        dim = psi0.shape[-1]
+        h_drift = _operator("h_drift", self.h_drift, dim, hermitian=True)
+        h_control = (None if self.h_control is None else
+                     _operator("h_control", self.h_control, dim, hermitian=True))
+        ops = tuple(_operator("Lindblad operator", m, dim) for m in self.lindblad_ops)
+        u_max = np.asarray(self.u_max, dtype=float)
+        if not (np.isfinite(u_max) & (u_max >= 0)).all():
+            raise ValueError(f"u_max must be finite and >= 0, got {self.u_max!r}")
+        mats = [m for m in (h_drift, h_control, *ops) if m is not None]
+        shapes = {psi0.shape[:-1], u_max.shape, *(m.shape[:-2] for m in mats)} - {()}
+        if len(shapes) > 1 or any(len(s) > 1 for s in shapes):
+            raise ValueError(f"stacked fields must share one leading axis, got {sorted(shapes)}")
+        shape = shapes.pop() if shapes else ()
+        if shape == (0,):
+            raise ValueError("a stack needs at least one system")
         object.__setattr__(self, "psi0", psi0)
         object.__setattr__(self, "h_drift", h_drift)
         object.__setattr__(self, "h_control", h_control)
-        object.__setattr__(self, "u_max", float(self.u_max))
+        object.__setattr__(self, "u_max", u_max if u_max.ndim else float(u_max))
         object.__setattr__(self, "lindblad_ops", ops)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def dim(self) -> int:
-        return self.psi0.shape[0]
+        return self.psi0.shape[-1]
 
     @property
     def has_control(self) -> bool:
         return self.h_control is not None
 
 
+def _operator(name: str, m, dim: int, hermitian: bool = False) -> np.ndarray:
+    """A validated (d, d) or stacked (B, d, d) operator of dimension ``dim``."""
+    m = linalg.as_matrix(m)
+    if m.shape[-1] != dim:
+        raise ValueError(f"{name} dimension does not match psi0")
+    if hermitian and not linalg.is_hermitian(m, 1e-10):
+        raise ValueError(f"{name} must be Hermitian within 1e-10")
+    return m
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of the master equation from t = 0 to t = T."""
+    """Sampled solution of the master equation from t = 0 to t = T.  For a
+    stack of B systems every field but ``times`` leads with the stack axis."""
 
     times: np.ndarray            # (n,) increasing, times[0] = 0
-    states: np.ndarray           # (n, dim, dim) density matrices
-    thetas: np.ndarray           # (n,) relative-purity angles, thetas[0] = 0
-    fidelity_rates: np.ndarray   # (n,) exact dF/dt = <psi0| L(rho_t) |psi0>
-    psi0: np.ndarray = field(repr=False, default=None)
+    states: np.ndarray           # ([B,] n, dim, dim) density matrices
+    thetas: np.ndarray           # ([B,] n) relative-purity angles, 0 at t = 0
+    fidelity_rates: np.ndarray   # ([B,] n) exact dF/dt = <psi0| L(rho_t) |psi0>
 
     @property
     def fidelities(self) -> np.ndarray:
@@ -125,7 +138,7 @@ class Trajectory:
 
     @property
     def trace_errors(self) -> np.ndarray:
-        return np.abs(np.einsum("tii->t", self.states) - 1.0)
+        return np.abs(np.einsum("...ii->...", self.states) - 1.0)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The trajectory file's columns: t, theta, fidelity, trace_err."""
@@ -167,25 +180,9 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def _hamiltonian(spec: SystemSpec, u: float) -> np.ndarray:
-    """H_drift + u H_control, checking that u is admissible for ``spec``."""
-    if spec.h_control is None:
-        if u != 0.0:
-            raise ValueError("control value supplied but spec has no control Hamiltonian")
-        return spec.h_drift
-    if abs(u) > spec.u_max + 1e-12:
-        raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
-    return spec.h_drift + u * spec.h_control
-
-
-def master_rhs(spec: SystemSpec, u: float, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side -i[H_drift + u H_control, rho] + sum_k D[M_k] rho."""
-    return lindblad(_hamiltonian(spec, u), spec.lindblad_ops, rho)
-
-
 def _step_sizes(T: float, dt: float) -> np.ndarray:
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     if not 0 < dt <= T:
         raise ValueError("dt must satisfy 0 < dt <= T")
     n_full = int(np.floor(T / dt + 1e-9))
@@ -249,59 +246,55 @@ def _rk4_propagator(gen: np.ndarray, h: float) -> np.ndarray:
 
 
 def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> Trajectory:
-    """Propagate rho_0 = |psi0><psi0| with fixed-step classical RK4: the
-    single-system case of ``integrate_many``."""
-    return integrate_many([spec], T, dt, u)[0]
+    """Propagate rho_0 = |psi0><psi0| of ``spec`` with fixed-step classical
+    RK4; a stack of systems is propagated together.
 
-
-def integrate_many(specs, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> list[Trajectory]:
-    """Propagate each rho_0 = |psi0><psi0| of ``specs`` with fixed-step
-    classical RK4, all systems together.
-
-    The specs must share one dimension.  The sample times are 0, dt,
-    2 dt, ... with the last step shortened so the final sample lands
-    exactly on T.  The control u is constant and must stay within +-u_max of
-    every spec.  The generators are time-invariant, so the sample after i
-    full steps is P^i vec(rho_0) with P = _rk4_propagator(L, dt), a stack of
-    shape (B, d^2, d^2).  The samples are filled by doubling: with m filled,
-    the next m are one stacked product with P^m, and P^2m = P^m P^m; the
-    last block is clipped, and a shortened last step is one product with its
-    own propagator.  These are the RK4 iterates up to roundoff, computed in
-    about 2 log2(n) products instead of n.  Each trajectory's
-    ``fidelity_rates`` evaluate its L at every sample, so they are the exact
-    dF/dt of the sampled states under this u.  States are checked trajectory
-    by trajectory, in stack order, so a failure names the first unhealthy
-    system; overflow of an unstable step raises no numpy warning.  Every
-    trajectory equals ``integrate`` of its spec alone, bit for bit.
+    The sample times are 0, dt, 2 dt, ... with the last step shortened so
+    the final sample lands exactly on T.  The control u is constant and must
+    stay within +-u_max of every system.  The generators are time-invariant,
+    so the sample after i full steps is P^i vec(rho_0) with P =
+    _rk4_propagator(L, dt), a stack of shape (B, d^2, d^2).  The samples are
+    filled by doubling: with m filled, the next m are one stacked product
+    with P^m, and P^2m = P^m P^m; the last block is clipped, and a shortened
+    last step is one product with its own propagator.  These are the RK4
+    iterates up to roundoff, computed in about 2 log2(n) products instead of
+    n.  ``fidelity_rates`` evaluate each system's L at every sample, so they
+    are the exact dF/dt of the sampled states under this u.  States are
+    checked system by system, in stack order, so a failure names the first
+    unhealthy system; overflow of an unstable step raises no numpy warning.
+    Every member of a stack equals ``integrate`` of that system alone, bit
+    for bit.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("at least one system is required")
-    dim = specs[0].dim
-    if any(s.dim != dim for s in specs):
-        raise ValueError("all systems of one stack must share one dimension")
     steps = _step_sizes(T, dt)
+    if spec.h_control is None:
+        if u != 0.0:
+            raise ValueError("control value supplied but spec has no control Hamiltonian")
+        ham = spec.h_drift
+    else:
+        if np.any(abs(u) > spec.u_max + 1e-12):
+            raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
+        ham = spec.h_drift + u * spec.h_control
+    b, dim = math.prod(spec.shape), spec.dim
     d2 = dim ** 2
-    # zero operators add nothing to L: pad every spec to the same count
-    n_ops = max(len(s.lindblad_ops) for s in specs)
-    zero = np.zeros((dim, dim), dtype=complex)
-    padded = [s.lindblad_ops + (zero,) * (n_ops - len(s.lindblad_ops)) for s in specs]
-    ops = [np.stack(ms)[:, None] for ms in zip(*padded)]
-    hams = np.stack([_hamiltonian(s, u) for s in specs])[:, None]
+
+    def per_system(m):
+        """(b, 1, d, d): one matrix per system, broadcast over the basis."""
+        return np.broadcast_to(m, (b, dim, dim))[:, None]
+
     basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
-    gen = lindblad(hams, ops, basis).reshape(len(specs), d2, d2).transpose(0, 2, 1)
+    gen = lindblad(per_system(ham), [per_system(m) for m in spec.lindblad_ops], basis)
+    gen = gen.reshape(b, d2, d2).transpose(0, 2, 1)
 
     n = len(steps)
     n_full = n if steps[-1] == dt else n - 1
-    vecs = np.empty((len(specs), n + 1, d2), dtype=complex)
-    vecs[:, 0] = np.stack([linalg.outer(s.psi0).reshape(d2) for s in specs])
+    vecs = np.empty((b, n + 1, d2), dtype=complex)
+    vecs[:, 0] = linalg.outer(np.broadcast_to(spec.psi0, (b, dim))).reshape(b, d2)
     # dF/dt = vec(rho_0)^dag L vec(rho_t) and F = vec(rho_0)^dag vec(rho_t):
     # two row vectors, multiplied into every sample by one product
     probes = np.concatenate([np.matmul(vecs[:, :1].conj(), gen), vecs[:, :1].conj()], axis=1)
     times = np.arange(n + 1) * dt
     times[-1] = T
-    states = vecs.reshape(len(specs), n + 1, dim, dim)
-    trajs = []
+    states = vecs.reshape(b, n + 1, dim, dim)
     # unstable steps overflow; _check_states then names the first bad sample
     with np.errstate(over="ignore", invalid="ignore"):
         # samples are rows, vecs[:, i] = vecs[:, 0] (P^i)^T: with m samples
@@ -320,11 +313,11 @@ def integrate_many(specs, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> l
         rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
         thetas[:, 0] = 0.0
-        for spec, states_b, thetas_b, rates_b in zip(specs, states, thetas, rates):
+        for states_b in states:
             _check_states(times, states_b)
-            trajs.append(Trajectory(times=times, states=states_b, thetas=thetas_b,
-                                    fidelity_rates=rates_b, psi0=spec.psi0))
-    return trajs
+    if not spec.shape:
+        states, thetas, rates = states[0], thetas[0], rates[0]
+    return Trajectory(times=times, states=states, thetas=thetas, fidelity_rates=rates)
 
 
 def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
@@ -333,18 +326,13 @@ def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
         -dF/dt - (A lambda_t + E),   lambda_t = sqrt(1 - F_t),
 
     with F_t = cos Theta_t, dF/dt = ``traj.fidelity_rates``, A =
-    ``coeffs.speed`` and E = ``coeffs.noise``.  This is the differential
-    bound dTheta/dt <= (A lambda + E) / sin Theta multiplied by sin Theta.
-    For any density matrix it is <= 0 up to roundoff: -dF/dt = E -
-    tr(X (rho_t - rho_0)) with X = L^dag(rho_0), sqrt(2) ||X||_F <= A and
-    ||rho_t - rho_0||_F <= sqrt(2) lambda_t.
+    ``coeffs.speed`` and E = ``coeffs.noise``; a stacked trajectory (B, n)
+    is checked against coefficients of shape (B,).  This is the
+    differential bound dTheta/dt <= (A lambda + E) / sin Theta multiplied by
+    sin Theta.  For any density matrix it is <= 0 up to roundoff: -dF/dt =
+    E - tr(X (rho_t - rho_0)) with X = L^dag(rho_0), sqrt(2) ||X||_F <= A
+    and ||rho_t - rho_0||_F <= sqrt(2) lambda_t.
     """
-    return fidelity_rate_excess(traj.fidelities, traj.fidelity_rates, coeffs)
-
-
-def fidelity_rate_excess(fidelities, fidelity_rates, coeffs) -> np.ndarray:
-    """``theta_rate_check`` on arrays: -dF/dt - (A sqrt(1 - F) + E).  The
-    arguments broadcast, so a stack of trajectories (B, n) is checked at
-    once against coefficients of shape (B, 1)."""
-    lam = np.sqrt(np.maximum(1.0 - fidelities, 0.0))
-    return -fidelity_rates - (coeffs.speed * lam + coeffs.noise)
+    lam = np.sqrt(np.maximum(1.0 - traj.fidelities, 0.0))
+    a, e = (np.asarray(c)[..., None] for c in (coeffs.speed, coeffs.noise))
+    return -traj.fidelity_rates - (a * lam + e)

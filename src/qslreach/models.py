@@ -5,7 +5,8 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 Each model comes with closed-form bound coefficients or gate bounds that
 can be cross-checked against the generic pipeline in :mod:`qslreach.qsl`.
 Angles in ``QubitParams.theta`` and ``GateParams`` may be arrays, which
-``qubit_state`` and the closed-form gate functions evaluate elementwise.
+``qubit_state``, ``qubit_spec`` (a stacked ``SystemSpec``) and the
+closed-form gate functions evaluate elementwise.
 """
 
 from __future__ import annotations
@@ -47,20 +48,14 @@ def _check_angle(name: str, x, hi: float, hi_text: str) -> None:
         raise ValueError(f"{name} must lie in [0, {hi_text}], got {bad.flat[0].item()!r}")
 
 
-def pauli(axis: str) -> np.ndarray:
-    """Pauli matrix along 'x', 'y', or 'z'."""
-    try:
-        return {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be 'x', 'y', or 'z', got {axis!r}") from None
-
-
-def spin1(axis: str) -> np.ndarray:
-    """Spin-1 angular momentum matrix along 'x', 'y', or 'z'."""
-    try:
-        return {"x": SPIN1_X, "y": SPIN1_Y, "z": SPIN1_Z}[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be 'x', 'y', or 'z', got {axis!r}") from None
+def _check_rate(name: str, x, positive: bool = False) -> None:
+    """Raise unless the rate ``x``, or every entry of an array of rates, is
+    finite and >= 0 (> 0 when ``positive``)."""
+    ok = np.isfinite(x) & ((x > 0.0) if positive else (x >= 0.0))
+    if not np.asarray(ok).all():
+        bad = np.asarray(x, dtype=float)[~np.asarray(ok)]
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                         f"got {bad.flat[0].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +76,9 @@ class QubitParams:
     def __post_init__(self):
         _check_angle("theta", self.theta, math.pi, "pi")
         _check_angle("phi", self.phi, math.pi, "pi")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if self.u_max < 0.0:
-            raise ValueError(f"u_max must be >= 0, got {self.u_max!r}")
+        _check_rate("omega", self.omega, positive=True)
+        _check_rate("gamma", self.gamma)
+        _check_rate("u_max", self.u_max)
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,8 @@ def qubit_spec(p: QubitParams, with_control: bool = False) -> SystemSpec:
 
     Without control: H = omega sigma_z with decay M = sqrt(gamma) sigma_-.
     With control (gate analysis, no decoherence): drift omega sigma_x,
-    control sigma_z bounded by u_max.
+    control sigma_z bounded by u_max.  An array of angles theta gives a
+    stack of initial states sharing these generators.
     """
     psi0 = qubit_state(p)
     if with_control:
@@ -145,7 +138,7 @@ def qubit_closed_form_coeffs(p: QubitParams) -> qsl.QslCoefficients:
     s2, c2 = math.sin(2 * th), math.cos(2 * th)
     a = math.sqrt(2 * g * g * c2 * c2 + (4 * w * w + g * g / 4) * s2 * s2)
     e = g * math.cos(th) ** 4
-    return qsl.QslCoefficients(a, e, "closed_form")
+    return qsl.QslCoefficients(a, e)
 
 
 def su2_gate(g: GateParams) -> np.ndarray:
@@ -225,8 +218,7 @@ def bell_state(label: str) -> BellState:
 def collective_decay(gamma) -> np.ndarray:
     """Collective lowering operator sqrt(gamma) (sigma_- x I + I x sigma_-);
     a stack of shape (n, 4, 4) when gamma is an array of n rates."""
-    if (np.asarray(gamma) < 0).any():
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    _check_rate("gamma", gamma)
     return np.sqrt(np.asarray(gamma, dtype=float))[..., None, None] * _COLLECTIVE
 
 
@@ -250,33 +242,14 @@ def bell_time_bound(label: str, gamma: float, lam: float) -> float:
     return qsl.qsl_time(bell_coefficients(label, gamma), lam)
 
 
-def qutrit_state(theta: float, varphi: float) -> np.ndarray:
-    """Real three-level state
-    [sin(th/2) cos(ph/2), cos(th/2), sin(th/2) sin(ph/2)]."""
-    if not 0.0 <= theta <= math.pi + _ANGLE_SLACK:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    if not 0.0 <= varphi <= math.pi + _ANGLE_SLACK:
-        raise ValueError(f"varphi must lie in [0, pi], got {varphi!r}")
-    return np.array(
-        [
-            math.sin(theta / 2) * math.cos(varphi / 2),
-            math.cos(theta / 2),
-            math.sin(theta / 2) * math.sin(varphi / 2),
-        ],
-        dtype=complex,
-    )
-
-
 #: The worked qutrit initial state [1, 0, 1]/sqrt(2) (theta = pi, phi = pi/2).
 QUTRIT_PSI0 = np.array([1.0, 0.0, 1.0], dtype=complex) / _SQ2
 
 
 def qutrit_spec(omega: float, u_max: float, psi0: np.ndarray | None = None) -> SystemSpec:
     """Qutrit with drift omega S_x and control S_z bounded by u_max."""
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega!r}")
-    if u_max < 0:
-        raise ValueError(f"u_max must be >= 0, got {u_max!r}")
+    _check_rate("omega", omega, positive=True)
+    _check_rate("u_max", u_max)
     return SystemSpec(
         psi0=QUTRIT_PSI0 if psi0 is None else psi0,
         h_drift=omega * SPIN1_X,
@@ -318,10 +291,8 @@ def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams):
 
         T* = sqrt(1 - cos Theta_T) / (omega + u_max).
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega!r}")
-    if u_max < 0:
-        raise ValueError(f"u_max must be >= 0, got {u_max!r}")
+    _check_rate("omega", omega, positive=True)
+    _check_rate("u_max", u_max)
     if np.asarray(g.delta != 0.0).any():
         raise ValueError("the closed-form gate bound assumes delta = 0")
     return qsl.radius_from_fidelity(qutrit_gate_fidelity(g)) / (omega + u_max)

@@ -28,9 +28,10 @@ Inverting T*(lambda) at a fixed horizon T yields the largest reachable
 radius in closed form (through the Lambert W branch W_{-1}); together with
 the comparison bound T_DC = sqrt(2) lambda^2 / A this characterizes which
 final states (or target gates) are compatible with a given control setup
-and time budget.  ``coefficients``, ``qsl_time`` and
-``max_reachable_radius`` work on whole stacks of states or coefficients at
-once.
+and time budget.  ``generic_coefficients`` is the one route from a
+``SystemSpec`` to (A or A', E): floats for one system, arrays for a stack.
+It and ``qsl_time``, ``del_campo_time`` and ``max_reachable_radius`` work on
+whole stacks of systems or coefficients at once.
 """
 
 from __future__ import annotations
@@ -60,20 +61,16 @@ class QslCoefficients:
     """The (speed, noise) pair feeding the time bound.
 
     ``speed`` multiplies the displacement term (A above) and ``noise`` is
-    the dissipative floor (E above); ``source`` records how they were
-    obtained: "generic", "controlled", or "closed_form".  ``speed`` and
-    ``noise`` may be arrays of one shape, one entry per system of a stack.
+    the dissipative floor (E above).  Both may be arrays of one shape, one
+    entry per system of a stack.
     """
 
     speed: float | np.ndarray
     noise: float | np.ndarray
-    source: str = "generic"
 
     def __post_init__(self):
-        if (np.asarray(self.speed) < 0).any() or (np.asarray(self.noise) < 0).any():
+        if not ((np.asarray(self.speed) >= 0).all() and (np.asarray(self.noise) >= 0).all()):
             raise ValueError("coefficients must be nonnegative")
-        if self.source not in ("generic", "controlled", "closed_form"):
-            raise ValueError(f"unknown coefficient source {self.source!r}")
 
 
 def _scalar(x):
@@ -91,8 +88,7 @@ def coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
         E_i = sum_k (||M_k psi_i||^2 - |<psi_i|M_k|psi_i>|^2),  floored at 0.
     """
     psi = np.asarray(psi, dtype=complex)
-    rho = psi[:, :, None] * psi[:, None, :].conj()
-    x = lindblad(h, ops, rho, adjoint=True)
+    x = lindblad(h, ops, linalg.outer(psi), adjoint=True)
     a = math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1))
     e = np.zeros(psi.shape[0])
     for m in ops:
@@ -102,41 +98,24 @@ def coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
     return a, np.maximum(e, 0.0)
 
 
-def speed_coefficient(spec: SystemSpec) -> float:
-    """A = sqrt(2) ||i[H, rho0] + sum_k D^dag[M_k] rho0||_F (uncontrolled)."""
-    if spec.has_control:
-        raise ValueError("spec has a control Hamiltonian; use controlled_speed_coefficient")
-    return float(coefficients(spec.psi0[None], spec.h_drift, spec.lindblad_ops)[0][0])
-
-
-def controlled_speed_coefficient(spec: SystemSpec) -> float:
-    """Triangle-inequality speed coefficient A' for |u(t)| <= u_max.
-
-    For a pure state and Hermitian h each commutator term satisfies
-    sqrt(2) ||i[h, rho0]||_F = 2 sqrt(<h^2> - <h>^2).
-    """
-    if not spec.has_control:
-        raise ValueError("spec has no control Hamiltonian; use speed_coefficient")
-    psi = spec.psi0[None]
-    terms = ((spec.h_drift, (), 1.0), (spec.h_control, (), spec.u_max),
-             (np.zeros_like(spec.h_drift), spec.lindblad_ops, 1.0))
-    return float(sum(w * coefficients(psi, h, ops)[0][0] for h, ops, w in terms))
-
-
-def noise_coefficient(psi0: np.ndarray, lindblad_ops) -> float:
-    """E = sum_k (||M_k psi0||^2 - |<psi0|M_k|psi0>|^2), nonnegative."""
-    psi0 = linalg.as_state(psi0)
-    zero = np.zeros((psi0.size, psi0.size))
-    return float(coefficients(psi0[None], zero, lindblad_ops)[1][0])
-
-
 def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
-    """Coefficients straight from the definitions, for any SystemSpec."""
+    """A and E straight from the definitions, for one system (floats) or a
+    stack (arrays of shape (B,)).
+
+    With a control Hamiltonian the speed is the triangle-inequality A' for
+    |u(t)| <= u_max: the drift, control and dissipator terms of A are taken
+    separately and the control one is weighted by u_max.  For a pure state
+    and Hermitian h each commutator term is sqrt(2) ||i[h, rho0]||_F =
+    2 sqrt(<h^2> - <h>^2).
+    """
+    psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
     if spec.has_control:
-        e = noise_coefficient(spec.psi0, spec.lindblad_ops)
-        return QslCoefficients(controlled_speed_coefficient(spec), e, "controlled")
-    a, e = coefficients(spec.psi0[None], spec.h_drift, spec.lindblad_ops)
-    return QslCoefficients(float(a[0]), float(e[0]), "generic")
+        a_noise, e = coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
+        a = (coefficients(psi, spec.h_drift)[0]
+             + spec.u_max * coefficients(psi, spec.h_control)[0] + a_noise)
+    else:
+        a, e = coefficients(psi, spec.h_drift, spec.lindblad_ops)
+    return QslCoefficients(_scalar(a.reshape(spec.shape)), _scalar(e.reshape(spec.shape)))
 
 
 def _regular(coeffs: QslCoefficients):
@@ -207,12 +186,13 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
     v - log1p(v) = c, so lambda = (E / A) v with v = -W_{-1}(-e^{-1-c}) - 1
     (Lambert W; Corless et al., Adv. Comput. Math. 5, 329 (1996)).  The
     degenerate limits are E -> 0: A T / 2; A -> 0: sqrt(E T); A = E = 0: 0.
-    The result is capped at 1 and is 0 at T = 0.  Coefficients and ``T``
-    broadcast; all-scalar input gives a float.
+    The result is capped at 1 and is 0 at T = 0; T must be finite.
+    Coefficients and ``T`` broadcast; all-scalar input gives a float.
     """
+    t = np.asarray(T)
+    if not (np.isfinite(t) & (t >= 0)).all():
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
     a, e, a_ok, e_ok = _regular(coeffs)
-    if np.asarray(T < 0).any():
-        raise ValueError("T must be >= 0")
     lam = np.where(e_ok, e / a * _log1p_root(a * a * T / (2.0 * e)), a * T / 2.0)
     lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
@@ -223,33 +203,11 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
     return _scalar(lam)
 
 
-def closed_system_radius_bound(psi0: np.ndarray, h: np.ndarray, T: float) -> float:
-    """lambda <= sqrt(<h^2> - <h>^2) T for purely Hamiltonian evolution.
-
-    May exceed 1, in which case it carries no information; callers clamp
-    for display.
-    """
-    psi0 = linalg.as_state(psi0)
-    h = linalg.as_matrix(h)
-    if not linalg.is_hermitian(h, 1e-10):
-        raise ValueError("h must be Hermitian within 1e-10")
-    hpsi = h @ psi0
-    var = float(np.vdot(hpsi, hpsi).real - np.vdot(psi0, hpsi).real ** 2)
-    return math.sqrt(max(var, 0.0)) * T
-
-
 def radius_from_angle(theta: float) -> float:
     """lambda = sqrt(1 - cos Theta) for Theta in [0, pi/2]."""
     if not 0.0 <= theta <= math.pi / 2 + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     return math.sqrt(max(1.0 - math.cos(theta), 0.0))
-
-
-def angle_from_radius(lam: float) -> float:
-    """Theta = arccos(1 - lambda^2) for lambda in [0, 1]."""
-    if not 0.0 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-    return math.acos(min(max(1.0 - lam * lam, 0.0), 1.0))
 
 
 def radius_from_fidelity(fidelity):

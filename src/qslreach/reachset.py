@@ -3,7 +3,9 @@ harness that validates the time bound against direct simulation.
 
 The sweeps evaluate whole grids as arrays and, like ``verify_bound``, return
 column dicts: column name -> 1-D array, in file column order, one entry per
-output row.
+output row.  A grid of systems is one stacked ``SystemSpec``, whose
+coefficients come from one ``qsl.generic_coefficients`` call; ``verify_bound``
+draws, integrates and checks its random systems one stack per block.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table, and the
 rows of the nested ``simulate --format json`` payload, is rendered by
 ``format_rows``: one %-format of a per-row template over all cells at once.
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import dynamics, qsl
-from .dynamics import SystemSpec, fidelity_rate_excess, integrate_many
+from .dynamics import SystemSpec, integrate, theta_rate_check
 from .models import (
     BELL_LABELS,
     GateParams,
@@ -30,7 +32,6 @@ from .models import (
     collective_decay,
     qubit_gate_time_bound,
     qubit_spec,
-    qubit_state,
     qutrit_gate_time_bound,
 )
 
@@ -50,7 +51,6 @@ def measured_radius(theta_t):
 
 @dataclass(frozen=True)
 class GridAxis:
-    name: str
     start: float
     stop: float
     count: int
@@ -58,8 +58,8 @@ class GridAxis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("axis count must be >= 2")
-        if not self.start < self.stop:
-            raise ValueError("axis start must be < stop")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise ValueError("axis start must be < stop, both finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -74,8 +74,8 @@ class SweepGrid:
         hs = tuple(float(h) for h in self.horizons)
         if not hs:
             raise ValueError("at least one horizon is required")
-        if any(h <= 0 for h in hs):
-            raise ValueError("horizons must be positive")
+        if not all(0 < h < math.inf for h in hs):
+            raise ValueError("horizons must be finite and positive")
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("horizons must be strictly increasing")
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -86,17 +86,16 @@ def sweep_reachable_radius(grid: SweepGrid, gamma: float, omega: float = 1.0) ->
     """Largest reachable radius versus initial-state angle theta.
 
     Coefficients come from the generic pipeline for the driven, decaying
-    qubit; for gamma = 0 the result reduces to min(1, omega |sin 2th| T).
-    Columns theta, gamma, omega, T, lambda_max; one row per (theta, T),
-    theta-major.
+    qubit, one stacked spec over the theta axis; for gamma = 0 the result
+    reduces to min(1, omega |sin 2th| T).  Columns theta, gamma, omega, T,
+    lambda_max; one row per (theta, T), theta-major.
     """
     if len(grid.axes) != 1:
         raise ValueError("radius sweep expects a single theta axis")
     p = QubitParams(theta=grid.axes[0].values(), omega=omega, gamma=gamma)
-    gens = qubit_spec(replace(p, theta=0.0))  # H and M_k do not depend on theta
-    a, e = qsl.coefficients(qubit_state(p), gens.h_drift, gens.lindblad_ops)
+    c = qsl.generic_coefficients(qubit_spec(p))
     hs = np.array(grid.horizons)
-    lam = qsl.max_reachable_radius(qsl.QslCoefficients(a[:, None], e[:, None]), hs)
+    lam = qsl.max_reachable_radius(qsl.QslCoefficients(c.speed[:, None], c.noise[:, None]), hs)
     n = lam.size
     return {
         "theta": np.repeat(p.theta, hs.size),
@@ -146,40 +145,45 @@ def bell_sweep(gamma_axis: GridAxis, T: float) -> dict:
     Columns state, gamma, T, lambda_max; one row per (state, gamma),
     state-major in BELL_LABELS order.
     """
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     gammas = np.tile(gamma_axis.values(), len(BELL_LABELS))
-    n = gammas.size
     vectors = np.stack([bell_state(label).vector for label in BELL_LABELS])
-    psi = np.repeat(vectors, gamma_axis.count, axis=0)
     # collective decay alone: H = 0
-    a, e = qsl.coefficients(psi, np.zeros((4, 4)), (collective_decay(gammas),))
+    spec = SystemSpec(psi0=np.repeat(vectors, gamma_axis.count, axis=0),
+                      h_drift=np.zeros((4, 4)), lindblad_ops=(collective_decay(gammas),))
     return {
         "state": np.repeat(BELL_LABELS, gamma_axis.count),
         "gamma": gammas,
-        "T": np.full(n, float(T)),
-        "lambda_max": qsl.max_reachable_radius(qsl.QslCoefficients(a, e), T),
+        "T": np.full(gammas.size, float(T)),
+        "lambda_max": qsl.max_reachable_radius(qsl.generic_coefficients(spec), T),
     }
 
 
-def draw_random_system(seed: int, dim: int, trial: int) -> SystemSpec:
+def draw_random_system(seed: int, dim: int, trial) -> SystemSpec:
     """Seeded random system: Gaussian-entry Hermitian H and unconstrained M,
     each scaled to unit Frobenius norm times a strength drawn from [0, 2],
     plus a Haar-like random pure state.
 
-    The stream order is H entries (real then imaginary), H strength,
-    M entries, M strength, state amplitudes.
+    Trial k draws from rng([seed, dim, k]) in the stream order H entries
+    (real then imaginary), H strength, M entries, M strength, state
+    amplitudes.  A sequence of trials gives one stacked spec, whose members
+    equal the single draws bit for bit.
     """
-    rng = np.random.default_rng([seed, dim, trial])
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (x + x.conj().T) / 2
-    nrm = np.linalg.norm(h)
-    if nrm > 0:
-        h = h / nrm * rng.uniform(0.0, 2.0)
-    y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = y / np.linalg.norm(y) * rng.uniform(0.0, 2.0)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi = psi / np.linalg.norm(psi)
+    single = np.ndim(trial) == 0
+    draws = []
+    for k in [trial] if single else trial:
+        rng = np.random.default_rng([seed, dim, k])
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (x + x.conj().T) / 2
+        nrm = np.linalg.norm(h)
+        if nrm > 0:
+            h = h / nrm * rng.uniform(0.0, 2.0)
+        y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = y / np.linalg.norm(y) * rng.uniform(0.0, 2.0)
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        draws.append((psi / np.linalg.norm(psi), h, m))
+    psi, h, m = (x[0] if single else np.stack(x) for x in zip(*draws))
     return SystemSpec(psi0=psi, h_drift=h, lindblad_ops=(m,))
 
 
@@ -196,11 +200,12 @@ def verify_bound(
     Returns the verify file's columns trial, seed, dim, T, theta_T, lambda,
     t_star and margin (= T - t_star), followed by rate_excess: the largest
     ``theta_rate_check`` value of each trial, <= 0 up to roundoff.  One row
-    per trial, dim-major.  A and E come from one ``qsl.coefficients`` call
-    per dim and t_star from one ``qsl_time`` call over all trials.  Each
-    dim's trials are integrated by ``integrate_many`` in blocks of about
-    ``dynamics.STACK_ENTRIES`` state entries, which bounds memory; the block
-    size does not change any result.
+    per trial, dim-major.  Each dim's trials go in blocks of about
+    ``dynamics.STACK_ENTRIES`` state entries, which bounds memory: a block
+    is one stacked draw, one ``qsl.generic_coefficients`` call, one
+    ``integrate`` and one ``theta_rate_check``.  t_star comes from one
+    ``qsl_time`` call over all trials.  The block size does not change any
+    result.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -209,24 +214,16 @@ def verify_bound(
     samples = len(dynamics._step_sizes(T, dt)) + 1
     theta_t, rate_excess, a, e = [], [], [], []
     for dim in dims:
-        specs = [draw_random_system(seed, dim, k) for k in range(n_trials)]
-        a_dim, e_dim = qsl.coefficients(
-            np.stack([s.psi0 for s in specs]),
-            np.stack([s.h_drift for s in specs]),
-            tuple(np.stack(ms) for ms in zip(*(s.lindblad_ops for s in specs))),
-        )
         block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))
         for start in range(0, n_trials, block):
-            trajs = integrate_many(specs[start:start + block], T, dt)
-            thetas = np.stack([traj.thetas for traj in trajs])
-            rates = np.stack([traj.fidelity_rates for traj in trajs])
-            del trajs  # the block's states go before the next block is integrated
-            coeffs = qsl.QslCoefficients(a_dim[start:start + block, None],
-                                         e_dim[start:start + block, None])
-            theta_t.append(thetas[:, -1])
-            rate_excess.append(fidelity_rate_excess(np.cos(thetas), rates, coeffs).max(axis=1))
-        a.append(a_dim)
-        e.append(e_dim)
+            spec = draw_random_system(seed, dim, range(start, min(start + block, n_trials)))
+            coeffs = qsl.generic_coefficients(spec)
+            traj = integrate(spec, T, dt)
+            theta_t.append(traj.thetas[:, -1].copy())  # a view keeps every angle alive
+            rate_excess.append(theta_rate_check(traj, coeffs).max(axis=1))
+            a.append(coeffs.speed)
+            e.append(coeffs.noise)
+            del traj  # the block's states go before the next block is integrated
     theta_t = np.concatenate(theta_t)
     lam = measured_radius(theta_t)
     t_star = qsl.qsl_time(qsl.QslCoefficients(np.concatenate(a), np.concatenate(e)), lam)

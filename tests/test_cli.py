@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,35 @@ class TestVerifyCommand:
         assert "violation: seed = 1 dim = 2 trial = 0" in err
         header = (tmp_path / "v.csv").read_text().splitlines()[1]
         assert header == "trial,seed,dim,T,theta_T,lambda,t_star,margin"
+
+
+#: Non-finite values that once slipped past the range checks (NaN fails no
+#: "x < 0" test) or crashed with a traceback (int(inf) steps).
+NON_FINITE_ARGV = [
+    ["simulate", "--T", "inf"],
+    ["verify", "--T", "inf", "--trials", "2"],
+    ["bound", "--model", "qubit", "--gamma", "nan", "--lambda", "0.5"],
+    ["sweep-lambda", "--gamma", "nan"],
+    ["gate-map", "--u-max", "nan"],
+    ["gate-map", "--model", "qutrit", "--omega", "nan"],
+    ["bound", "--model", "qubit-gate", "--u-max", "nan"],
+    ["sweep-lambda", "--horizons", "nan"],
+    ["bell-sweep", "--T", "nan"],
+    ["bell-sweep", "--T", "inf"],
+    ["bound", "--model", "qubit", "--omega", "inf", "--lambda", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
+def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ([] if argv[0] == "bound" else ["--out", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestParserReuse:

@@ -6,8 +6,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qslreach import dynamics, linalg, qsl, reachset
-from qslreach.dynamics import IntegrationError, SystemSpec, integrate, integrate_many
-from qslreach.models import PAULI_Z, SIGMA_MINUS, QubitParams, qubit_spec, qutrit_spec
+from qslreach.dynamics import IntegrationError, SystemSpec, integrate
+from qslreach.models import (
+    PAULI_Z,
+    QUTRIT_PSI0,
+    SIGMA_MINUS,
+    SPIN1_X,
+    SPIN1_Z,
+    QubitParams,
+    qubit_spec,
+    qutrit_spec,
+)
+from qslreach.reachset import draw_random_system
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -106,10 +116,19 @@ class TestLindblad:
                     assert_allclose(got[i], ref, rtol=0, atol=1e-14)
 
 
+def master_rhs(spec, u, rho):
+    """L(rho) for the Hamiltonian H_drift + u H_control of ``spec``."""
+    h = spec.h_drift if u == 0.0 else spec.h_drift + u * spec.h_control
+    return dynamics.lindblad(h, spec.lindblad_ops, rho)
+
+
 class TestMasterRhs:
+    """The master equation's right-hand side, ``lindblad`` of a spec's
+    generators, and the control values ``integrate`` admits."""
+
     def test_free_system(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
-        assert_allclose(dynamics.master_rhs(spec, 0.0, EXC), ZERO2)
+        assert_allclose(master_rhs(spec, 0.0, EXC), ZERO2)
 
     def test_hermitian_traceless(self):
         rng = np.random.default_rng(2)
@@ -118,29 +137,32 @@ class TestMasterRhs:
             h_drift=random_hermitian(rng, 2),
             lindblad_ops=(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),),
         )
-        out = dynamics.master_rhs(spec, 0.0, random_density(rng, 2))
+        out = master_rhs(spec, 0.0, random_density(rng, 2))
         assert abs(np.trace(out)) < 1e-12
         assert_allclose(out, out.conj().T, atol=1e-12)
 
     def test_decaying_qubit_from_excited_state(self):
         # H is diagonal so the commutator with |0><0| vanishes
         spec = qubit_spec(QubitParams(theta=0.0, gamma=1.0, omega=1.0))
-        assert_allclose(dynamics.master_rhs(spec, 0.0, EXC), GND - EXC, atol=1e-12)
+        assert_allclose(master_rhs(spec, 0.0, EXC), GND - EXC, atol=1e-12)
 
     def test_control_value_without_control_hamiltonian(self):
-        spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
+        stack = SystemSpec(psi0=KET0, h_drift=np.stack([ZERO2, PAULI_Z]))
         with pytest.raises(ValueError, match="no control"):
-            dynamics.master_rhs(spec, 0.5, EXC)
+            integrate(stack, T=0.1, u=0.5)
 
     def test_control_value_beyond_bound(self):
-        spec = SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=PAULI_Z, u_max=1.0)
+        # every system of a stack must admit u: here the second does not
+        stack = SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=PAULI_Z,
+                           u_max=np.array([1.0, 0.5, 1.0]))
+        integrate(stack, T=0.01, u=0.5)
         with pytest.raises(ValueError, match="u_max"):
-            dynamics.master_rhs(spec, 1.5, EXC)
+            integrate(stack, T=0.01, u=-0.7)
 
     def test_matches_integrator_kernel(self):
         # integrate() steps with the RK4 polynomial of the generator matrix;
-        # it must agree with classical RK4 stages of master_rhs, also with a
-        # control value and a shortened last step.
+        # it must agree with classical RK4 stages of the right-hand side,
+        # also with a control value and a shortened last step.
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
@@ -160,10 +182,10 @@ class TestMasterRhs:
         for spec, u, steps in ((spec, 0.0, (dt,)), (spec_c, -0.7, (dt, dt, 0.4 * dt))):
             rho = linalg.outer(psi)
             for h in steps:
-                k1 = dynamics.master_rhs(spec, u, rho)
-                k2 = dynamics.master_rhs(spec, u, rho + 0.5 * h * k1)
-                k3 = dynamics.master_rhs(spec, u, rho + 0.5 * h * k2)
-                k4 = dynamics.master_rhs(spec, u, rho + h * k3)
+                k1 = master_rhs(spec, u, rho)
+                k2 = master_rhs(spec, u, rho + 0.5 * h * k1)
+                k3 = master_rhs(spec, u, rho + 0.5 * h * k2)
+                k4 = master_rhs(spec, u, rho + h * k3)
                 rho = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             traj = integrate(spec, T=sum(steps), dt=dt, u=u)
             assert len(traj.times) == len(steps) + 1
@@ -188,6 +210,43 @@ class TestSystemSpecValidation:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="unit norm"):
             SystemSpec(psi0=np.array([1.0, 1.0]), h_drift=ZERO2)
+
+    @pytest.mark.parametrize("u_max", [np.nan, np.inf, np.array([1.0, np.nan])])
+    def test_rejects_non_finite_u_max(self, u_max):
+        with pytest.raises(ValueError, match="u_max must be finite"):
+            SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=PAULI_Z, u_max=u_max)
+
+    def test_stack_with_one_non_hermitian_drift(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SystemSpec(psi0=KET0, h_drift=np.stack([ZERO2, SIGMA_MINUS, PAULI_Z]))
+
+    def test_stack_with_one_non_hermitian_control(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=np.stack([PAULI_Z, SIGMA_MINUS]),
+                       u_max=1.0)
+
+    def test_stack_with_one_unnormalized_state(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            SystemSpec(psi0=np.stack([KET0, np.array([1.0, 1.0]), PLUS]), h_drift=ZERO2)
+
+    @pytest.mark.parametrize("fields", [
+        dict(psi0=np.stack([KET0, PLUS, KET0]), h_drift=np.stack([ZERO2, PAULI_Z])),
+        dict(psi0=KET0, h_drift=ZERO2,
+             lindblad_ops=(np.stack([ZERO2] * 2), np.stack([ZERO2] * 3))),
+        dict(psi0=np.stack([KET0, PLUS]), h_drift=ZERO2, h_control=PAULI_Z,
+             u_max=np.array([1.0, 1.0, 1.0])),
+        dict(psi0=np.broadcast_to(KET0, (2, 3, 2)), h_drift=ZERO2),
+    ], ids=["psi0-h_drift", "ops", "psi0-u_max", "two-axes"])
+    def test_rejects_mismatched_stack_lengths(self, fields):
+        with pytest.raises(ValueError, match="one leading axis"):
+            SystemSpec(**fields)
+
+    def test_stack_shape_and_shared_fields(self):
+        assert SystemSpec(psi0=KET0, h_drift=ZERO2).shape == ()
+        stack = SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=PAULI_Z,
+                           u_max=np.array([0.5, 1.0]))
+        assert stack.shape == (2,) and stack.dim == 2
+        assert stack.psi0.shape == (2,) and stack.h_drift.shape == (2, 2)
 
 
 class TestIntegrate:
@@ -292,58 +351,74 @@ STEP_COUNTS = (1, 2, 3, 7, 8, 9, 500)
 
 
 class TestIntegrateMany:
+    """``integrate`` of a stack of many systems: every member equals the run
+    of that system alone, bit for bit."""
+
     FIELDS = ("states", "thetas", "fidelity_rates")
 
-    def assert_members_equal_single_runs(self, specs, T, dt, u=0.0):
-        many = integrate_many(specs, T, dt, u)
-        assert len(many) == len(specs)
-        for spec, traj in zip(specs, many):
+    def assert_members_equal_single_runs(self, stack, singles, T, dt, u=0.0):
+        many = integrate(stack, T, dt, u)
+        assert many.thetas.shape == (len(singles), len(many.times))
+        for i, spec in enumerate(singles):
             single = integrate(spec, T, dt, u)
-            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(many.times, single.times)
             for name in self.FIELDS:
-                assert np.array_equal(getattr(traj, name), getattr(single, name)), name
+                assert np.array_equal(getattr(many, name)[i], getattr(single, name)), name
+
+    @staticmethod
+    def draws(seed, dim, n):
+        """A stacked draw of trials 0..n-1 and the n single draws."""
+        return (draw_random_system(seed, dim, range(n)),
+                [draw_random_system(seed, dim, k) for k in range(n)])
 
     def test_members_equal_single_runs(self):
         for dim in (2, 3, 4):
-            specs = [reachset.draw_random_system(3, dim, k) for k in range(4)]
-            self.assert_members_equal_single_runs(specs, T=0.2, dt=1e-3)
+            self.assert_members_equal_single_runs(*self.draws(3, dim, 4), T=0.2, dt=1e-3)
 
     @pytest.mark.parametrize("n", STEP_COUNTS)
     def test_members_equal_single_runs_at_every_step_count(self, n):
         for dim in (2, 3, 4):
-            specs = [reachset.draw_random_system(29, dim, k) for k in range(3)]
-            self.assert_members_equal_single_runs(specs, T=n * 1e-2, dt=1e-2)
+            self.assert_members_equal_single_runs(*self.draws(29, dim, 3), T=n * 1e-2, dt=1e-2)
 
     def test_controlled_stack(self):
-        specs = [qutrit_spec(1.2, 0.8), qutrit_spec(0.7, 1.0), qutrit_spec(1.0, 0.7)]
-        self.assert_members_equal_single_runs(specs, T=0.3, dt=1e-3, u=-0.7)
+        # psi0 and the control Hamiltonian are shared by the stack
+        omegas, u_maxes = (1.2, 0.7, 1.0), (0.8, 1.0, 0.7)
+        stack = SystemSpec(psi0=QUTRIT_PSI0, h_drift=np.stack([w * SPIN1_X for w in omegas]),
+                           h_control=SPIN1_Z, u_max=np.array(u_maxes))
+        singles = [qutrit_spec(w, m) for w, m in zip(omegas, u_maxes)]
+        self.assert_members_equal_single_runs(stack, singles, T=0.3, dt=1e-3, u=-0.7)
 
     def test_shortened_last_step(self):
         dt = 1e-2
-        specs = [reachset.draw_random_system(8, 3, k) for k in range(3)]
-        traj = integrate_many(specs, T=2.4 * dt, dt=dt)[0]
-        assert traj.times[-1] == 2.4 * dt and len(traj.times) == 4
-        self.assert_members_equal_single_runs(specs, T=2.4 * dt, dt=dt)
+        stack, singles = self.draws(8, 3, 3)
+        traj = integrate(stack, T=2.4 * dt, dt=dt)
+        assert traj.times[-1] == 2.4 * dt and traj.states.shape == (3, 4, 3, 3)
+        self.assert_members_equal_single_runs(stack, singles, T=2.4 * dt, dt=dt)
 
     def test_differing_operator_counts(self):
+        # a stack has one operator count: zero operators pad the shorter lists
         rng = np.random.default_rng(12)
-        specs = [SystemSpec(psi0=PLUS, h_drift=random_hermitian(rng, 2),
-                            lindblad_ops=tuple(0.5 * random_matrix(rng, 2) for _ in range(k)))
-                 for k in (0, 2, 1)]
-        self.assert_members_equal_single_runs(specs, T=0.1, dt=1e-3)
+        singles = [SystemSpec(psi0=PLUS, h_drift=random_hermitian(rng, 2),
+                              lindblad_ops=tuple(0.5 * random_matrix(rng, 2) for _ in range(k)))
+                   for k in (0, 2, 1)]
+        padded = [s.lindblad_ops + (ZERO2,) * (2 - len(s.lindblad_ops)) for s in singles]
+        stack = SystemSpec(psi0=PLUS, h_drift=np.stack([s.h_drift for s in singles]),
+                           lindblad_ops=tuple(np.stack(ms) for ms in zip(*padded)))
+        self.assert_members_equal_single_runs(stack, singles, T=0.1, dt=1e-3)
 
     def test_rejects_empty_and_mixed_stacks(self):
         with pytest.raises(ValueError, match="at least one"):
-            integrate_many([], T=0.1)
-        specs = [reachset.draw_random_system(1, 2, 0), reachset.draw_random_system(1, 3, 0)]
+            SystemSpec(psi0=np.zeros((0, 2)), h_drift=ZERO2)
         with pytest.raises(ValueError, match="dimension"):
-            integrate_many(specs, T=0.1)
+            SystemSpec(psi0=np.stack([KET0, PLUS]), h_drift=np.stack([np.eye(3)] * 2))
 
     def test_first_failing_member_is_reported(self):
-        stable = qubit_spec(QubitParams(theta=0.0, gamma=0.1))
+        gammas = np.array([0.1, 40.0, 0.1])
+        stack = SystemSpec(psi0=KET0, h_drift=PAULI_Z,
+                           lindblad_ops=(np.sqrt(gammas)[:, None, None] * SIGMA_MINUS,))
         unstable = qubit_spec(QubitParams(theta=0.0, gamma=40.0))
         with pytest.raises(IntegrationError) as many:
-            integrate_many([stable, unstable, stable], T=2.0, dt=0.5)
+            integrate(stack, T=2.0, dt=0.5)
         with pytest.raises(IntegrationError) as single:
             integrate(unstable, T=2.0, dt=0.5)
         assert str(many.value) == str(single.value)
@@ -381,31 +456,27 @@ def sequential_states(spec, steps):
 
 
 class TestDoublingPropagation:
-    """integrate_many fills the samples by doubling, vecs[:, m:2m] =
+    """integrate fills the samples by doubling, vecs[:, m:2m] =
     vecs[:, :m] (P^m)^T; it must agree with stepping one sample at a time."""
 
     DT = 1e-2
     TOL = 1e-12  # roundoff of the doubling products against the steps
 
-    def specs(self, dim, n=3):
-        return [reachset.draw_random_system(29, dim, k) for k in range(n)]
+    def assert_matches_sequential_steps(self, dim, steps):
+        traj = integrate(draw_random_system(29, dim, range(3)), T=sum(steps), dt=self.DT)
+        assert traj.states.shape == (3, len(steps) + 1, dim, dim)
+        for k, states in enumerate(traj.states):
+            ref = sequential_states(draw_random_system(29, dim, k), steps)
+            assert np.abs(states - ref).max() <= self.TOL
 
     @pytest.mark.parametrize("n", STEP_COUNTS)
     def test_matches_sequential_steps(self, n):
         for dim in (2, 3, 4):
-            specs = self.specs(dim)
-            for spec, traj in zip(specs, integrate_many(specs, T=n * self.DT, dt=self.DT)):
-                assert traj.states.shape == (n + 1, dim, dim)
-                ref = sequential_states(spec, [self.DT] * n)
-                assert np.abs(traj.states - ref).max() <= self.TOL
+            self.assert_matches_sequential_steps(dim, [self.DT] * n)
 
     def test_shortened_last_step_matches_sequential_steps(self):
         for dim in (2, 3, 4):
-            specs = self.specs(dim)
-            for spec, traj in zip(specs, integrate_many(specs, T=2.4 * self.DT, dt=self.DT)):
-                ref = sequential_states(spec, [self.DT, self.DT, 0.4 * self.DT])
-                assert traj.states.shape == (4, dim, dim)
-                assert np.abs(traj.states - ref).max() <= self.TOL
+            self.assert_matches_sequential_steps(dim, [self.DT, self.DT, 0.4 * self.DT])
 
     def test_long_trajectory(self):
         spec = qubit_spec(QubitParams(theta=0.7, phi=0.3, gamma=0.4))
@@ -494,12 +565,12 @@ class TestFidelityRates:
                             rtol=0, atol=1e-12)
 
     def test_equals_generator_on_states(self):
-        # <psi0| L(rho_t) |psi0>, evaluated directly with master_rhs
+        # <psi0| L(rho_t) |psi0>, evaluated directly with the right-hand side
         rng = np.random.default_rng(9)
-        spec = reachset.draw_random_system(5, 3, 0)
+        spec = draw_random_system(5, 3, 0)
         traj = integrate(spec, T=0.05, dt=1e-3)
         for i in rng.choice(len(traj.times), 5, replace=False):
-            rate = np.vdot(spec.psi0, dynamics.master_rhs(spec, 0.0, traj.states[i]) @ spec.psi0)
+            rate = np.vdot(spec.psi0, master_rhs(spec, 0.0, traj.states[i]) @ spec.psi0)
             assert abs(traj.fidelity_rates[i] - rate.real) < 1e-13
 
 
@@ -558,8 +629,18 @@ class TestThetaRateCheck:
         for spec, u in cases:
             traj = integrate(spec, T=1.0, dt=1e-3, u=u)
             coeffs = qsl.generic_coefficients(spec)
-            assert coeffs.source == "controlled"
             assert dynamics.theta_rate_check(traj, coeffs).max() <= 1e-12
+
+    def test_stack_is_checked_against_its_own_coefficients(self):
+        stack = draw_random_system(6, 3, range(4))
+        traj = integrate(stack, T=0.2, dt=1e-3)
+        excess = dynamics.theta_rate_check(traj, qsl.generic_coefficients(stack))
+        assert excess.shape == (4, len(traj.times))
+        for k in range(4):
+            spec = draw_random_system(6, 3, k)
+            single = dynamics.theta_rate_check(integrate(spec, T=0.2, dt=1e-3),
+                                               qsl.generic_coefficients(spec))
+            assert np.array_equal(excess[k], single)
 
 
 class TestTrajectoryCsv:

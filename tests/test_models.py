@@ -6,6 +6,12 @@ from numpy.testing import assert_allclose
 
 from qslreach import models, qsl
 from qslreach.models import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SPIN1_X,
+    SPIN1_Y,
+    SPIN1_Z,
     GateParams,
     QubitParams,
     bell_coefficients,
@@ -13,7 +19,6 @@ from qslreach.models import (
     bell_time_bound,
     collective_decay,
     gate_fidelity,
-    pauli,
     qubit_closed_form_coeffs,
     qubit_gate_radius,
     qubit_gate_time_bound,
@@ -22,9 +27,7 @@ from qslreach.models import (
     qutrit_gate_fidelity,
     qutrit_gate_time_bound,
     qutrit_spec,
-    qutrit_state,
     so3_gate,
-    spin1,
     su2_gate,
 )
 
@@ -33,28 +36,16 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 class TestOperators:
     def test_pauli_z_on_excited_state(self):
-        assert_allclose(pauli("z") @ KET0, KET0)
+        assert_allclose(PAULI_Z @ KET0, KET0)
 
     def test_pauli_algebra(self):
-        assert_allclose(
-            pauli("x") @ pauli("y") - pauli("y") @ pauli("x"), 2j * pauli("z"),
-            atol=1e-12,
-        )
+        assert_allclose(PAULI_X @ PAULI_Y - PAULI_Y @ PAULI_X, 2j * PAULI_Z, atol=1e-12)
 
     def test_spin1_su2_algebra(self):
-        assert_allclose(
-            spin1("x") @ spin1("y") - spin1("y") @ spin1("x"), 1j * spin1("z"),
-            atol=1e-12,
-        )
+        assert_allclose(SPIN1_X @ SPIN1_Y - SPIN1_Y @ SPIN1_X, 1j * SPIN1_Z, atol=1e-12)
 
     def test_spin1_z_eigenvalues(self):
-        assert_allclose(np.diag(spin1("z")).real, [1.0, 0.0, -1.0])
-
-    def test_invalid_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            pauli("w")
-        with pytest.raises(ValueError, match="axis"):
-            spin1("q")
+        assert_allclose(np.diag(SPIN1_Z).real, [1.0, 0.0, -1.0])
 
 
 class TestQubitState:
@@ -89,6 +80,12 @@ class TestQubitState:
         with pytest.raises(ValueError, match="u_max"):
             QubitParams(theta=0.1, u_max=-0.5)
 
+    @pytest.mark.parametrize("name", ["omega", "gamma", "u_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            QubitParams(theta=0.1, **{name: value})
+
 
 class TestQubitSpec:
     def test_decay_model(self):
@@ -99,6 +96,14 @@ class TestQubitSpec:
 
     def test_zero_gamma_is_closed(self):
         assert qubit_spec(QubitParams(theta=0.3)).lindblad_ops == ()
+
+    def test_angle_array_gives_a_stack(self):
+        thetas = np.array([0.0, 0.4, 1.1])
+        stack = qubit_spec(QubitParams(theta=thetas, gamma=0.5))
+        assert stack.shape == (3,) and stack.psi0.shape == (3, 2)
+        assert stack.h_drift.shape == (2, 2)
+        for k, theta in enumerate(thetas):
+            assert np.array_equal(stack.psi0[k], qubit_spec(QubitParams(theta=theta)).psi0)
 
     def test_control_model(self):
         spec = qubit_spec(QubitParams(theta=0.3, omega=2.0, u_max=0.7), with_control=True)
@@ -113,7 +118,6 @@ class TestQubitClosedForm:
         c = qubit_closed_form_coeffs(QubitParams(theta=0.0, gamma=1.0, omega=1.0))
         assert_allclose(c.speed, math.sqrt(2), atol=1e-12)
         assert_allclose(c.noise, 1.0, atol=1e-12)
-        assert c.source == "closed_form"
 
     def test_gamma_zero_recovers_rotation_rate(self):
         for theta in np.linspace(0.0, math.pi, 9):
@@ -131,14 +135,16 @@ class TestQubitClosedForm:
             )
             spec = qubit_spec(p)
             closed = qubit_closed_form_coeffs(p)
-            assert abs(closed.speed - qsl.speed_coefficient(spec)) <= 1e-10
-            assert abs(closed.noise - qsl.noise_coefficient(spec.psi0, spec.lindblad_ops)) <= 1e-10
+            generic = qsl.generic_coefficients(spec)
+            assert abs(closed.speed - generic.speed) <= 1e-10
+            assert abs(closed.noise - generic.noise) <= 1e-10
 
     def test_phase_does_not_change_coefficients(self):
         base = qubit_spec(QubitParams(theta=0.7, gamma=0.9, omega=1.1))
         phased = qubit_spec(QubitParams(theta=0.7, phi=2.1, gamma=0.9, omega=1.1))
         assert_allclose(
-            qsl.speed_coefficient(base), qsl.speed_coefficient(phased), atol=1e-12
+            qsl.generic_coefficients(base).speed, qsl.generic_coefficients(phased).speed,
+            atol=1e-12,
         )
 
 
@@ -311,6 +317,11 @@ class TestBellStates:
         with pytest.raises(ValueError, match="gamma"):
             collective_decay(-1.0)
 
+    def test_non_finite_gamma(self):
+        for gamma in (math.nan, math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                collective_decay(gamma)
+
 
 class TestBellBounds:
     def test_coefficients_at_unit_rate(self):
@@ -357,14 +368,12 @@ class TestBellBounds:
 
 class TestQutrit:
     def test_worked_initial_state(self):
-        psi = qutrit_state(math.pi, math.pi / 2)
-        assert_allclose(psi, np.array([1.0, 0.0, 1.0]) / math.sqrt(2), atol=1e-12)
-
-    def test_state_ranges(self):
-        with pytest.raises(ValueError, match="theta"):
-            qutrit_state(-0.1, 0.5)
-        with pytest.raises(ValueError, match="varphi"):
-            qutrit_state(0.5, 4.0)
+        # [sin(th/2) cos(ph/2), cos(th/2), sin(th/2) sin(ph/2)] at (pi, pi/2)
+        th, ph = math.pi, math.pi / 2
+        psi = [math.sin(th / 2) * math.cos(ph / 2), math.cos(th / 2),
+               math.sin(th / 2) * math.sin(ph / 2)]
+        assert_allclose(models.QUTRIT_PSI0, psi, atol=1e-12)
+        assert_allclose(models.QUTRIT_PSI0, np.array([1.0, 0.0, 1.0]) / math.sqrt(2), atol=1e-15)
 
     def test_spec_operators(self):
         spec = qutrit_spec(1.4, 0.6)
@@ -377,6 +386,15 @@ class TestQutrit:
             qutrit_spec(0.0, 1.0)
         with pytest.raises(ValueError, match="u_max"):
             qutrit_spec(1.0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega must be finite"):
+                qutrit_spec(bad, 1.0)
+            with pytest.raises(ValueError, match="u_max must be finite"):
+                qutrit_spec(1.0, bad)
+            with pytest.raises(ValueError, match="omega must be finite"):
+                qutrit_gate_time_bound(bad, 1.0, GateParams(0.1, 0.1))
+            with pytest.raises(ValueError, match="u_max must be finite"):
+                qutrit_gate_time_bound(1.0, bad, GateParams(0.1, 0.1))
 
     def test_so3_identity(self):
         assert_allclose(so3_gate(GateParams(0.0, 0.0, 0.0)), np.eye(3), atol=1e-15)

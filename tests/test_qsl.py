@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qslreach import qsl
-from qslreach.dynamics import SystemSpec, integrate_many
+from qslreach.dynamics import SystemSpec, integrate
 from qslreach.models import (
     PAULI_X,
     PAULI_Z,
@@ -22,8 +22,18 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
-def coeffs(a, e, source="generic"):
-    return qsl.QslCoefficients(a, e, source)
+def coeffs(a, e):
+    return qsl.QslCoefficients(a, e)
+
+
+def speed(spec):
+    return qsl.generic_coefficients(spec).speed
+
+
+def noise(psi0, ops):
+    """E of ``psi0`` under the Lindblad operators ``ops`` (H plays no part)."""
+    return qsl.generic_coefficients(
+        SystemSpec(psi0=psi0, h_drift=np.zeros((psi0.shape[-1],) * 2), lindblad_ops=ops)).noise
 
 
 class TestCoefficientTypes:
@@ -32,19 +42,17 @@ class TestCoefficientTypes:
             coeffs(-1.0, 0.0)
         with pytest.raises(ValueError):
             coeffs(0.0, -1.0)
-
-    def test_rejects_unknown_source(self):
         with pytest.raises(ValueError):
-            coeffs(1.0, 1.0, "guess")
+            coeffs(np.array([1.0, np.nan]), 0.0)
 
 
 class TestSpeedCoefficient:
     def test_free_system(self):
-        assert qsl.speed_coefficient(SystemSpec(psi0=KET0, h_drift=ZERO2)) == 0.0
+        assert speed(SystemSpec(psi0=KET0, h_drift=ZERO2)) == 0.0
 
     def test_decaying_qubit_from_excited_state(self):
         spec = qubit_spec(QubitParams(theta=0.0, gamma=1.0, omega=1.0))
-        assert_allclose(qsl.speed_coefficient(spec), math.sqrt(2), atol=1e-12)
+        assert_allclose(speed(spec), math.sqrt(2), atol=1e-12)
 
     def test_bell_collective_decay(self):
         spec = SystemSpec(
@@ -52,12 +60,7 @@ class TestSpeedCoefficient:
             h_drift=np.zeros((4, 4)),
             lindblad_ops=(collective_decay(1.0),),
         )
-        assert_allclose(qsl.speed_coefficient(spec), math.sqrt(5), atol=1e-12)
-
-    def test_rejects_controlled_spec(self):
-        spec = qubit_spec(QubitParams(theta=0.1, u_max=1.0), with_control=True)
-        with pytest.raises(ValueError, match="controlled_speed_coefficient"):
-            qsl.speed_coefficient(spec)
+        assert_allclose(speed(spec), math.sqrt(5), atol=1e-12)
 
 
 class TestControlledSpeedCoefficient:
@@ -67,11 +70,11 @@ class TestControlledSpeedCoefficient:
             p = QubitParams(theta=float(theta), omega=1.3, u_max=0.7)
             spec = qubit_spec(p, with_control=True)
             expected = 2 * (1.3 * abs(math.cos(2 * theta)) + 0.7 * abs(math.sin(2 * theta)))
-            assert_allclose(qsl.controlled_speed_coefficient(spec), expected, atol=1e-10)
+            assert_allclose(speed(spec), expected, atol=1e-10)
 
     def test_qutrit(self):
         assert_allclose(
-            qsl.controlled_speed_coefficient(qutrit_spec(1.2, 0.8)), 2 * (1.2 + 0.8),
+            speed(qutrit_spec(1.2, 0.8)), 2 * (1.2 + 0.8),
             atol=1e-12,
         )
 
@@ -79,11 +82,7 @@ class TestControlledSpeedCoefficient:
         p = QubitParams(theta=0.4, omega=1.1, u_max=0.0)
         spec = qubit_spec(p, with_control=True)
         drift_only = SystemSpec(psi0=spec.psi0, h_drift=spec.h_drift)
-        assert_allclose(
-            qsl.controlled_speed_coefficient(spec),
-            qsl.speed_coefficient(drift_only),
-            atol=1e-12,
-        )
+        assert_allclose(speed(spec), speed(drift_only), atol=1e-12)
 
     def test_variance_identity(self):
         # sqrt(2) ||i[h, rho0]||_F = 2 sqrt(<h^2> - <h>^2) for pure states
@@ -98,28 +97,24 @@ class TestControlledSpeedCoefficient:
             var = (np.vdot(psi, h @ h @ psi) - np.vdot(psi, h @ psi) ** 2).real
             assert_allclose(lhs, 2 * math.sqrt(max(var, 0.0)), atol=1e-10)
 
-    def test_rejects_uncontrolled_spec(self):
-        with pytest.raises(ValueError, match="speed_coefficient"):
-            qsl.controlled_speed_coefficient(SystemSpec(psi0=KET0, h_drift=ZERO2))
-
 
 class TestNoiseCoefficient:
     def test_empty_list(self):
-        assert qsl.noise_coefficient(KET0, ()) == 0.0
+        assert noise(KET0, ()) == 0.0
 
     def test_decaying_qubit_closed_form(self):
         for theta in np.linspace(0.0, math.pi, 13):
             p = QubitParams(theta=float(theta), gamma=0.8)
             spec = qubit_spec(p)
             assert_allclose(
-                qsl.noise_coefficient(spec.psi0, spec.lindblad_ops),
+                qsl.generic_coefficients(spec).noise,
                 0.8 * math.cos(theta) ** 4,
                 atol=1e-12,
             )
 
     def test_bell_psi_plus(self):
         assert_allclose(
-            qsl.noise_coefficient(bell_state("psi-plus").vector, (collective_decay(1.0),)),
+            noise(bell_state("psi-plus").vector, (collective_decay(1.0),)),
             2.0,
             atol=1e-12,
         )
@@ -131,7 +126,7 @@ class TestNoiseCoefficient:
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert qsl.noise_coefficient(psi, (m,)) >= 0.0
+        assert noise(psi, (m,)) >= 0.0
 
 
 class TestQslTime:
@@ -215,11 +210,13 @@ class TestDelCampoComparison:
     def test_simulation_respects_the_bound(self):
         # every sample of seeded random trajectories: T_DC(lambda_t) <= t
         for dim in (2, 3, 4):
-            specs = [draw_random_system(42, dim, k) for k in range(40)]
-            for spec, traj in zip(specs, integrate_many(specs, T=0.5)):
-                lam = qsl.radius_from_fidelity(traj.fidelities)
-                t_dc = qsl.del_campo_time(qsl.generic_coefficients(spec), lam)
-                assert (t_dc <= traj.times * (1 + 1e-9) + 1e-12).all()
+            stack = draw_random_system(42, dim, range(40))
+            traj = integrate(stack, T=0.5)
+            c = qsl.generic_coefficients(stack)
+            lam = qsl.radius_from_fidelity(traj.fidelities)
+            t_dc = qsl.del_campo_time(coeffs(c.speed[:, None], c.noise[:, None]), lam)
+            assert t_dc.shape == (40, len(traj.times))
+            assert (t_dc <= traj.times * (1 + 1e-9) + 1e-12).all()
 
 
 class TestMaxReachableRadius:
@@ -263,6 +260,12 @@ class TestMaxReachableRadius:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             qsl.max_reachable_radius(coeffs(1.0, 1.0), -0.1)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, np.array([0.5, math.inf])])
+    def test_rejects_non_finite_horizon(self, T):
+        # the inversion of an infinite horizon used to return NaN, not 1
+        with pytest.raises(ValueError, match="finite"):
+            qsl.max_reachable_radius(coeffs(1.0, 0.5), T)
 
 
 class TestClosedFormInversion:
@@ -352,56 +355,87 @@ class TestStackedCoefficients:
             m2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             a, e = qsl.coefficients(psi, h, (m1, m2))
             for i in range(n):
-                spec = SystemSpec(psi0=psi[i], h_drift=h[i], lindblad_ops=(m1[i], m2))
-                assert_allclose(a[i], qsl.speed_coefficient(spec), rtol=0, atol=1e-14)
-                assert_allclose(e[i], qsl.noise_coefficient(psi[i], (m1[i], m2)),
-                                rtol=0, atol=1e-14)
+                c = qsl.generic_coefficients(
+                    SystemSpec(psi0=psi[i], h_drift=h[i], lindblad_ops=(m1[i], m2)))
+                assert_allclose(a[i], c.speed, rtol=0, atol=1e-14)
+                assert_allclose(e[i], c.noise, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("control", [False, True], ids=["uncontrolled", "controlled"])
+    def test_generic_coefficients_of_a_stack_equal_single_systems(self, control):
+        # one stacked spec against one spec per member, bit for bit
+        rng = np.random.default_rng(23)
+        n = 5
+        for d in (2, 3, 4):
+            psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            x = rng.standard_normal((2, n, d, d)) + 1j * rng.standard_normal((2, n, d, d))
+            h, hc = (x + np.swapaxes(x.conj(), -1, -2)) / 2
+            m1 = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            m2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u_max = rng.uniform(0.0, 2.0, n)
+
+            def spec(i):
+                ctrl = dict(h_control=hc[i], u_max=u_max[i]) if control else {}
+                return SystemSpec(psi0=psi[i], h_drift=h[i],
+                                  lindblad_ops=(m1[i], m2), **ctrl)
+
+            stack = qsl.generic_coefficients(spec(slice(None)))
+            assert stack.speed.shape == stack.noise.shape == (n,)
+            for i in range(n):
+                single = qsl.generic_coefficients(spec(i))
+                assert isinstance(single.speed, float)
+                assert stack.speed[i] == single.speed
+                assert stack.noise[i] == single.noise
 
 
 class TestClosedSystemRadiusBound:
+    """Purely Hamiltonian evolution: E = 0 and A = 2 sqrt(Var h), so the
+    largest reachable radius is min(1, sqrt(<h^2> - <h>^2) T)."""
+
+    @staticmethod
+    def radius(psi, h, T):
+        c = qsl.generic_coefficients(SystemSpec(psi0=psi, h_drift=h))
+        return qsl.max_reachable_radius(c, T)
+
     def test_eigenstate_cannot_move(self):
-        assert qsl.closed_system_radius_bound(KET0, PAULI_Z, 3.0) == 0.0
+        assert self.radius(KET0, PAULI_Z, 3.0) == 0.0
 
     def test_qubit_closed_form(self):
-        # variance of omega sigma_z in the Bloch state is (omega sin 2th)^2 / 4... x4
+        # the standard deviation of omega sigma_z in the Bloch state is omega |sin 2th|
         for theta in np.linspace(0.0, math.pi, 9):
             psi = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-            got = qsl.closed_system_radius_bound(psi, 1.4 * PAULI_Z, 0.6)
+            got = self.radius(psi, 1.4 * PAULI_Z, 0.6)
             assert_allclose(got, 1.4 * abs(math.sin(2 * theta)) * 0.6, atol=1e-10)
 
     def test_consistent_with_radius_inversion(self):
-        # with E = 0 and A = 2 sqrt(Var), inverting T* gives sqrt(Var) T
         psi = np.array([math.cos(0.3), math.sin(0.3)], dtype=complex)
         h = 0.9 * PAULI_X + 0.4 * PAULI_Z
-        spec = SystemSpec(psi0=psi, h_drift=h)
-        c = qsl.generic_coefficients(spec)
         T = 0.45
-        bound = qsl.closed_system_radius_bound(psi, h, T)
-        if bound < 1.0:
-            assert_allclose(qsl.max_reachable_radius(c, T), bound, atol=1e-8)
+        var = (np.vdot(psi, h @ h @ psi) - np.vdot(psi, h @ psi) ** 2).real
+        assert math.sqrt(var) * T < 1.0
+        assert_allclose(self.radius(psi, h, T), math.sqrt(var) * T, atol=1e-8)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            qsl.closed_system_radius_bound(KET0, np.array([[0, 1], [0, 0]]), 1.0)
+            self.radius(KET0, np.array([[0, 1], [0, 0]]), 1.0)
 
 
 class TestRadiusAngleMaps:
     def test_endpoints(self):
         assert qsl.radius_from_angle(0.0) == 0.0
         assert_allclose(qsl.radius_from_angle(math.pi / 2), 1.0)
-        assert qsl.angle_from_radius(0.0) == 0.0
-        assert_allclose(qsl.angle_from_radius(1.0), math.pi / 2)
 
     def test_round_trip(self):
+        # Theta = arccos(1 - lambda^2) inverts lambda = sqrt(1 - cos Theta)
         for theta in np.linspace(0.0, math.pi / 2, 100):
-            back = qsl.angle_from_radius(qsl.radius_from_angle(float(theta)))
+            back = math.acos(1.0 - qsl.radius_from_angle(float(theta)) ** 2)
             assert abs(back - theta) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             qsl.radius_from_angle(2.0)
         with pytest.raises(ValueError):
-            qsl.angle_from_radius(1.5)
+            qsl.radius_from_angle(math.nan)
 
     def test_radius_from_fidelity_clamps(self):
         assert qsl.radius_from_fidelity(1.0 + 1e-15) == 0.0
@@ -410,10 +444,15 @@ class TestRadiusAngleMaps:
 
 
 class TestGenericCoefficients:
-    def test_source_tags(self):
-        assert qsl.generic_coefficients(SystemSpec(psi0=KET0, h_drift=ZERO2)).source == "generic"
+    def test_controlled_spec_gives_primed_speed(self):
+        # A' = A_drift + u_max A_control >= A of any admissible constant drive
         spec = qubit_spec(QubitParams(theta=0.2, u_max=1.0), with_control=True)
-        assert qsl.generic_coefficients(spec).source == "controlled"
+        a_drift = speed(SystemSpec(psi0=spec.psi0, h_drift=spec.h_drift))
+        a_ctrl = speed(SystemSpec(psi0=spec.psi0, h_drift=spec.h_control))
+        assert speed(spec) == a_drift + a_ctrl
+        for u in (-1.0, 0.3, 1.0):
+            assert speed(SystemSpec(psi0=spec.psi0, h_drift=spec.h_drift + u * spec.h_control)) \
+                <= speed(spec) + 1e-12
 
     def test_noise_vanishes_without_lindblad_operators(self):
         spec = SystemSpec(psi0=KET0, h_drift=PAULI_X)

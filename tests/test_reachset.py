@@ -24,27 +24,33 @@ from qslreach.reachset import (
 class TestGrids:
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="count"):
-            GridAxis("theta", 0.0, 1.0, 1)
+            GridAxis(0.0, 1.0, 1)
         with pytest.raises(ValueError, match="start"):
-            GridAxis("theta", 1.0, 0.0, 10)
+            GridAxis(1.0, 0.0, 10)
+        for start, stop in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                GridAxis(start, stop, 3)
 
     def test_horizon_validation(self):
-        axis = GridAxis("theta", 0.0, 1.0, 5)
+        axis = GridAxis(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="increasing"):
             SweepGrid(axes=(axis,), horizons=(0.5, 0.3))
         with pytest.raises(ValueError, match="positive"):
             SweepGrid(axes=(axis,), horizons=(0.0, 0.3))
         with pytest.raises(ValueError, match="horizon"):
             SweepGrid(axes=(axis,), horizons=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SweepGrid(axes=(axis,), horizons=(0.3, bad))
 
     def test_axis_values(self):
-        assert_allclose(GridAxis("x", 0.0, 1.0, 5).values(), [0, 0.25, 0.5, 0.75, 1.0])
+        assert_allclose(GridAxis(0.0, 1.0, 5).values(), [0, 0.25, 0.5, 0.75, 1.0])
 
 
 class TestRadiusSweep:
     def test_closed_system_matches_rotation_formula(self):
         grid = SweepGrid(
-            axes=(GridAxis("theta", 0.0, math.pi / 2, 101),),
+            axes=(GridAxis(0.0, math.pi / 2, 101),),
             horizons=(0.3, 0.5, 0.8),
         )
         cols = sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
@@ -53,18 +59,18 @@ class TestRadiusSweep:
             assert abs(lam - expected) <= 1e-8
 
     def test_poles_cannot_move_under_rotation(self):
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 3),), horizons=(0.5,))
+        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 3),), horizons=(0.5,))
         lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
         assert lams[0] == 0.0   # theta = 0
         assert lams[-1] <= 1e-8  # theta = pi/2
 
     def test_superposition_at_half_time(self):
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 3),), horizons=(0.5,))
+        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 3),), horizons=(0.5,))
         lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
         assert_allclose(lams[1], 0.5, atol=1e-8)  # theta = pi/4
 
     def test_decaying_case_matches_dense_scan(self):
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 2),), horizons=(0.3,))
+        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 2),), horizons=(0.3,))
         lam = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"][0]  # theta = 0
         c = qsl.QslCoefficients(math.sqrt(2), 1.0)
         scan = max(
@@ -73,7 +79,7 @@ class TestRadiusSweep:
         assert abs(lam - scan) <= 1e-4
 
     def test_radius_monotone_in_horizon(self):
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, math.pi / 2, 25),),
+        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 25),),
                          horizons=(0.3, 0.5, 0.8))
         lams = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"].reshape(-1, 3)
         for lam in lams:  # one row per theta, one column per horizon
@@ -82,7 +88,7 @@ class TestRadiusSweep:
     def test_radius_monotone_in_decay_rate(self):
         # amplitude damping from the excited state: a stronger noise can only
         # enlarge the reachable ball at fixed T
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, 0.1, 2),), horizons=(0.5,))
+        grid = SweepGrid(axes=(GridAxis(0.0, 0.1, 2),), horizons=(0.5,))
         lams = [
             sweep_reachable_radius(grid, gamma=g)["lambda_max"][0]
             for g in (0.2, 0.5, 1.0, 2.0, 4.0)
@@ -91,7 +97,7 @@ class TestRadiusSweep:
 
     def test_requires_single_axis(self):
         grid = SweepGrid(
-            axes=(GridAxis("a", 0, 1, 3), GridAxis("b", 0, 1, 3)), horizons=(0.5,)
+            axes=(GridAxis(0, 1, 3), GridAxis(0, 1, 3)), horizons=(0.5,)
         )
         with pytest.raises(ValueError, match="single theta axis"):
             sweep_reachable_radius(grid, gamma=0.0)
@@ -100,7 +106,7 @@ class TestRadiusSweep:
 class TestGateReachMap:
     def _grid(self, n=21):
         return SweepGrid(
-            axes=(GridAxis("alpha", 0.0, 2 * math.pi, n), GridAxis("beta", 0.0, math.pi, n)),
+            axes=(GridAxis(0.0, 2 * math.pi, n), GridAxis(0.0, math.pi, n)),
             horizons=(0.3, 0.5, 0.8),
         )
 
@@ -143,13 +149,13 @@ class TestGateReachMap:
 
 class TestBellSweep:
     def test_dark_state_stays_at_origin(self):
-        cols = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
+        cols = bell_sweep(GridAxis(0.1, 2.0, 9), T=0.5)
         for state, lam in zip(cols["state"], cols["lambda_max"]):
             if state == "psi-minus":
                 assert lam == 0.0
 
     def test_psi_plus_spreads_fastest(self):
-        cols = bell_sweep(GridAxis("gamma", 0.1, 2.0, 9), T=0.5)
+        cols = bell_sweep(GridAxis(0.1, 2.0, 9), T=0.5)
         by_state = {}
         for state, lam in zip(cols["state"], cols["lambda_max"]):
             by_state.setdefault(state, []).append(lam)
@@ -159,7 +165,7 @@ class TestBellSweep:
 
     def test_weak_noise_limit(self):
         # lambda_max shrinks like sqrt(gamma T) as the noise switches off
-        cols = bell_sweep(GridAxis("gamma", 1e-6, 2e-6, 2), T=0.5)
+        cols = bell_sweep(GridAxis(1e-6, 2e-6, 2), T=0.5)
         for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
             if state == "psi-minus":
                 assert lam == 0.0
@@ -167,8 +173,9 @@ class TestBellSweep:
                 assert lam <= 2 * math.sqrt(gamma * 0.5)
 
     def test_invalid_horizon(self):
-        with pytest.raises(ValueError, match="T must be"):
-            bell_sweep(GridAxis("gamma", 0.1, 1.0, 3), T=0.0)
+        for T in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="T must be"):
+                bell_sweep(GridAxis(0.1, 1.0, 3), T=T)
 
 
 class TestVerifyBound:
@@ -200,6 +207,17 @@ class TestVerifyBound:
         assert np.linalg.norm(a.lindblad_ops[0]) <= 2.0 + 1e-12
         c = draw_random_system(43, 3, 7)
         assert np.linalg.norm(a.h_drift - c.h_drift) > 1e-6
+
+    def test_draw_of_a_trial_range_stacks_the_single_draws(self):
+        for dim in (2, 3, 4):
+            stack = draw_random_system(42, dim, range(2, 7))
+            assert stack.shape == (5,)
+            for i, k in enumerate(range(2, 7)):
+                single = draw_random_system(42, dim, k)
+                assert single.shape == ()
+                assert np.array_equal(stack.psi0[i], single.psi0)
+                assert np.array_equal(stack.h_drift[i], single.h_drift)
+                assert np.array_equal(stack.lindblad_ops[0][i], single.lindblad_ops[0])
 
     def test_small_batch_has_no_violations(self):
         cols = verify_bound(seed=42, n_trials=10, dims=(2, 3, 4), T=0.5, dt=1e-3)
@@ -249,7 +267,7 @@ class TestVerifyBound:
 
 class TestCsvOutput:
     def test_lambda_sweep_columns(self, tmp_path):
-        grid = SweepGrid(axes=(GridAxis("theta", 0.0, 1.0, 3),), horizons=(0.3, 0.5))
+        grid = SweepGrid(axes=(GridAxis(0.0, 1.0, 3),), horizons=(0.3, 0.5))
         cols = sweep_reachable_radius(grid, gamma=1.0)
         path = tmp_path / "sweep.csv"
         reachset.write_rows(cols, path, "csv")
@@ -259,7 +277,7 @@ class TestCsvOutput:
 
     def test_gate_map_columns(self, tmp_path):
         grid = SweepGrid(
-            axes=(GridAxis("alpha", 0.0, 1.0, 2), GridAxis("beta", 0.0, 1.0, 2)),
+            axes=(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2)),
             horizons=(0.3, 0.5, 0.8),
         )
         cols = gate_reach_map("qutrit", grid)
@@ -271,7 +289,7 @@ class TestCsvOutput:
         assert lines[1].startswith("qutrit,")
 
     def test_bell_sweep_columns(self, tmp_path):
-        cols = bell_sweep(GridAxis("gamma", 0.5, 1.0, 2), T=0.5)
+        cols = bell_sweep(GridAxis(0.5, 1.0, 2), T=0.5)
         path = tmp_path / "bell.csv"
         reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
