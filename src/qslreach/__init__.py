@@ -13,7 +13,6 @@ from .dynamics import (
 )
 from .models import (
     BELL_LABELS,
-    BellState,
     GateParams,
     QubitParams,
     bell_coefficients,

@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import dynamics, models, qsl, reachset
 
@@ -60,93 +59,77 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: the command plus its option values."""
-
-    command: str
-    options: dict
-
-    def __getitem__(self, key):
-        return self.options[key]
-
-
 # Option tables: (dest, flag, parser, default, help).  ``None`` defaults
 # mean "required".  Config-file keys equal the dest names.
-_ANGLE = parse_angle
-_FLOAT = float
-_INT = int
-_STR = str
-
 _COMMON_OUT = [
-    ("out", "--out", _STR, "-", "output path ('-' for stdout)"),
-    ("format", "--format", _STR, "csv", "output format: csv or json"),
+    ("out", "--out", str, "-", "output path ('-' for stdout)"),
+    ("format", "--format", str, "csv", "output format: csv or json"),
 ]
 
 _OPTIONS: dict[str, list] = {
     "bound": [
-        ("model", "--model", _STR, None, "qubit | qubit-gate | bell | qutrit-gate"),
-        ("theta", "--theta", _ANGLE, 0.0, "initial-state angle"),
-        ("phi", "--phi", _ANGLE, 0.0, "initial-state phase"),
-        ("gamma", "--gamma", _FLOAT, 0.0, "decay rate"),
-        ("omega", "--omega", _FLOAT, 1.0, "drive frequency"),
-        ("u_max", "--u-max", _FLOAT, 1.0, "control amplitude bound"),
-        ("alpha", "--alpha", _ANGLE, 0.0, "gate angle alpha"),
-        ("beta", "--beta", _ANGLE, 0.0, "gate angle beta"),
-        ("lam", "--lambda", _FLOAT, None, "target radius in [0, 1]"),
-        ("target_theta", "--target-theta", _ANGLE, None, "target angle Theta_T"),
-        ("state", "--state", _STR, "phi-plus", "Bell state label"),
-        ("format", "--format", _STR, "text", "output format: text or json"),
+        ("model", "--model", str, None, "qubit | qubit-gate | bell | qutrit-gate"),
+        ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
+        ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
+        ("gamma", "--gamma", float, 0.0, "decay rate"),
+        ("omega", "--omega", float, 1.0, "drive frequency"),
+        ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
+        ("alpha", "--alpha", parse_angle, 0.0, "gate angle alpha"),
+        ("beta", "--beta", parse_angle, 0.0, "gate angle beta"),
+        ("lam", "--lambda", float, None, "target radius in [0, 1]"),
+        ("target_theta", "--target-theta", parse_angle, None, "target angle Theta_T"),
+        ("state", "--state", str, "phi-plus", "Bell state label"),
+        ("format", "--format", str, "text", "output format: text or json"),
     ],
     "simulate": [
-        ("model", "--model", _STR, "qubit", "qubit | bell"),
-        ("theta", "--theta", _ANGLE, 0.0, "initial-state angle"),
-        ("phi", "--phi", _ANGLE, 0.0, "initial-state phase"),
-        ("gamma", "--gamma", _FLOAT, 1.0, "decay rate"),
-        ("omega", "--omega", _FLOAT, 1.0, "drive frequency"),
-        ("state", "--state", _STR, "phi-plus", "Bell state label"),
-        ("T", "--T", _FLOAT, 1.0, "final time"),
-        ("dt", "--dt", _FLOAT, dynamics.DEFAULT_DT, "integration step"),
-        ("out", "--out", _STR, "trajectory.csv", "trajectory output path"),
-        ("format", "--format", _STR, "csv", "output format: csv or json"),
+        ("model", "--model", str, "qubit", "qubit | bell"),
+        ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
+        ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
+        ("gamma", "--gamma", float, 1.0, "decay rate"),
+        ("omega", "--omega", float, 1.0, "drive frequency"),
+        ("state", "--state", str, "phi-plus", "Bell state label"),
+        ("T", "--T", float, 1.0, "final time"),
+        ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
+        ("out", "--out", str, "trajectory.csv", "trajectory output path"),
+        ("format", "--format", str, "csv", "output format: csv or json"),
     ],
     "sweep-lambda": [
-        ("gamma", "--gamma", _FLOAT, 0.0, "decay rate"),
-        ("omega", "--omega", _FLOAT, 1.0, "drive frequency"),
-        ("theta_min", "--theta-min", _ANGLE, 0.0, "theta axis start"),
-        ("theta_max", "--theta-max", _ANGLE, math.pi / 2, "theta axis stop"),
-        ("points", "--points", _INT, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
+        ("gamma", "--gamma", float, 0.0, "decay rate"),
+        ("omega", "--omega", float, 1.0, "drive frequency"),
+        ("theta_min", "--theta-min", parse_angle, 0.0, "theta axis start"),
+        ("theta_max", "--theta-max", parse_angle, math.pi / 2, "theta axis stop"),
+        ("points", "--points", int, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
         ("horizons", "--horizons", parse_float_list, reachset.DEFAULT_HORIZONS,
          "comma-separated horizons"),
         *_COMMON_OUT,
     ],
     "gate-map": [
-        ("model", "--model", _STR, "qubit", "qubit | qutrit"),
-        ("theta", "--theta", _ANGLE, 0.0, "initial-state angle (qubit only)"),
-        ("omega", "--omega", _FLOAT, 1.0, "drive frequency"),
-        ("u_max", "--u-max", _FLOAT, 1.0, "control amplitude bound"),
-        ("points", "--points", _INT, reachset.DEFAULT_MAP_POINTS, "points per axis"),
-        ("alpha_min", "--alpha-min", _ANGLE, 0.0, "alpha axis start"),
-        ("alpha_max", "--alpha-max", _ANGLE, 2 * math.pi, "alpha axis stop"),
-        ("beta_min", "--beta-min", _ANGLE, 0.0, "beta axis start"),
-        ("beta_max", "--beta-max", _ANGLE, math.pi, "beta axis stop"),
+        ("model", "--model", str, "qubit", "qubit | qutrit"),
+        ("theta", "--theta", parse_angle, 0.0, "initial-state angle (qubit only)"),
+        ("omega", "--omega", float, 1.0, "drive frequency"),
+        ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
+        ("points", "--points", int, reachset.DEFAULT_MAP_POINTS, "points per axis"),
+        ("alpha_min", "--alpha-min", parse_angle, 0.0, "alpha axis start"),
+        ("alpha_max", "--alpha-max", parse_angle, 2 * math.pi, "alpha axis stop"),
+        ("beta_min", "--beta-min", parse_angle, 0.0, "beta axis start"),
+        ("beta_max", "--beta-max", parse_angle, math.pi, "beta axis stop"),
         ("horizons", "--horizons", parse_float_list, reachset.DEFAULT_HORIZONS,
          "comma-separated horizons"),
         *_COMMON_OUT,
     ],
     "bell-sweep": [
-        ("gamma_min", "--gamma-min", _FLOAT, 0.01, "gamma axis start (> 0)"),
-        ("gamma_max", "--gamma-max", _FLOAT, 2.0, "gamma axis stop"),
-        ("points", "--points", _INT, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
-        ("T", "--T", _FLOAT, 0.5, "horizon"),
+        ("gamma_min", "--gamma-min", float, 0.01, "gamma axis start (> 0)"),
+        ("gamma_max", "--gamma-max", float, 2.0, "gamma axis stop"),
+        ("points", "--points", int, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
+        ("T", "--T", float, 0.5, "horizon"),
         *_COMMON_OUT,
     ],
     "verify": [
-        ("seed", "--seed", _INT, 42, "master seed"),
-        ("trials", "--trials", _INT, 500, "trials per dimension"),
+        ("seed", "--seed", int, 42, "master seed"),
+        ("trials", "--trials", int, 500, "trials per dimension"),
         ("dims", "--dims", parse_int_list, (2, 3, 4), "comma-separated dims"),
-        ("T", "--T", _FLOAT, 0.5, "horizon"),
-        ("dt", "--dt", _FLOAT, 1e-3, "integration step"),
+        ("T", "--T", float, 0.5, "horizon"),
+        ("dt", "--dt", float, 1e-3, "integration step"),
         *_COMMON_OUT,
     ],
 }
@@ -169,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flag values over config-file values over defaults.
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The options of ``args.command``: flag values over config-file values
+    over defaults, by dest name.
 
     Config keys carry the flag names ("lambda = 0.5" for --lambda)."""
     table = _OPTIONS[args.command]
@@ -189,7 +173,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             options[dest] = default
         else:
             options[dest] = typ(raw)
-    return RunConfig(command=args.command, options=options)
+    return options
 
 
 def _json_safe(value):
@@ -200,7 +184,7 @@ def _json_safe(value):
     return value
 
 
-def _out(cfg: RunConfig):
+def _out(cfg: dict):
     """The output path, or stdout for '-'."""
     return sys.stdout if cfg["out"] == "-" else cfg["out"]
 
@@ -216,7 +200,7 @@ def _print_report(pairs: list[tuple[str, object]], fmt: str) -> None:
         raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
 
 
-def _target_radius(cfg: RunConfig) -> float:
+def _target_radius(cfg: dict) -> float:
     lam, target_theta = cfg["lam"], cfg["target_theta"]
     if lam is not None and target_theta is not None:
         raise ValueError("give either --lambda or --target-theta, not both")
@@ -229,7 +213,7 @@ def _target_radius(cfg: RunConfig) -> float:
     return qsl.radius_from_angle(target_theta)
 
 
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(cfg: dict) -> int:
     model = cfg["model"]
     if model == "qubit":
         p = models.QubitParams(
@@ -240,7 +224,7 @@ def cmd_bound(cfg: RunConfig) -> int:
         pairs = [("model", model), ("A", coeffs.speed), ("E", coeffs.noise)]
     elif model == "qubit-gate":
         p = models.QubitParams(
-            theta=cfg["theta"], omega=cfg["omega"], u_max=cfg["u_max"]
+            theta=cfg["theta"], phi=cfg["phi"], omega=cfg["omega"], u_max=cfg["u_max"]
         )
         g = models.GateParams(alpha=cfg["alpha"], beta=cfg["beta"])
         coeffs = qsl.generic_coefficients(models.qubit_spec(p, with_control=True))
@@ -273,7 +257,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _simulate_spec(cfg: RunConfig) -> dynamics.SystemSpec:
+def _simulate_spec(cfg: dict) -> dynamics.SystemSpec:
     model = cfg["model"]
     if model == "qubit":
         p = models.QubitParams(
@@ -285,7 +269,7 @@ def _simulate_spec(cfg: RunConfig) -> dynamics.SystemSpec:
     raise ValueError(f"unknown simulate model {model!r}")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: dict) -> int:
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     spec = _simulate_spec(cfg)
@@ -319,7 +303,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_lambda(cfg: RunConfig) -> int:
+def cmd_sweep_lambda(cfg: dict) -> int:
     grid = reachset.SweepGrid(
         axes=(reachset.GridAxis(cfg["theta_min"], cfg["theta_max"], cfg["points"]),),
         horizons=cfg["horizons"],
@@ -329,7 +313,7 @@ def cmd_sweep_lambda(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gate_map(cfg: RunConfig) -> int:
+def cmd_gate_map(cfg: dict) -> int:
     grid = reachset.SweepGrid(
         axes=(
             reachset.GridAxis(cfg["alpha_min"], cfg["alpha_max"], cfg["points"]),
@@ -344,7 +328,7 @@ def cmd_gate_map(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bell_sweep(cfg: RunConfig) -> int:
+def cmd_bell_sweep(cfg: dict) -> int:
     if cfg["gamma_min"] <= 0:
         raise ValueError("gamma-min must be > 0")
     axis = reachset.GridAxis(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
@@ -353,7 +337,7 @@ def cmd_bell_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: dict) -> int:
     cols = reachset.verify_bound(
         seed=cfg["seed"], n_trials=cfg["trials"], dims=cfg["dims"],
         T=cfg["T"], dt=cfg["dt"],
@@ -393,8 +377,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](resolve_config(args))
     except dynamics.IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION

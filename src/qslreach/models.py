@@ -4,9 +4,12 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
 Each model comes with closed-form bound coefficients or gate bounds that
 can be cross-checked against the generic pipeline in :mod:`qslreach.qsl`.
-Angles in ``QubitParams.theta`` and ``GateParams`` may be arrays, which
-``qubit_state``, ``qubit_spec`` (a stacked ``SystemSpec``) and the
-closed-form gate functions evaluate elementwise.
+Angles in ``QubitParams.theta`` and ``GateParams`` and the Bell decay rate
+may be arrays: ``qubit_state`` gives a stack of states, ``qubit_spec`` and
+``bell_spec`` a stacked ``SystemSpec``, ``su2_gate``/``so3_gate`` an
+(n, d, d) stack of gates, ``gate_fidelity`` broadcasts states against
+gates, and the closed-form gate functions evaluate elementwise.  Each
+member of a stack equals the single call bit for bit.
 """
 
 from __future__ import annotations
@@ -95,12 +98,6 @@ class GateParams:
         _check_angle("delta", self.delta, 4 * math.pi, "4pi")
 
 
-@dataclass(frozen=True)
-class BellState:
-    label: str
-    vector: np.ndarray
-
-
 def qubit_state(p: QubitParams) -> np.ndarray:
     """|psi0> = [cos(theta), e^{i phi} sin(theta)]; a stack of shape (n, 2)
     when theta is an array of n angles."""
@@ -141,31 +138,35 @@ def qubit_closed_form_coeffs(p: QubitParams) -> qsl.QslCoefficients:
     return qsl.QslCoefficients(a, e)
 
 
+def _matrices(*entries) -> np.ndarray:
+    """The complex (..., d, d) stack whose d*d entries, in row order, are
+    the broadcast ``entries``."""
+    entries = np.broadcast_arrays(*entries)
+    d = math.isqrt(len(entries))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (d, d)).astype(complex)
+
+
 def su2_gate(g: GateParams) -> np.ndarray:
-    """G(alpha, beta, delta) = Rz(alpha) Ry(beta) Rz(delta) on a qubit."""
-    rz_a = np.array(
-        [[np.exp(-0.5j * g.alpha), 0], [0, np.exp(0.5j * g.alpha)]], dtype=complex
-    )
-    ry = np.array(
-        [
-            [math.cos(g.beta / 2), -math.sin(g.beta / 2)],
-            [math.sin(g.beta / 2), math.cos(g.beta / 2)],
-        ],
-        dtype=complex,
-    )
-    rz_d = np.array(
-        [[np.exp(-0.5j * g.delta), 0], [0, np.exp(0.5j * g.delta)]], dtype=complex
-    )
-    return rz_a @ ry @ rz_d
+    """G(alpha, beta, delta) = Rz(alpha) Ry(beta) Rz(delta) on a qubit; a
+    stack of shape (n, 2, 2) when the angles are arrays of n entries."""
+    alpha, beta, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                               for x in (g.alpha, g.beta, g.delta)))
+    cb, sb = np.cos(beta / 2), np.sin(beta / 2)
+    rz_a, rz_d = (_matrices(np.exp(-0.5j * x), 0, 0, np.exp(0.5j * x)) for x in (alpha, delta))
+    return rz_a @ _matrices(cb, -sb, sb, cb) @ rz_d
 
 
-def gate_fidelity(psi0: np.ndarray, gate: np.ndarray) -> float:
-    """|<psi0| G |psi0>|^2."""
+def gate_fidelity(psi0: np.ndarray, gate: np.ndarray):
+    """|<psi0| G |psi0>|^2 for a state (d,) or stack of states (n, d) and a
+    gate (d, d) or stack of gates (n, d, d); a float for one of each."""
     psi0 = np.asarray(psi0, dtype=complex)
     gate = np.asarray(gate)
-    if gate.shape[0] != psi0.shape[0]:
-        raise ValueError(f"dimension mismatch: {gate.shape[0]} vs {psi0.shape[0]}")
-    return min(abs(np.vdot(psi0, gate @ psi0)) ** 2, 1.0)
+    if gate.shape[-1] != psi0.shape[-1]:
+        raise ValueError(f"dimension mismatch: {gate.shape[-1]} vs {psi0.shape[-1]}")
+    amp = (psi0.conj()[..., None, :] @ (gate @ psi0[..., None]))[..., 0, 0]
+    # libm hypot and pow, as in abs(z) ** 2 of one complex: np.abs of an
+    # array and x * x round differently in the last bit
+    return qsl._scalar(np.minimum(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 1.0))
 
 
 def qubit_gate_radius(theta: float, g: GateParams):
@@ -201,7 +202,7 @@ def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     return radius / denom
 
 
-def bell_state(label: str) -> BellState:
+def bell_state(label: str) -> np.ndarray:
     """One of the four maximally entangled two-qubit states."""
     s = 1.0 / _SQ2
     vectors = {
@@ -212,7 +213,7 @@ def bell_state(label: str) -> BellState:
     }
     if label not in vectors:
         raise ValueError(f"label must be one of {BELL_LABELS}, got {label!r}")
-    return BellState(label=label, vector=vectors[label])
+    return vectors[label]
 
 
 def collective_decay(gamma) -> np.ndarray:
@@ -222,10 +223,11 @@ def collective_decay(gamma) -> np.ndarray:
     return np.sqrt(np.asarray(gamma, dtype=float))[..., None, None] * _COLLECTIVE
 
 
-def bell_spec(label: str, gamma: float) -> SystemSpec:
-    """Bell state evolving under collective decay alone (H = 0)."""
+def bell_spec(label: str, gamma) -> SystemSpec:
+    """Bell state evolving under collective decay alone (H = 0); a stack
+    sharing the state when gamma is an array of rates."""
     return SystemSpec(
-        psi0=bell_state(label).vector,
+        psi0=bell_state(label),
         h_drift=np.zeros((4, 4), dtype=complex),
         lindblad_ops=(collective_decay(gamma),),
     )
@@ -264,14 +266,17 @@ def so3_gate(g: GateParams) -> np.ndarray:
     Rx, Ry, Rz are the standard 3x3 rotation blocks about the x, y, z axes.
     Ry is applied first; this composition reproduces the closed-form gate
     fidelity of :func:`qutrit_gate_fidelity` and the displayed special
-    gates, which the more obvious Ry-then-Rx order does not.
+    gates, which the more obvious Ry-then-Rx order does not.  Arrays of n
+    angles give a stack of shape (n, 3, 3).
     """
-    ca, sa = math.cos(g.alpha), math.sin(g.alpha)
-    cb, sb = math.cos(g.beta), math.sin(g.beta)
-    cd, sd = math.cos(g.delta), math.sin(g.delta)
-    rx = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]], dtype=complex)
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]], dtype=complex)
-    rz = np.array([[1, 0, 0], [0, cd, -sd], [0, sd, cd]], dtype=complex)
+    alpha, beta, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                               for x in (g.alpha, g.beta, g.delta)))
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cd, sd = np.cos(delta), np.sin(delta)
+    rx = _matrices(ca, -sa, 0, sa, ca, 0, 0, 0, 1)
+    ry = _matrices(cb, 0, sb, 0, 1, 0, -sb, 0, cb)
+    rz = _matrices(1, 0, 0, 0, cd, -sd, 0, sd, cd)
     return rz @ rx @ ry
 
 

@@ -28,8 +28,7 @@ from .models import (
     BELL_LABELS,
     GateParams,
     QubitParams,
-    bell_state,
-    collective_decay,
+    bell_spec,
     qubit_gate_time_bound,
     qubit_spec,
     qutrit_gate_time_bound,
@@ -147,16 +146,15 @@ def bell_sweep(gamma_axis: GridAxis, T: float) -> dict:
     """
     if not 0 < T < math.inf:
         raise ValueError(f"T must be finite and > 0, got {T!r}")
-    gammas = np.tile(gamma_axis.values(), len(BELL_LABELS))
-    vectors = np.stack([bell_state(label).vector for label in BELL_LABELS])
-    # collective decay alone: H = 0
-    spec = SystemSpec(psi0=np.repeat(vectors, gamma_axis.count, axis=0),
-                      h_drift=np.zeros((4, 4)), lindblad_ops=(collective_decay(gammas),))
+    gammas = gamma_axis.values()
+    per_state = [qsl.generic_coefficients(bell_spec(label, gammas)) for label in BELL_LABELS]
+    coeffs = qsl.QslCoefficients(np.concatenate([c.speed for c in per_state]),
+                                 np.concatenate([c.noise for c in per_state]))
     return {
-        "state": np.repeat(BELL_LABELS, gamma_axis.count),
-        "gamma": gammas,
-        "T": np.full(gammas.size, float(T)),
-        "lambda_max": qsl.max_reachable_radius(qsl.generic_coefficients(spec), T),
+        "state": np.repeat(BELL_LABELS, gammas.size),
+        "gamma": np.tile(gammas, len(BELL_LABELS)),
+        "T": np.full(coeffs.speed.size, float(T)),
+        "lambda_max": qsl.max_reachable_radius(coeffs, T),
     }
 
 
@@ -211,6 +209,8 @@ def verify_bound(
         raise ValueError("n_trials must be >= 1")
     if not dims:
         raise ValueError("at least one dim is required")
+    if min(dims) < 1:
+        raise ValueError(f"dims must be >= 1, got {min(dims)}")
     samples = len(dynamics._step_sizes(T, dt)) + 1
     theta_t, rate_excess, a, e = [], [], [], []
     for dim in dims:

@@ -93,26 +93,23 @@ def test_acceptance_4_gate_bound_equivalence():
     alphas = centered(100, 2 * math.pi)
     betas = centered(100, math.pi)
     thetas = centered(10, math.pi)
-    worst_qubit = 0.0
-    for theta in thetas:
-        p = QubitParams(theta=float(theta), omega=1.0, u_max=1.0)
-        psi0 = models.qubit_state(p)
-        coeffs = qsl.generic_coefficients(models.qubit_spec(p, with_control=True))
-        for a in alphas:
-            for b in betas:
-                g = GateParams(float(a), float(b))
-                lam = qsl.radius_from_fidelity(
-                    models.gate_fidelity(psi0, models.su2_gate(g))
-                )
-                closed = models.qubit_gate_time_bound(p, g)
-                worst_qubit = max(worst_qubit, abs(closed - qsl.qsl_time(coeffs, lam)))
+    g = GateParams(np.repeat(alphas, betas.size), np.tile(betas, alphas.size))
 
-    worst_qutrit = 0.0
-    for a in alphas:
-        for b in betas:
-            g = GateParams(float(a), float(b))
-            direct = models.gate_fidelity(models.QUTRIT_PSI0, models.so3_gate(g))
-            worst_qutrit = max(worst_qutrit, abs(models.qutrit_gate_fidelity(g) - direct))
+    # one row per theta, one column per (alpha, beta) gate
+    p = QubitParams(theta=thetas, omega=1.0, u_max=1.0)
+    coeffs = qsl.generic_coefficients(models.qubit_spec(p, with_control=True))
+    lam = qsl.radius_from_fidelity(
+        models.gate_fidelity(models.qubit_state(p)[:, None, :], models.su2_gate(g))
+    )
+    generic = qsl.qsl_time(qsl.QslCoefficients(coeffs.speed[:, None], coeffs.noise[:, None]), lam)
+    closed = np.stack([
+        models.qubit_gate_time_bound(QubitParams(theta=float(t), omega=1.0, u_max=1.0), g)
+        for t in thetas
+    ])
+    worst_qubit = np.abs(closed - generic).max()
+
+    direct = models.gate_fidelity(models.QUTRIT_PSI0, models.so3_gate(g))
+    worst_qutrit = np.abs(models.qutrit_gate_fidelity(g) - direct).max()
 
     _report(
         4, "gate-bound equivalence",

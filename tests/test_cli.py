@@ -71,6 +71,25 @@ class TestBoundCommand:
         assert_allclose(float(report_value(out, "T_star")), 0.5, atol=1e-6)
         assert_allclose(float(report_value(out, "A_prime")), 2.0, atol=1e-7)
 
+    def test_gate_bound_uses_the_phase(self, capsys):
+        # the generic gate route at any phi: A' and the gate radius both move
+        argv = ["bound", "--model", "qubit-gate", "--theta", "0.3", "--omega", "1.2",
+                "--u-max", "0.7", "--alpha", "0.9", "--beta", "1.4", "--format", "json"]
+        reports = {}
+        for phi in (0.0, 0.5):
+            assert run(argv + ["--phi", str(phi)]) == 0
+            reports[phi] = json.loads(capsys.readouterr().out)
+        p = models.QubitParams(theta=0.3, phi=0.5, omega=1.2, u_max=0.7)
+        coeffs = qsl.generic_coefficients(models.qubit_spec(p, True))
+        fid = models.gate_fidelity(models.qubit_state(p),
+                                   models.su2_gate(models.GateParams(0.9, 1.4)))
+        lam = qsl.radius_from_fidelity(fid)
+        assert reports[0.5]["A_prime"] == coeffs.speed
+        assert reports[0.5]["lambda"] == lam
+        assert reports[0.5]["T_star"] == qsl.qsl_time(coeffs, lam)
+        for key in ("A_prime", "lambda", "T_star"):
+            assert reports[0.5][key] != reports[0.0][key]
+
     def test_dark_bell_state_is_unreachable(self, capsys):
         assert run(
             ["bound", "--model", "bell", "--state", "psi-minus", "--gamma", "1",
@@ -365,8 +384,28 @@ NON_FINITE_ARGV = [
 ]
 
 
+#: Dimensions below 1 once crashed (ZeroDivisionError) or failed with
+#: numpy's own seed message.
+BAD_DIMS_ARGV = [
+    ["verify", "--dims", "0"],
+    ["verify", "--dims", "-1"],
+]
+
+
 @pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
 def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
+    _assert_config_error(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", BAD_DIMS_ARGV, ids=" ".join)
+def test_dims_below_one_is_config_error(tmp_path, capsys, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err.startswith("error: dims must be >= 1")
+
+
+def _assert_config_error(tmp_path, capsys, argv) -> str:
+    """Exit 2 with one "error:" line, no output and no file; returns the
+    line."""
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -375,6 +414,7 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+    return captured.err
 
 
 class TestParserReuse:

@@ -77,7 +77,7 @@ class TestDissipators:
         # ||D^dag[M] rho0||_F = sqrt(5/2) for Phi+ with unit-rate collective decay
         from qslreach.models import bell_state, collective_decay
 
-        rho0 = linalg.outer(bell_state("phi-plus").vector)
+        rho0 = linalg.outer(bell_state("phi-plus"))
         out = dissipator(collective_decay(1.0), rho0, adjoint=True)
         assert_allclose(np.linalg.norm(out), math.sqrt(2.5), atol=1e-12)
 

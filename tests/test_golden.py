@@ -2,6 +2,8 @@
 
 Each file was written by the CLI with the arguments listed here, so any
 change to a printed digit, a column, a key or the layout fails this test.
+``GOLDEN`` commands write their file through ``--out``; ``STDOUT`` commands
+(``bound``) print it.
 Replace a reference file only for an intended output change, and record
 the change in CHANGES.md.
 """
@@ -26,6 +28,26 @@ GOLDEN = {
     "bell_sweep_points10.csv": ["bell-sweep", "--points", "10"],
 }
 
+_QUBIT = ["bound", "--model", "qubit", "--theta", "0.3pi", "--phi", "0.2",
+          "--gamma", "0.7", "--omega", "1.3", "--lambda", "0.4"]
+_QUBIT_GATE = ["bound", "--model", "qubit-gate", "--theta", "0.15pi", "--omega", "1.2",
+               "--u-max", "0.8", "--alpha", "0.7pi", "--beta", "0.4pi"]
+_BELL = ["bound", "--model", "bell", "--state", "psi-plus", "--gamma", "0.6",
+         "--target-theta", "0.3pi"]
+# the dark state: A = E = 0, so both bounds print inf
+_DARK = ["bound", "--model", "bell", "--state", "psi-minus", "--gamma", "1.0",
+         "--lambda", "0.5"]
+_QUTRIT_GATE = ["bound", "--model", "qutrit-gate", "--omega", "0.9", "--u-max", "1.4",
+                "--alpha", "1.1pi", "--beta", "0.35pi"]
+
+STDOUT = {
+    f"bound_{stem}.{ext}": argv + (["--format", "json"] if ext == "json" else [])
+    for stem, argv in [("qubit", _QUBIT), ("qubit_gate", _QUBIT_GATE),
+                       ("bell_psi_plus", _BELL), ("bell_psi_minus", _DARK),
+                       ("qutrit_gate", _QUTRIT_GATE)]
+    for ext in ("txt", "json")
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_reference_bytes(tmp_path, capsys, name):
@@ -34,5 +56,11 @@ def test_output_matches_reference_bytes(tmp_path, capsys, name):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(STDOUT))
+def test_stdout_matches_reference_bytes(capsys, name):
+    assert cli.main(STDOUT[name]) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
 def test_every_reference_file_is_checked():
-    assert sorted(p.name for p in DATA.iterdir()) == sorted(GOLDEN)
+    assert sorted(p.name for p in DATA.iterdir()) == sorted([*GOLDEN, *STDOUT])

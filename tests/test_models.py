@@ -34,6 +34,16 @@ from qslreach.models import (
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
+def _random_gates(rng, n: int) -> GateParams:
+    return GateParams(alpha=rng.uniform(0, 2 * math.pi, n), beta=rng.uniform(0, math.pi, n),
+                      delta=rng.uniform(0, 4 * math.pi, n))
+
+
+def _each_gate(g: GateParams):
+    for a, b, d in zip(g.alpha, g.beta, g.delta):
+        yield GateParams(float(a), float(b), float(d))
+
+
 class TestOperators:
     def test_pauli_z_on_excited_state(self):
         assert_allclose(PAULI_Z @ KET0, KET0)
@@ -178,6 +188,16 @@ class TestSu2Gate:
         )
         assert_allclose(u, expected, atol=1e-12)
 
+    def test_stack_members_equal_single_gates(self):
+        g = _random_gates(np.random.default_rng(6), 40)
+        stack = su2_gate(g)
+        assert stack.shape == (40, 2, 2)
+        for i, single in enumerate(_each_gate(g)):
+            assert np.array_equal(stack[i], su2_gate(single))
+        # scalar angles broadcast against an array of angles
+        mixed = su2_gate(GateParams(alpha=0.3, beta=g.beta))
+        assert np.array_equal(mixed[7], su2_gate(GateParams(0.3, float(g.beta[7]))))
+
     def test_angle_ranges(self):
         with pytest.raises(ValueError, match="alpha"):
             GateParams(alpha=-0.1, beta=0.0)
@@ -204,6 +224,27 @@ class TestGateFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             gate_fidelity(KET0, np.eye(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gate_fidelity(np.stack([KET0, KET0]), np.stack([np.eye(3)] * 2))
+
+    def test_scalar_call_gives_float(self):
+        f = gate_fidelity(KET0, su2_gate(GateParams(0.4, 1.1)))
+        assert type(f) is float
+
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(7)
+        g = _random_gates(rng, 30)
+        for dim, gates in ((2, su2_gate(g)), (3, so3_gate(g))):
+            psi = rng.standard_normal((30, dim)) + 1j * rng.standard_normal((30, dim))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            both = gate_fidelity(psi, gates)
+            one_state = gate_fidelity(psi[0], gates)
+            one_gate = gate_fidelity(psi, gates[0])
+            assert both.shape == one_state.shape == one_gate.shape == (30,)
+            for i in range(30):
+                assert both[i] == gate_fidelity(psi[i], gates[i])
+                assert one_state[i] == gate_fidelity(psi[0], gates[i])
+                assert one_gate[i] == gate_fidelity(psi[i], gates[0])
 
 
 class TestQubitGateBound:
@@ -233,13 +274,12 @@ class TestQubitGateBound:
         alphas = (np.arange(20) + 0.5) * (2 * math.pi / 20)
         betas = (np.arange(20) + 0.5) * (math.pi / 20)
         thetas = (np.arange(5) + 0.5) * (math.pi / 5)
-        for theta in thetas:
-            psi0 = qubit_state(QubitParams(theta=float(theta)))
-            for a in alphas:
-                for b in betas:
-                    g = GateParams(float(a), float(b))
-                    lam = qsl.radius_from_fidelity(gate_fidelity(psi0, su2_gate(g)))
-                    assert abs(qubit_gate_radius(float(theta), g) - lam) <= 1e-10
+        g = GateParams(np.repeat(alphas, betas.size), np.tile(betas, alphas.size))
+        # one row per theta, one column per gate
+        psi0 = qubit_state(QubitParams(theta=thetas))[:, None, :]
+        lam = qsl.radius_from_fidelity(gate_fidelity(psi0, su2_gate(g)))
+        assert lam.shape == (5, 400)
+        assert np.abs(qubit_gate_radius(thetas[:, None], g) - lam).max() <= 1e-10
 
     def test_matches_generic_pipeline(self):
         rng = np.random.default_rng(3)
@@ -286,14 +326,14 @@ class TestQubitGateBound:
 
 class TestBellStates:
     def test_orthonormal_family(self):
-        vecs = [bell_state(lbl).vector for lbl in models.BELL_LABELS]
+        vecs = [bell_state(lbl) for lbl in models.BELL_LABELS]
         gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_maximal_entanglement(self):
         # purity of the reduced single-qubit state is 1/2
         for lbl in models.BELL_LABELS:
-            v = bell_state(lbl).vector.reshape(2, 2)
+            v = bell_state(lbl).reshape(2, 2)
             reduced = v @ v.conj().T
             assert_allclose(np.trace(reduced @ reduced).real, 0.5, atol=1e-12)
 
@@ -303,14 +343,14 @@ class TestBellStates:
 
     def test_collective_decay_dark_state(self):
         m = collective_decay(1.3)
-        assert np.linalg.norm(m @ bell_state("psi-minus").vector) < 1e-12
+        assert np.linalg.norm(m @ bell_state("psi-minus")) < 1e-12
 
     def test_collective_decay_maps_phi_to_psi(self):
         g = 1.3
         m = collective_decay(g)
-        out = m @ bell_state("phi-plus").vector
+        out = m @ bell_state("phi-plus")
         assert_allclose(np.vdot(out, out).real, g, atol=1e-12)
-        overlap = abs(np.vdot(bell_state("psi-plus").vector, out))
+        overlap = abs(np.vdot(bell_state("psi-plus"), out))
         assert_allclose(overlap, math.sqrt(g), atol=1e-12)
 
     def test_negative_gamma(self):
@@ -412,6 +452,13 @@ class TestQutrit:
             so3_gate(GateParams(math.pi, math.pi)), np.diag([1.0, -1.0, -1.0]), atol=1e-12
         )
 
+    def test_so3_stack_members_equal_single_gates(self):
+        g = _random_gates(np.random.default_rng(8), 40)
+        stack = so3_gate(g)
+        assert stack.shape == (40, 3, 3)
+        for i, single in enumerate(_each_gate(g)):
+            assert np.array_equal(stack[i], so3_gate(single))
+
     def test_so3_orthogonality(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
@@ -424,11 +471,10 @@ class TestQutrit:
         psi0 = models.QUTRIT_PSI0
         alphas = (np.arange(30) + 0.5) * (2 * math.pi / 30)
         betas = (np.arange(30) + 0.5) * (math.pi / 30)
-        for a in alphas:
-            for b in betas:
-                g = GateParams(float(a), float(b))
-                direct = gate_fidelity(psi0, so3_gate(g))
-                assert abs(qutrit_gate_fidelity(g) - direct) <= 1e-10
+        g = GateParams(np.repeat(alphas, betas.size), np.tile(betas, alphas.size))
+        direct = gate_fidelity(psi0, so3_gate(g))
+        assert direct.shape == (900,)
+        assert np.abs(qutrit_gate_fidelity(g) - direct).max() <= 1e-10
 
     def test_gate_bound_values(self):
         assert qutrit_gate_time_bound(1.0, 1.0, GateParams(0.0, 0.0)) == 0.0

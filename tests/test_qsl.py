@@ -56,7 +56,7 @@ class TestSpeedCoefficient:
 
     def test_bell_collective_decay(self):
         spec = SystemSpec(
-            psi0=bell_state("phi-plus").vector,
+            psi0=bell_state("phi-plus"),
             h_drift=np.zeros((4, 4)),
             lindblad_ops=(collective_decay(1.0),),
         )
@@ -114,7 +114,7 @@ class TestNoiseCoefficient:
 
     def test_bell_psi_plus(self):
         assert_allclose(
-            noise(bell_state("psi-plus").vector, (collective_decay(1.0),)),
+            noise(bell_state("psi-plus"), (collective_decay(1.0),)),
             2.0,
             atol=1e-12,
         )

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from qslreach import dynamics, qsl, reachset
 from qslreach.dynamics import integrate
-from qslreach.models import QubitParams, qubit_spec
+from qslreach.models import QubitParams, bell_coefficients, qubit_spec
 from qslreach.reachset import (
     GridAxis,
     SweepGrid,
@@ -177,6 +177,13 @@ class TestBellSweep:
             with pytest.raises(ValueError, match="T must be"):
                 bell_sweep(GridAxis(0.1, 1.0, 3), T=T)
 
+    def test_rows_equal_single_bell_bounds(self):
+        # each row is max_reachable_radius of that state's own coefficients
+        cols = bell_sweep(GridAxis(0.05, 3.0, 25), T=0.7)
+        for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
+            coeffs = bell_coefficients(str(state), float(gamma))
+            assert lam == qsl.max_reachable_radius(coeffs, 0.7)
+
 
 class TestVerifyBound:
     def test_frozen_system_has_full_margin(self):
@@ -256,6 +263,11 @@ class TestVerifyBound:
             verify_bound(seed=1, n_trials=0)
         with pytest.raises(ValueError, match="dim"):
             verify_bound(seed=1, n_trials=1, dims=())
+
+    def test_rejects_dims_below_one(self):
+        for dims in ((0,), (-1,), (2, 0)):
+            with pytest.raises(ValueError, match="dims must be >= 1"):
+                verify_bound(seed=1, n_trials=1, dims=dims)
 
     def test_measured_radius_floors_roundoff_noise(self):
         # a frozen state comes back with an angle of pure float noise; that
