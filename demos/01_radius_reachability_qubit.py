@@ -22,16 +22,14 @@ import math
 
 import numpy as np
 
-from qslreach import GridAxis, SweepGrid, sweep_reachable_radius, write_rows
+from qslreach import GridAxis, sweep_reachable_radius, write_rows
 
 HORIZONS = (0.3, 0.5, 0.8)
 
 
 def sweep(gamma: float):
-    grid = SweepGrid(
-        axes=(GridAxis(0.0, math.pi / 2, 200),), horizons=HORIZONS
-    )
-    return sweep_reachable_radius(grid, gamma=gamma, omega=1.0)
+    theta = GridAxis(0.0, math.pi / 2, 200)
+    return sweep_reachable_radius(theta, HORIZONS, gamma=gamma, omega=1.0)
 
 
 def describe(cols, gamma: float) -> None:

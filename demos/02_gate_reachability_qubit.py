@@ -28,7 +28,6 @@ from qslreach import (
     GateParams,
     GridAxis,
     QubitParams,
-    SweepGrid,
     gate_reach_map,
     qubit_gate_time_bound,
     write_rows,
@@ -42,16 +41,10 @@ def reach_fraction(cols, horizon_index: int) -> float:
 
 
 def main() -> None:
-    grid = SweepGrid(
-        axes=(
-            GridAxis(0.0, 2 * math.pi, 100),
-            GridAxis(0.0, math.pi, 100),
-        ),
-        horizons=HORIZONS,
-    )
+    alpha, beta = GridAxis(0.0, 2 * math.pi, 100), GridAxis(0.0, math.pi, 100)
 
     print("--- initial state |0> (theta = 0) ---")
-    cols = gate_reach_map("qubit", grid, theta=0.0)
+    cols = gate_reach_map("qubit", alpha, beta, HORIZONS, theta=0.0)
     for i, T in enumerate(HORIZONS):
         print(f"T = {T:3.1f}: {100 * reach_fraction(cols, i):5.1f}% of gates reachable")
     p0 = QubitParams(theta=0.0, omega=1.0, u_max=1.0)
@@ -61,7 +54,7 @@ def main() -> None:
     print("wrote gate_map_theta0.csv")
 
     print("\n--- initial state |+> (theta = pi/4) ---")
-    cols = gate_reach_map("qubit", grid, theta=math.pi / 4)
+    cols = gate_reach_map("qubit", alpha, beta, HORIZONS, theta=math.pi / 4)
     for i, T in enumerate(HORIZONS):
         print(f"T = {T:3.1f}: {100 * reach_fraction(cols, i):5.1f}% of gates reachable")
     p = QubitParams(theta=math.pi / 4, omega=1.0, u_max=1.0)

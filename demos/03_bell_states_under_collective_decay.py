@@ -19,9 +19,10 @@ import math
 
 from qslreach import (
     GridAxis,
-    bell_coefficients,
+    bell_spec,
     bell_sweep,
-    bell_time_bound,
+    generic_coefficients,
+    qsl_time,
     write_rows,
 )
 
@@ -31,12 +32,12 @@ T = 0.5
 def main() -> None:
     print("bound coefficients at gamma = 1:")
     for label in ("phi-plus", "phi-minus", "psi-plus", "psi-minus"):
-        c = bell_coefficients(label, 1.0)
+        c = generic_coefficients(bell_spec(label, 1.0))
         print(f"  {label:10s}: A = {c.speed:.6f}, E = {c.noise:.6f}")
 
     print("\nminimum time to radius lambda = 0.5 at gamma = 1:")
     for label in ("phi-plus", "psi-plus", "psi-minus"):
-        t = bell_time_bound(label, 1.0, 0.5)
+        t = qsl_time(generic_coefficients(bell_spec(label, 1.0)), 0.5)
         print(f"  {label:10s}: T* = {t:.6f}" if math.isfinite(t) else
               f"  {label:10s}: T* = inf (state cannot move)")
 

@@ -21,7 +21,6 @@ import math
 from qslreach import (
     GateParams,
     GridAxis,
-    SweepGrid,
     gate_reach_map,
     qutrit_gate_fidelity,
     qutrit_gate_time_bound,
@@ -50,14 +49,8 @@ def main() -> None:
     print(f"\nspin-up gate G(0, pi/4) maps [1,0,1]/sqrt(2) to {out.real.round(12)}")
     print(f"its minimum implementation time is T* = {t_up:.6f}")
 
-    grid = SweepGrid(
-        axes=(
-            GridAxis(0.0, 2 * math.pi, 100),
-            GridAxis(0.0, math.pi, 100),
-        ),
-        horizons=HORIZONS,
-    )
-    cols = gate_reach_map("qutrit", grid, omega=OMEGA, u_max=U_MAX)
+    alpha, beta = GridAxis(0.0, 2 * math.pi, 100), GridAxis(0.0, math.pi, 100)
+    cols = gate_reach_map("qutrit", alpha, beta, HORIZONS, omega=OMEGA, u_max=U_MAX)
     for i, T in enumerate(HORIZONS, start=1):
         frac = cols[f"reach_T{i}"].mean()
         print(f"T = {T:3.1f}: {100 * frac:5.1f}% of the (alpha, beta) grid reachable")

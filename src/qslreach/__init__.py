@@ -15,10 +15,8 @@ from .models import (
     BELL_LABELS,
     GateParams,
     QubitParams,
-    bell_coefficients,
     bell_spec,
     bell_state,
-    bell_time_bound,
     collective_decay,
     gate_fidelity,
     qubit_closed_form_coeffs,
@@ -44,7 +42,6 @@ from .qsl import (
 )
 from .reachset import (
     GridAxis,
-    SweepGrid,
     bell_sweep,
     draw_random_system,
     gate_reach_map,

@@ -2,8 +2,11 @@
 
 Commands: bound, simulate, sweep-lambda, gate-map, bell-sweep, verify.
 Every printed number comes straight from a library call; the CLI only
-formats.  Angles accept radians or a "pi" suffix ("0.25pi").  A key=value
-config file can preload any flag; explicit flags win.
+formats.  ``bound`` and ``simulate`` build their system with one ``_spec``.
+Angles accept radians or a "pi" suffix ("0.25pi").  A key=value config file
+can preload any flag; explicit flags win.  Every option is parsed before any
+work, so a bad value, such as a ``--model`` or ``--format`` outside its
+listed choices, exits 2 at once.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
 4 bound violation (verify only).
@@ -44,6 +47,16 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in str(text).split(",") if x.strip())
 
 
+def _one_of(flag: str, *values: str):
+    """A parser that accepts only ``values`` and names ``flag`` otherwise."""
+    def parse(text: str) -> str:
+        if text not in values:
+            listed = ", ".join(map(repr, values))
+            raise ValueError(f"{flag} must be one of {listed}, got {text!r}")
+        return text
+    return parse
+
+
 def load_config(path: str) -> dict[str, str]:
     """key = value lines; '#' starts a comment; keys match flag names."""
     out: dict[str, str] = {}
@@ -63,12 +76,14 @@ def load_config(path: str) -> dict[str, str]:
 # mean "required".  Config-file keys equal the dest names.
 _COMMON_OUT = [
     ("out", "--out", str, "-", "output path ('-' for stdout)"),
-    ("format", "--format", str, "csv", "output format: csv or json"),
+    ("format", "--format", _one_of("--format", "csv", "json"), "csv",
+     "output format: csv or json"),
 ]
 
 _OPTIONS: dict[str, list] = {
     "bound": [
-        ("model", "--model", str, None, "qubit | qubit-gate | bell | qutrit-gate"),
+        ("model", "--model", _one_of("--model", "qubit", "qubit-gate", "bell", "qutrit-gate"),
+         None, "qubit | qubit-gate | bell | qutrit-gate"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
         ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
         ("gamma", "--gamma", float, 0.0, "decay rate"),
@@ -79,10 +94,11 @@ _OPTIONS: dict[str, list] = {
         ("lam", "--lambda", float, None, "target radius in [0, 1]"),
         ("target_theta", "--target-theta", parse_angle, None, "target angle Theta_T"),
         ("state", "--state", str, "phi-plus", "Bell state label"),
-        ("format", "--format", str, "text", "output format: text or json"),
+        ("format", "--format", _one_of("--format", "text", "json"), "text",
+         "output format: text or json"),
     ],
     "simulate": [
-        ("model", "--model", str, "qubit", "qubit | bell"),
+        ("model", "--model", _one_of("--model", "qubit", "bell"), "qubit", "qubit | bell"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
         ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
         ("gamma", "--gamma", float, 1.0, "decay rate"),
@@ -91,7 +107,7 @@ _OPTIONS: dict[str, list] = {
         ("T", "--T", float, 1.0, "final time"),
         ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
         ("out", "--out", str, "trajectory.csv", "trajectory output path"),
-        ("format", "--format", str, "csv", "output format: csv or json"),
+        _COMMON_OUT[1],
     ],
     "sweep-lambda": [
         ("gamma", "--gamma", float, 0.0, "decay rate"),
@@ -104,7 +120,7 @@ _OPTIONS: dict[str, list] = {
         *_COMMON_OUT,
     ],
     "gate-map": [
-        ("model", "--model", str, "qubit", "qubit | qutrit"),
+        ("model", "--model", _one_of("--model", "qubit", "qutrit"), "qubit", "qubit | qutrit"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle (qubit only)"),
         ("omega", "--omega", float, 1.0, "drive frequency"),
         ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
@@ -169,10 +185,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raw = getattr(args, dest)
         if raw is None and key_of[dest] in file_cfg:
             raw = file_cfg[key_of[dest]]
-        if raw is None:
-            options[dest] = default
-        else:
-            options[dest] = typ(raw)
+        options[dest] = default if raw is None else typ(raw)
     return options
 
 
@@ -191,13 +204,10 @@ def _out(cfg: dict):
 
 def _print_report(pairs: list[tuple[str, object]], fmt: str) -> None:
     if fmt == "json":
-        payload = {k: _json_safe(v) for k, v in pairs}
-        print(json.dumps(payload, indent=2))
-    elif fmt == "text":
+        print(json.dumps({k: _json_safe(v) for k, v in pairs}, indent=2))
+    else:
         for key, val in pairs:
             print(f"{key} = {val:.9g}" if isinstance(val, float) else f"{key} = {val}")
-    else:
-        raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
 
 
 def _target_radius(cfg: dict) -> float:
@@ -213,66 +223,46 @@ def _target_radius(cfg: dict) -> float:
     return qsl.radius_from_angle(target_theta)
 
 
+def _spec(cfg: dict) -> dynamics.SystemSpec:
+    """The system of a ``bound`` or ``simulate`` config's model."""
+    model = cfg["model"]
+    if model == "bell":
+        return models.bell_spec(cfg["state"], cfg["gamma"])
+    if model == "qutrit-gate":
+        return models.qutrit_spec(cfg["omega"], cfg["u_max"])
+    state = {"theta": cfg["theta"], "phi": cfg["phi"], "omega": cfg["omega"]}
+    if model == "qubit-gate":
+        p = models.QubitParams(**state, u_max=cfg["u_max"])
+        return models.qubit_spec(p, with_control=True)
+    return models.qubit_spec(models.QubitParams(**state, gamma=cfg["gamma"]))
+
+
 def cmd_bound(cfg: dict) -> int:
     model = cfg["model"]
-    if model == "qubit":
-        p = models.QubitParams(
-            theta=cfg["theta"], phi=cfg["phi"], gamma=cfg["gamma"], omega=cfg["omega"]
-        )
-        coeffs = qsl.generic_coefficients(models.qubit_spec(p))
-        lam = _target_radius(cfg)
-        pairs = [("model", model), ("A", coeffs.speed), ("E", coeffs.noise)]
-    elif model == "qubit-gate":
-        p = models.QubitParams(
-            theta=cfg["theta"], phi=cfg["phi"], omega=cfg["omega"], u_max=cfg["u_max"]
-        )
+    if model is None:
+        raise ValueError("a model is required: --model")
+    spec = _spec(cfg)
+    coeffs = qsl.generic_coefficients(spec)
+    if model.endswith("-gate"):
         g = models.GateParams(alpha=cfg["alpha"], beta=cfg["beta"])
-        coeffs = qsl.generic_coefficients(models.qubit_spec(p, with_control=True))
-        fid = models.gate_fidelity(models.qubit_state(p), models.su2_gate(g))
+        fid = (models.gate_fidelity(spec.psi0, models.su2_gate(g)) if model == "qubit-gate"
+               else models.qutrit_gate_fidelity(g))
         lam = qsl.radius_from_fidelity(fid)
-        pairs = [("model", model), ("A_prime", coeffs.speed), ("E", coeffs.noise)]
-    elif model == "bell":
-        coeffs = models.bell_coefficients(cfg["state"], cfg["gamma"])
-        lam = _target_radius(cfg)
-        pairs = [("model", model), ("state", cfg["state"]),
-                 ("A", coeffs.speed), ("E", coeffs.noise)]
-    elif model == "qutrit-gate":
-        g = models.GateParams(alpha=cfg["alpha"], beta=cfg["beta"])
-        coeffs = qsl.generic_coefficients(models.qutrit_spec(cfg["omega"], cfg["u_max"]))
-        lam = qsl.radius_from_fidelity(models.qutrit_gate_fidelity(g))
-        pairs = [("model", model), ("A_prime", coeffs.speed), ("E", coeffs.noise)]
     else:
-        raise ValueError(f"unknown bound model {model!r}")
+        lam = _target_radius(cfg)
+    pairs = [("model", model)] + ([("state", cfg["state"])] if model == "bell" else [])
+    pairs += [("A_prime" if spec.has_control else "A", coeffs.speed), ("E", coeffs.noise)]
 
     t_star = qsl.qsl_time(coeffs, lam)
     t_dc = qsl.del_campo_time(coeffs, lam)
-    if t_star > t_dc:
-        larger = "T_star"
-    elif t_dc > t_star:
-        larger = "T_dc"
-    else:
-        larger = "equal"
+    larger = "T_star" if t_star > t_dc else "T_dc" if t_dc > t_star else "equal"
     pairs += [("lambda", lam), ("T_star", t_star), ("T_dc", t_dc), ("larger", larger)]
     _print_report(pairs, cfg["format"])
     return EXIT_OK
 
 
-def _simulate_spec(cfg: dict) -> dynamics.SystemSpec:
-    model = cfg["model"]
-    if model == "qubit":
-        p = models.QubitParams(
-            theta=cfg["theta"], phi=cfg["phi"], gamma=cfg["gamma"], omega=cfg["omega"]
-        )
-        return models.qubit_spec(p)
-    if model == "bell":
-        return models.bell_spec(cfg["state"], cfg["gamma"])
-    raise ValueError(f"unknown simulate model {model!r}")
-
-
 def cmd_simulate(cfg: dict) -> int:
-    if cfg["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
-    spec = _simulate_spec(cfg)
+    spec = _spec(cfg)
     traj = dynamics.integrate(spec, cfg["T"], cfg["dt"])
     theta_t = float(traj.thetas[-1])
     lam = reachset.measured_radius(theta_t)
@@ -304,25 +294,20 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep_lambda(cfg: dict) -> int:
-    grid = reachset.SweepGrid(
-        axes=(reachset.GridAxis(cfg["theta_min"], cfg["theta_max"], cfg["points"]),),
-        horizons=cfg["horizons"],
+    theta = reachset.GridAxis(cfg["theta_min"], cfg["theta_max"], cfg["points"])
+    cols = reachset.sweep_reachable_radius(
+        theta, cfg["horizons"], gamma=cfg["gamma"], omega=cfg["omega"]
     )
-    cols = reachset.sweep_reachable_radius(grid, gamma=cfg["gamma"], omega=cfg["omega"])
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 
 
 def cmd_gate_map(cfg: dict) -> int:
-    grid = reachset.SweepGrid(
-        axes=(
-            reachset.GridAxis(cfg["alpha_min"], cfg["alpha_max"], cfg["points"]),
-            reachset.GridAxis(cfg["beta_min"], cfg["beta_max"], cfg["points"]),
-        ),
-        horizons=cfg["horizons"],
-    )
+    alpha = reachset.GridAxis(cfg["alpha_min"], cfg["alpha_max"], cfg["points"])
+    beta = reachset.GridAxis(cfg["beta_min"], cfg["beta_max"], cfg["points"])
     cols = reachset.gate_reach_map(
-        cfg["model"], grid, theta=cfg["theta"], omega=cfg["omega"], u_max=cfg["u_max"]
+        cfg["model"], alpha, beta, cfg["horizons"],
+        theta=cfg["theta"], omega=cfg["omega"], u_max=cfg["u_max"],
     )
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
@@ -348,7 +333,7 @@ def cmd_verify(cfg: dict) -> int:
     bad = (margin < -reachset.MARGIN_TOL).nonzero()[0]
     print(
         f"trials = {margin.size}  violations = {bad.size}  "
-        f"min_margin = {margin.min():.9g}  max_rate_excess = {rate_excess.max():.3g}",
+        f"min_margin = {margin.min():.9g}  max_rate_excess = {rate_excess.max() + 0.0:.3g}",
         file=sys.stderr,
     )
     for i in bad:

@@ -2,8 +2,9 @@
 
 Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
-Each model comes with closed-form bound coefficients or gate bounds that
-can be cross-checked against the generic pipeline in :mod:`qslreach.qsl`.
+Each model's ``SystemSpec`` comes from ``qubit_spec``, ``bell_spec`` or
+``qutrit_spec``, and its coefficients from ``qsl.generic_coefficients``;
+the qubit and the gate families also have closed forms that cross-check it.
 Angles in ``QubitParams.theta`` and ``GateParams`` and the Bell decay rate
 may be arrays: ``qubit_state`` gives a stack of states, ``qubit_spec`` and
 ``bell_spec`` a stacked ``SystemSpec``, ``su2_gate``/``so3_gate`` an
@@ -233,27 +234,16 @@ def bell_spec(label: str, gamma) -> SystemSpec:
     )
 
 
-def bell_coefficients(label: str, gamma: float) -> qsl.QslCoefficients:
-    """Generic-pipeline coefficients for a Bell state under collective decay."""
-    return qsl.generic_coefficients(bell_spec(label, gamma))
-
-
-def bell_time_bound(label: str, gamma: float, lam: float) -> float:
-    """Minimum time for a Bell state to reach radius lambda under collective
-    decay; +inf for psi-minus, which the noise cannot move."""
-    return qsl.qsl_time(bell_coefficients(label, gamma), lam)
-
-
 #: The worked qutrit initial state [1, 0, 1]/sqrt(2) (theta = pi, phi = pi/2).
 QUTRIT_PSI0 = np.array([1.0, 0.0, 1.0], dtype=complex) / _SQ2
 
 
-def qutrit_spec(omega: float, u_max: float, psi0: np.ndarray | None = None) -> SystemSpec:
+def qutrit_spec(omega: float, u_max: float) -> SystemSpec:
     """Qutrit with drift omega S_x and control S_z bounded by u_max."""
     _check_rate("omega", omega, positive=True)
     _check_rate("u_max", u_max)
     return SystemSpec(
-        psi0=QUTRIT_PSI0 if psi0 is None else psi0,
+        psi0=QUTRIT_PSI0,
         h_drift=omega * SPIN1_X,
         h_control=SPIN1_Z.copy(),
         u_max=u_max,

@@ -1,9 +1,10 @@
 """Parameter sweeps behind the reachable-set datasets, plus the randomized
 harness that validates the time bound against direct simulation.
 
-The sweeps evaluate whole grids as arrays and, like ``verify_bound``, return
-column dicts: column name -> 1-D array, in file column order, one entry per
-output row.  A grid of systems is one stacked ``SystemSpec``, whose
+The sweeps take each axis by name, as a ``GridAxis`` (a checked linspace),
+evaluate whole grids as arrays and, like ``verify_bound``, return column
+dicts: column name -> 1-D array, in file column order, one entry per output
+row.  A grid of systems is one stacked ``SystemSpec``, whose
 coefficients come from one ``qsl.generic_coefficients`` call; ``verify_bound``
 draws, integrates and checks its random systems one stack per block.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table, and the
@@ -64,36 +65,29 @@ class GridAxis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    axes: tuple[GridAxis, ...]
-    horizons: tuple[float, ...] = DEFAULT_HORIZONS
-
-    def __post_init__(self):
-        hs = tuple(float(h) for h in self.horizons)
-        if not hs:
-            raise ValueError("at least one horizon is required")
-        if not all(0 < h < math.inf for h in hs):
-            raise ValueError("horizons must be finite and positive")
-        if any(b <= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("horizons must be strictly increasing")
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "horizons", hs)
+def _horizons(horizons) -> tuple[float, ...]:
+    """``horizons`` as floats: non-empty, finite, positive, strictly increasing."""
+    hs = tuple(float(h) for h in horizons)
+    if not hs:
+        raise ValueError("at least one horizon is required")
+    if not all(0 < h < math.inf for h in hs):
+        raise ValueError("horizons must be finite and positive")
+    if any(b <= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("horizons must be strictly increasing")
+    return hs
 
 
-def sweep_reachable_radius(grid: SweepGrid, gamma: float, omega: float = 1.0) -> dict:
-    """Largest reachable radius versus initial-state angle theta.
+def sweep_reachable_radius(theta: GridAxis, horizons, gamma: float, omega: float = 1.0) -> dict:
+    """Largest reachable radius versus initial-state angle, per ``horizons`` entry.
 
     Coefficients come from the generic pipeline for the driven, decaying
     qubit, one stacked spec over the theta axis; for gamma = 0 the result
     reduces to min(1, omega |sin 2th| T).  Columns theta, gamma, omega, T,
     lambda_max; one row per (theta, T), theta-major.
     """
-    if len(grid.axes) != 1:
-        raise ValueError("radius sweep expects a single theta axis")
-    p = QubitParams(theta=grid.axes[0].values(), omega=omega, gamma=gamma)
+    hs = np.array(_horizons(horizons))
+    p = QubitParams(theta=theta.values(), omega=omega, gamma=gamma)
     c = qsl.generic_coefficients(qubit_spec(p))
-    hs = np.array(grid.horizons)
     lam = qsl.max_reachable_radius(qsl.QslCoefficients(c.speed[:, None], c.noise[:, None]), hs)
     n = lam.size
     return {
@@ -107,12 +101,14 @@ def sweep_reachable_radius(grid: SweepGrid, gamma: float, omega: float = 1.0) ->
 
 def gate_reach_map(
     model: str,
-    grid: SweepGrid,
+    alpha: GridAxis,
+    beta: GridAxis,
+    horizons,
     theta: float = 0.0,
     omega: float = 1.0,
     u_max: float = 1.0,
 ) -> dict:
-    """Gate-implementation time bound over an (alpha, beta) grid.
+    """Gate-implementation time bound over the ``alpha`` x ``beta`` grid.
 
     ``model`` is "qubit" (su2 rotations, initial angle theta) or "qutrit"
     (so3 rotations from [1, 0, 1]/sqrt(2); theta is reported as pi).
@@ -121,9 +117,8 @@ def gate_reach_map(
     """
     if model not in ("qubit", "qutrit"):
         raise ValueError(f"model must be 'qubit' or 'qutrit', got {model!r}")
-    if len(grid.axes) != 2:
-        raise ValueError("gate map expects alpha and beta axes")
-    alphas, betas = (ax.values() for ax in grid.axes)
+    horizons = _horizons(horizons)
+    alphas, betas = alpha.values(), beta.values()
     g = GateParams(alpha=np.repeat(alphas, betas.size), beta=np.tile(betas, alphas.size))
     if model == "qubit":
         t_star = qubit_gate_time_bound(QubitParams(theta=theta, omega=omega, u_max=u_max), g)
@@ -133,7 +128,7 @@ def gate_reach_map(
     n = t_star.size
     cols = {"model": np.full(n, model), "theta": np.full(n, theta),
             "alpha": g.alpha, "beta": g.beta, "t_star": t_star}
-    for i, T in enumerate(grid.horizons, start=1):
+    for i, T in enumerate(horizons, start=1):
         cols[f"reach_T{i}"] = (t_star <= T).astype(int)
     return cols
 
@@ -211,6 +206,8 @@ def verify_bound(
         raise ValueError("at least one dim is required")
     if min(dims) < 1:
         raise ValueError(f"dims must be >= 1, got {min(dims)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     samples = len(dynamics._step_sizes(T, dt)) + 1
     theta_t, rate_excess, a, e = [], [], [], []
     for dim in dims:

@@ -127,7 +127,7 @@ def test_acceptance_5_reference_point_values():
     fid = models.gate_fidelity(
         models.qubit_state(p0), models.su2_gate(GateParams(1.3, math.pi / 3))
     )
-    dark = models.bell_time_bound("psi-minus", 1.0, 0.5)
+    dark = qsl.qsl_time(qsl.generic_coefficients(models.bell_spec("psi-minus", 1.0)), 0.5)
     ok = abs(t_sat - 0.5) <= 1e-9 and abs(fid - 0.75) <= 1e-12 and dark == math.inf
     details = [f"T*(beta=pi/3) = {t_sat:.12g}", f"fidelity = {fid:.15g}",
                f"T*(psi-minus) = {dark}"]
@@ -169,7 +169,7 @@ def test_acceptance_6_bell_coefficients_brute_force():
         mpsi = m @ psi
         e = float(np.vdot(mpsi, mpsi).real - abs(np.vdot(psi, mpsi)) ** 2)
         ea, ee = expected[label]
-        lib = models.bell_coefficients(label, 1.0)
+        lib = qsl.generic_coefficients(models.bell_spec(label, 1.0))
         worst = max(
             worst, abs(a - ea), abs(e - ee), abs(lib.speed - ea), abs(lib.noise - ee)
         )
@@ -203,32 +203,25 @@ def test_acceptance_8_figure_data_regression():
     """The closed-system radius sweep matches the rotation formula, and
     reachability is monotone in the horizon at every grid point of every
     generated map."""
-    grid = reachset.SweepGrid(
-        axes=(reachset.GridAxis(0.0, math.pi / 2, 200),),
-        horizons=(0.3, 0.5, 0.8),
-    )
+    theta_axis = reachset.GridAxis(0.0, math.pi / 2, 200)
+    horizons = (0.3, 0.5, 0.8)
     worst = 0.0
-    cols = reachset.sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
+    cols = reachset.sweep_reachable_radius(theta_axis, horizons, gamma=0.0, omega=1.0)
     for theta, T, lam in zip(cols["theta"], cols["T"], cols["lambda_max"]):
         expected = min(1.0, abs(math.sin(2 * theta)) * T)
         worst = max(worst, abs(lam - expected))
 
     monotone = True
     for gamma in (0.0, 1.0):
-        cols = reachset.sweep_reachable_radius(grid, gamma=gamma)
-        for lams in cols["lambda_max"].reshape(-1, len(grid.horizons)):  # one theta per row
+        cols = reachset.sweep_reachable_radius(theta_axis, horizons, gamma=gamma)
+        for lams in cols["lambda_max"].reshape(-1, len(horizons)):  # one theta per row
             monotone &= all(lams[i] <= lams[i + 1] + 1e-12 for i in range(len(lams) - 1))
-    map_grid = reachset.SweepGrid(
-        axes=(
-            reachset.GridAxis(0.0, 2 * math.pi, 50),
-            reachset.GridAxis(0.0, math.pi, 50),
-        ),
-        horizons=(0.3, 0.5, 0.8),
-    )
+    map_axes = (reachset.GridAxis(0.0, 2 * math.pi, 50), reachset.GridAxis(0.0, math.pi, 50),
+                horizons)
     maps = [
-        reachset.gate_reach_map("qubit", map_grid, theta=0.0),
-        reachset.gate_reach_map("qubit", map_grid, theta=math.pi / 4),
-        reachset.gate_reach_map("qutrit", map_grid),
+        reachset.gate_reach_map("qubit", *map_axes, theta=0.0),
+        reachset.gate_reach_map("qubit", *map_axes, theta=math.pi / 4),
+        reachset.gate_reach_map("qutrit", *map_axes),
     ]
     for cols in maps:
         for flags in zip(cols["reach_T1"], cols["reach_T2"], cols["reach_T3"]):

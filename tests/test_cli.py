@@ -123,6 +123,10 @@ class TestBoundCommand:
         assert payload["T_star"] == "inf"
         assert payload["larger"] == "equal"
 
+    def test_missing_model_is_config_error(self, capsys):
+        assert run(["bound", "--lambda", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: a model is required: --model\n"
+
     def test_missing_target_is_config_error(self, capsys):
         assert run(["bound", "--model", "qubit", "--theta", "0"]) == 2
         assert "--lambda" in capsys.readouterr().err
@@ -366,6 +370,13 @@ class TestVerifyCommand:
         header = (tmp_path / "v.csv").read_text().splitlines()[1]
         assert header == "trial,seed,dim,T,theta_T,lambda,t_star,margin"
 
+    def test_one_level_summary_has_no_negative_zero(self, tmp_path, capsys):
+        # a 1-level system never moves: its rate excess is -0.0
+        assert run(["verify", "--dims", "1", "--trials", "1",
+                    "--out", str(tmp_path / "v.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "max_rate_excess = 0\n" in err
+
 
 #: Non-finite values that once slipped past the range checks (NaN fails no
 #: "x < 0" test) or crashed with a traceback (int(inf) steps).
@@ -401,6 +412,39 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
 def test_dims_below_one_is_config_error(tmp_path, capsys, argv):
     err = _assert_config_error(tmp_path, capsys, argv)
     assert err.startswith("error: dims must be >= 1")
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    err = _assert_config_error(tmp_path, capsys, ["verify", "--seed", "-1", "--trials", "1"])
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+#: Values outside an option's listed choices: the option, then the argv.
+BAD_CHOICE_ARGV = [
+    ("--model", ["bound", "--model", "spin", "--lambda", "0.5"]),
+    ("--format", ["bound", "--model", "qubit", "--lambda", "0.5", "--format", "csv"]),
+    ("--model", ["simulate", "--model", "qutrit-gate"]),
+    ("--format", ["simulate", "--format", "text"]),
+    ("--format", ["sweep-lambda", "--format", "xml"]),
+    ("--model", ["gate-map", "--model", "bell"]),
+    ("--format", ["bell-sweep", "--format", "xml"]),
+    ("--format", ["verify", "--format", "xml"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", BAD_CHOICE_ARGV,
+                         ids=[" ".join(argv) for _, argv in BAD_CHOICE_ARGV])
+def test_unlisted_choice_fails_before_any_work(tmp_path, capsys, monkeypatch, flag, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for name in ("reachset.verify_bound", "reachset.sweep_reachable_radius",
+                 "reachset.gate_reach_map", "reachset.bell_sweep", "dynamics.integrate",
+                 "qsl.generic_coefficients"):
+        monkeypatch.setattr(f"qslreach.{name}", work)
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err.startswith(f"error: {flag} must be one of ")
+    assert err.endswith(f"got {argv[argv.index(flag) + 1]!r}\n")
 
 
 def _assert_config_error(tmp_path, capsys, argv) -> str:

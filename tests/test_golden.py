@@ -16,11 +16,16 @@ from qslreach import cli
 
 DATA = Path(__file__).parent / "data"
 
+_SIM_BELL = ["simulate", "--model", "bell", "--state", "psi-plus", "--gamma", "0.4",
+             "--T", "0.05"]
+
 GOLDEN = {
     "verify_trials4.csv": ["verify", "--trials", "4"],
     "verify_trials4.json": ["verify", "--trials", "4", "--format", "json"],
     "simulate_T0.05.csv": ["simulate", "--T", "0.05"],
     "simulate_T0.05.json": ["simulate", "--T", "0.05", "--format", "json"],
+    "simulate_bell_psi_plus_T0.05.csv": _SIM_BELL,
+    "simulate_bell_psi_plus_T0.05.json": _SIM_BELL + ["--format", "json"],
     "sweep_lambda_points20.csv": ["sweep-lambda", "--points", "20"],
     "gate_map_qubit_points6.json": ["gate-map", "--points", "6", "--format", "json"],
     "gate_map_qutrit_points6.json": ["gate-map", "--model", "qutrit", "--points", "6",

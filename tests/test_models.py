@@ -14,9 +14,8 @@ from qslreach.models import (
     SPIN1_Z,
     GateParams,
     QubitParams,
-    bell_coefficients,
+    bell_spec,
     bell_state,
-    bell_time_bound,
     collective_decay,
     gate_fidelity,
     qubit_closed_form_coeffs,
@@ -372,20 +371,21 @@ class TestBellBounds:
             "psi-minus": (0.0, 0.0),
         }
         for lbl, (a, e) in expected.items():
-            c = bell_coefficients(lbl, 1.0)
+            c = qsl.generic_coefficients(bell_spec(lbl, 1.0))
             assert_allclose(c.speed, a, atol=1e-10)
             assert_allclose(c.noise, e, atol=1e-10)
 
     def test_dark_state_unreachable(self):
-        assert bell_time_bound("psi-minus", 1.0, 0.5) == math.inf
-        assert bell_time_bound("psi-minus", 3.0, 0.9) == math.inf
+        for g, lam in ((1.0, 0.5), (3.0, 0.9)):
+            assert qsl.qsl_time(qsl.generic_coefficients(bell_spec("psi-minus", g)), lam) == math.inf
 
     def test_psi_plus_closed_form(self):
         # lambda/(2g) - ln(1 + 2 lambda)/(4g): generic pipeline and the
         # printed form agree exactly for this state
         for g, lam in ((1.0, 0.5), (2.0, 0.8)):
             expected = lam / (2 * g) - math.log1p(2 * lam) / (4 * g)
-            assert_allclose(bell_time_bound("psi-plus", g, lam), expected, atol=1e-12)
+            c = qsl.generic_coefficients(bell_spec("psi-plus", g))
+            assert_allclose(qsl.qsl_time(c, lam), expected, atol=1e-12)
 
     def test_phi_generic_value_and_log_argument_discrepancy(self):
         # generic coefficients (A, E) = (sqrt(5) g, g) give a log argument of
@@ -393,17 +393,16 @@ class TestBellBounds:
         # reported for comparison only.
         g, lam = 1.0, 0.5
         generic = 2 * lam / (math.sqrt(5) * g) - (2 / (5 * g)) * math.log1p(math.sqrt(5) * lam)
-        assert_allclose(bell_time_bound("phi-plus", g, lam), generic, atol=1e-12)
-        assert_allclose(bell_time_bound("phi-minus", g, lam), generic, atol=1e-12)
+        for label in ("phi-plus", "phi-minus"):
+            c = qsl.generic_coefficients(bell_spec(label, g))
+            assert_allclose(qsl.qsl_time(c, lam), generic, atol=1e-12)
         variant = 2 * lam / (math.sqrt(5) * g) - (2 / (5 * g)) * math.log1p(lam)
         assert abs(variant - generic) > 0.1  # the two forms are materially different
 
     def test_scaling_in_gamma(self):
-        assert_allclose(
-            bell_time_bound("psi-plus", 2.0, 0.5),
-            bell_time_bound("psi-plus", 1.0, 0.5) / 2.0,
-            atol=1e-12,
-        )
+        t1, t2 = (qsl.qsl_time(qsl.generic_coefficients(bell_spec("psi-plus", g)), 0.5)
+                  for g in (1.0, 2.0))
+        assert_allclose(t2, t1 / 2.0, atol=1e-12)
 
 
 class TestQutrit:

@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose
 
 from qslreach import dynamics, qsl, reachset
 from qslreach.dynamics import integrate
-from qslreach.models import QubitParams, bell_coefficients, qubit_spec
+from qslreach.models import QubitParams, bell_spec, qubit_spec
 from qslreach.reachset import (
     GridAxis,
-    SweepGrid,
     bell_sweep,
     draw_random_system,
     gate_reach_map,
@@ -33,15 +32,17 @@ class TestGrids:
 
     def test_horizon_validation(self):
         axis = GridAxis(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="increasing"):
-            SweepGrid(axes=(axis,), horizons=(0.5, 0.3))
-        with pytest.raises(ValueError, match="positive"):
-            SweepGrid(axes=(axis,), horizons=(0.0, 0.3))
-        with pytest.raises(ValueError, match="horizon"):
-            SweepGrid(axes=(axis,), horizons=())
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                SweepGrid(axes=(axis,), horizons=(0.3, bad))
+        for sweep in (lambda hs: sweep_reachable_radius(axis, hs, gamma=0.0),
+                      lambda hs: gate_reach_map("qubit", axis, axis, hs)):
+            with pytest.raises(ValueError, match="increasing"):
+                sweep((0.5, 0.3))
+            with pytest.raises(ValueError, match="positive"):
+                sweep((0.0, 0.3))
+            with pytest.raises(ValueError, match="horizon"):
+                sweep(())
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    sweep((0.3, bad))
 
     def test_axis_values(self):
         assert_allclose(GridAxis(0.0, 1.0, 5).values(), [0, 0.25, 0.5, 0.75, 1.0])
@@ -49,29 +50,26 @@ class TestGrids:
 
 class TestRadiusSweep:
     def test_closed_system_matches_rotation_formula(self):
-        grid = SweepGrid(
-            axes=(GridAxis(0.0, math.pi / 2, 101),),
-            horizons=(0.3, 0.5, 0.8),
-        )
-        cols = sweep_reachable_radius(grid, gamma=0.0, omega=1.0)
+        theta = GridAxis(0.0, math.pi / 2, 101)
+        cols = sweep_reachable_radius(theta, (0.3, 0.5, 0.8), gamma=0.0, omega=1.0)
         for theta, T, lam in zip(cols["theta"], cols["T"], cols["lambda_max"]):
             expected = min(1.0, abs(math.sin(2 * theta)) * T)
             assert abs(lam - expected) <= 1e-8
 
     def test_poles_cannot_move_under_rotation(self):
-        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 3),), horizons=(0.5,))
-        lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
+        theta = GridAxis(0.0, math.pi / 2, 3)
+        lams = sweep_reachable_radius(theta, (0.5,), gamma=0.0)["lambda_max"]
         assert lams[0] == 0.0   # theta = 0
         assert lams[-1] <= 1e-8  # theta = pi/2
 
     def test_superposition_at_half_time(self):
-        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 3),), horizons=(0.5,))
-        lams = sweep_reachable_radius(grid, gamma=0.0)["lambda_max"]
+        theta = GridAxis(0.0, math.pi / 2, 3)
+        lams = sweep_reachable_radius(theta, (0.5,), gamma=0.0)["lambda_max"]
         assert_allclose(lams[1], 0.5, atol=1e-8)  # theta = pi/4
 
     def test_decaying_case_matches_dense_scan(self):
-        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 2),), horizons=(0.3,))
-        lam = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"][0]  # theta = 0
+        theta = GridAxis(0.0, math.pi / 2, 2)
+        lam = sweep_reachable_radius(theta, (0.3,), gamma=1.0)["lambda_max"][0]  # theta = 0
         c = qsl.QslCoefficients(math.sqrt(2), 1.0)
         scan = max(
             l for l in np.arange(0.0, 1.0001, 1e-4) if qsl.qsl_time(c, float(l)) <= 0.3
@@ -79,47 +77,38 @@ class TestRadiusSweep:
         assert abs(lam - scan) <= 1e-4
 
     def test_radius_monotone_in_horizon(self):
-        grid = SweepGrid(axes=(GridAxis(0.0, math.pi / 2, 25),),
-                         horizons=(0.3, 0.5, 0.8))
-        lams = sweep_reachable_radius(grid, gamma=1.0)["lambda_max"].reshape(-1, 3)
+        theta = GridAxis(0.0, math.pi / 2, 25)
+        lams = sweep_reachable_radius(theta, (0.3, 0.5, 0.8), gamma=1.0)["lambda_max"]
+        lams = lams.reshape(-1, 3)
         for lam in lams:  # one row per theta, one column per horizon
             assert lam[0] <= lam[1] <= lam[2]
 
     def test_radius_monotone_in_decay_rate(self):
         # amplitude damping from the excited state: a stronger noise can only
         # enlarge the reachable ball at fixed T
-        grid = SweepGrid(axes=(GridAxis(0.0, 0.1, 2),), horizons=(0.5,))
+        theta = GridAxis(0.0, 0.1, 2)
         lams = [
-            sweep_reachable_radius(grid, gamma=g)["lambda_max"][0]
+            sweep_reachable_radius(theta, (0.5,), gamma=g)["lambda_max"][0]
             for g in (0.2, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))
 
-    def test_requires_single_axis(self):
-        grid = SweepGrid(
-            axes=(GridAxis(0, 1, 3), GridAxis(0, 1, 3)), horizons=(0.5,)
-        )
-        with pytest.raises(ValueError, match="single theta axis"):
-            sweep_reachable_radius(grid, gamma=0.0)
-
 
 class TestGateReachMap:
     def _grid(self, n=21):
-        return SweepGrid(
-            axes=(GridAxis(0.0, 2 * math.pi, n), GridAxis(0.0, math.pi, n)),
-            horizons=(0.3, 0.5, 0.8),
-        )
+        """The alpha axis, beta axis and horizons of an n x n gate map."""
+        return GridAxis(0.0, 2 * math.pi, n), GridAxis(0.0, math.pi, n), (0.3, 0.5, 0.8)
 
     def test_excited_state_boundary(self):
         # at theta = 0 reachability within T depends on beta alone, with the
         # frontier at |sin(beta/2)| = omega T
-        cols = gate_reach_map("qubit", self._grid(), theta=0.0, omega=1.0, u_max=1.0)
+        cols = gate_reach_map("qubit", *self._grid(), theta=0.0, omega=1.0, u_max=1.0)
         for beta, reach in zip(cols["beta"], cols["reach_T2"]):
             expected = abs(math.sin(beta / 2)) <= 0.5
             assert reach == expected
 
     def test_equator_hard_gates_unreachable(self):
-        cols = gate_reach_map("qubit", self._grid(5), theta=math.pi / 4)
+        cols = gate_reach_map("qubit", *self._grid(5), theta=math.pi / 4)
         hard = {(0.0, math.pi), (2 * math.pi, math.pi), (math.pi, 0.0)}
         seen = 0
         for alpha, beta, reach in zip(cols["alpha"], cols["beta"], cols["reach_T3"]):
@@ -131,20 +120,20 @@ class TestGateReachMap:
 
     def test_identity_gate_always_reachable(self):
         for model in ("qubit", "qutrit"):
-            cols = gate_reach_map(model, self._grid(5))
+            cols = gate_reach_map(model, *self._grid(5))
             # row 0 is alpha = beta = 0
             assert cols["t_star"][0] == 0.0
             assert all(cols[f"reach_T{i}"][0] for i in (1, 2, 3))
 
     def test_reachability_monotone_in_horizon(self):
         for model in ("qubit", "qutrit"):
-            cols = gate_reach_map(model, self._grid(9), theta=0.1)
+            cols = gate_reach_map(model, *self._grid(9), theta=0.1)
             for flags in zip(cols["reach_T1"], cols["reach_T2"], cols["reach_T3"]):
                 assert all(flags[i] <= flags[i + 1] for i in range(len(flags) - 1))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
-            gate_reach_map("qudit", self._grid(3))
+            gate_reach_map("qudit", *self._grid(3))
 
 
 class TestBellSweep:
@@ -181,7 +170,7 @@ class TestBellSweep:
         # each row is max_reachable_radius of that state's own coefficients
         cols = bell_sweep(GridAxis(0.05, 3.0, 25), T=0.7)
         for state, gamma, lam in zip(cols["state"], cols["gamma"], cols["lambda_max"]):
-            coeffs = bell_coefficients(str(state), float(gamma))
+            coeffs = qsl.generic_coefficients(bell_spec(str(state), float(gamma)))
             assert lam == qsl.max_reachable_radius(coeffs, 0.7)
 
 
@@ -279,8 +268,7 @@ class TestVerifyBound:
 
 class TestCsvOutput:
     def test_lambda_sweep_columns(self, tmp_path):
-        grid = SweepGrid(axes=(GridAxis(0.0, 1.0, 3),), horizons=(0.3, 0.5))
-        cols = sweep_reachable_radius(grid, gamma=1.0)
+        cols = sweep_reachable_radius(GridAxis(0.0, 1.0, 3), (0.3, 0.5), gamma=1.0)
         path = tmp_path / "sweep.csv"
         reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
@@ -288,11 +276,8 @@ class TestCsvOutput:
         assert len(lines) == 1 + 3 * 2
 
     def test_gate_map_columns(self, tmp_path):
-        grid = SweepGrid(
-            axes=(GridAxis(0.0, 1.0, 2), GridAxis(0.0, 1.0, 2)),
-            horizons=(0.3, 0.5, 0.8),
-        )
-        cols = gate_reach_map("qutrit", grid)
+        axis = GridAxis(0.0, 1.0, 2)
+        cols = gate_reach_map("qutrit", axis, axis, (0.3, 0.5, 0.8))
         path = tmp_path / "gates.csv"
         reachset.write_rows(cols, path, "csv")
         lines = path.read_text().splitlines()
