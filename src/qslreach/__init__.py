@@ -19,7 +19,6 @@ from .models import (
     bell_state,
     collective_decay,
     gate_fidelity,
-    qubit_closed_form_coeffs,
     qubit_gate_radius,
     qubit_gate_time_bound,
     qubit_spec,
@@ -32,7 +31,6 @@ from .models import (
 )
 from .qsl import (
     QslCoefficients,
-    coefficients,
     del_campo_time,
     generic_coefficients,
     max_reachable_radius,

@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Commands: bound, simulate, sweep-lambda, gate-map, bell-sweep, verify.
-Every printed number comes straight from a library call; the CLI only
-formats.  ``bound`` and ``simulate`` build their system with one ``_spec``.
-Angles accept radians or a "pi" suffix ("0.25pi").  A key=value config file
-can preload any flag; explicit flags win.  Every option is parsed before any
-work, so a bad value, such as a ``--model`` or ``--format`` outside its
-listed choices, exits 2 at once.
+Every printed number comes straight from a library call, and every data
+byte is rendered by ``reachset.format_rows`` or, for one record (``bound``'s
+report, ``simulate``'s JSON summary), ``reachset.format_record``.  ``bound``
+and ``simulate`` build their system with one ``_spec``.  Angles accept
+radians or a "pi" suffix ("0.25pi").  A key=value config file can preload
+any flag; explicit flags win.  Every option is parsed before any work, so
+a bad value, such as a ``--model`` or ``--format`` outside its listed
+choices, exits 2 at once.  The gate models of ``bound`` reject the flags
+they have no use for: ``--lambda``, ``--target-theta``, a nonzero ``--gamma``.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
 4 bound violation (verify only).
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -189,25 +191,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return options
 
 
-def _json_safe(value):
-    """Infinite floats as the strings "inf" and "-inf", as ``write_rows``
-    writes them."""
-    if isinstance(value, float) and math.isinf(value):
-        return str(value)
-    return value
-
-
 def _out(cfg: dict):
     """The output path, or stdout for '-'."""
     return sys.stdout if cfg["out"] == "-" else cfg["out"]
 
 
-def _print_report(pairs: list[tuple[str, object]], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({k: _json_safe(v) for k, v in pairs}, indent=2))
-    else:
-        for key, val in pairs:
-            print(f"{key} = {val:.9g}" if isinstance(val, float) else f"{key} = {val}")
+def _axis(cfg: dict, name: str) -> reachset.GridAxis:
+    """The ``name`` axis of a sweep config; its errors name the flags."""
+    try:
+        return reachset.GridAxis(cfg[f"{name}_min"], cfg[f"{name}_max"], cfg["points"])
+    except ValueError as exc:
+        raise ValueError(f"--{name}-min/--{name}-max/--points: {exc}") from None
 
 
 def _target_radius(cfg: dict) -> float:
@@ -243,7 +237,11 @@ def cmd_bound(cfg: dict) -> int:
         raise ValueError("a model is required: --model")
     spec = _spec(cfg)
     coeffs = qsl.generic_coefficients(spec)
-    if model.endswith("-gate"):
+    if model.endswith("-gate"):  # a closed system, and the gate sets lambda
+        for flag, value in (("--lambda", cfg["lam"]), ("--target-theta", cfg["target_theta"]),
+                            ("--gamma", cfg["gamma"] or None)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --model {model}")
         g = models.GateParams(alpha=cfg["alpha"], beta=cfg["beta"])
         fid = (models.gate_fidelity(spec.psi0, models.su2_gate(g)) if model == "qubit-gate"
                else models.qutrit_gate_fidelity(g))
@@ -257,7 +255,7 @@ def cmd_bound(cfg: dict) -> int:
     t_dc = qsl.del_campo_time(coeffs, lam)
     larger = "T_star" if t_star > t_dc else "T_dc" if t_dc > t_star else "equal"
     pairs += [("lambda", lam), ("T_star", t_star), ("T_dc", t_dc), ("larger", larger)]
-    _print_report(pairs, cfg["format"])
+    print(reachset.format_record(dict(pairs), cfg["format"]))
     return EXIT_OK
 
 
@@ -272,15 +270,11 @@ def cmd_simulate(cfg: dict) -> int:
 
     cols = traj.columns()
     if cfg["format"] == "json":
-        # the layout of json.dumps({"trajectory": rows, "summary": ...}, indent=2)
-        summary = {"theta_T": theta_t, "lambda": lam,
-                   "t_star": _json_safe(t_star), "margin": _json_safe(margin)}
-        reachset.write_text(
-            '{\n  "trajectory": ' + reachset.format_rows(cols, "json", "  ")
-            + ',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ")
-            + "\n}\n",
-            _out(cfg),
-        )
+        # one indent=2 JSON document: {"trajectory": rows, "summary": record}
+        summary = {"theta_T": theta_t, "lambda": lam, "t_star": t_star, "margin": margin}
+        reachset.write_text('{\n  "trajectory": ' + reachset.format_rows(cols, "json", "  ")
+                            + ',\n  "summary": ' + reachset.format_record(summary, "json", "  ")
+                            + "\n}\n", _out(cfg))
     else:
         reachset.write_rows(cols, _out(cfg), "csv")
     verdict = "bound holds" if margin >= -reachset.MARGIN_TOL else "bound violated"
@@ -294,19 +288,16 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep_lambda(cfg: dict) -> int:
-    theta = reachset.GridAxis(cfg["theta_min"], cfg["theta_max"], cfg["points"])
     cols = reachset.sweep_reachable_radius(
-        theta, cfg["horizons"], gamma=cfg["gamma"], omega=cfg["omega"]
+        _axis(cfg, "theta"), cfg["horizons"], gamma=cfg["gamma"], omega=cfg["omega"]
     )
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 
 
 def cmd_gate_map(cfg: dict) -> int:
-    alpha = reachset.GridAxis(cfg["alpha_min"], cfg["alpha_max"], cfg["points"])
-    beta = reachset.GridAxis(cfg["beta_min"], cfg["beta_max"], cfg["points"])
     cols = reachset.gate_reach_map(
-        cfg["model"], alpha, beta, cfg["horizons"],
+        cfg["model"], _axis(cfg, "alpha"), _axis(cfg, "beta"), cfg["horizons"],
         theta=cfg["theta"], omega=cfg["omega"], u_max=cfg["u_max"],
     )
     reachset.write_rows(cols, _out(cfg), cfg["format"])
@@ -316,8 +307,7 @@ def cmd_gate_map(cfg: dict) -> int:
 def cmd_bell_sweep(cfg: dict) -> int:
     if cfg["gamma_min"] <= 0:
         raise ValueError("gamma-min must be > 0")
-    axis = reachset.GridAxis(cfg["gamma_min"], cfg["gamma_max"], cfg["points"])
-    cols = reachset.bell_sweep(axis, cfg["T"])
+    cols = reachset.bell_sweep(_axis(cfg, "gamma"), cfg["T"])
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK
 

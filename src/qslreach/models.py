@@ -4,7 +4,7 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
 Each model's ``SystemSpec`` comes from ``qubit_spec``, ``bell_spec`` or
 ``qutrit_spec``, and its coefficients from ``qsl.generic_coefficients``;
-the qubit and the gate families also have closed forms that cross-check it.
+the gate families also have closed forms that cross-check it.
 Angles in ``QubitParams.theta`` and ``GateParams`` and the Bell decay rate
 may be arrays: ``qubit_state`` gives a stack of states, ``qubit_spec`` and
 ``bell_spec`` a stacked ``SystemSpec``, ``su2_gate``/``so3_gate`` an
@@ -29,7 +29,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|, decay |0> -> |1>
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
 SPIN1_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
@@ -124,19 +123,6 @@ def qubit_spec(p: QubitParams, with_control: bool = False) -> SystemSpec:
         )
     ops = (math.sqrt(p.gamma) * SIGMA_MINUS,) if p.gamma > 0 else ()
     return SystemSpec(psi0=psi0, h_drift=p.omega * PAULI_Z, lindblad_ops=ops)
-
-
-def qubit_closed_form_coeffs(p: QubitParams) -> qsl.QslCoefficients:
-    """Closed-form coefficients for the driven, decaying qubit:
-
-    A = sqrt(2 g^2 cos^2(2 th) + (4 w^2 + g^2 / 4) sin^2(2 th)),
-    E = g cos^4(th).
-    """
-    g, w, th = p.gamma, p.omega, p.theta
-    s2, c2 = math.sin(2 * th), math.cos(2 * th)
-    a = math.sqrt(2 * g * g * c2 * c2 + (4 * w * w + g * g / 4) * s2 * s2)
-    e = g * math.cos(th) ** 4
-    return qsl.QslCoefficients(a, e)
 
 
 def _matrices(*entries) -> np.ndarray:

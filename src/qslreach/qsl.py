@@ -78,7 +78,7 @@ def _scalar(x):
     return float(x) if x.ndim == 0 else x
 
 
-def coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
     """A and E for a stack of pure states ``psi`` of shape (n, d).
 
     ``h`` and each Lindblad operator are (d, d) or stacked (n, d, d).  With
@@ -110,11 +110,11 @@ def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
     """
     psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
     if spec.has_control:
-        a_noise, e = coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
-        a = (coefficients(psi, spec.h_drift)[0]
-             + spec.u_max * coefficients(psi, spec.h_control)[0] + a_noise)
+        a_noise, e = _coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
+        a = (_coefficients(psi, spec.h_drift)[0]
+             + spec.u_max * _coefficients(psi, spec.h_control)[0] + a_noise)
     else:
-        a, e = coefficients(psi, spec.h_drift, spec.lindblad_ops)
+        a, e = _coefficients(psi, spec.h_drift, spec.lindblad_ops)
     return QslCoefficients(_scalar(a.reshape(spec.shape)), _scalar(e.reshape(spec.shape)))
 
 

@@ -7,9 +7,9 @@ dicts: column name -> 1-D array, in file column order, one entry per output
 row.  A grid of systems is one stacked ``SystemSpec``, whose
 coefficients come from one ``qsl.generic_coefficients`` call; ``verify_bound``
 draws, integrates and checks its random systems one stack per block.
-``write_rows`` writes such a dict as CSV or JSON.  Every table, and the
-rows of the nested ``simulate --format json`` payload, is rendered by
-``format_rows``: one %-format of a per-row template over all cells at once.
+``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
+by ``format_rows``: one %-format of a per-row template over all cells at
+once.  ``format_record`` renders one record with the same cell specs.
 Rows are always in grid/trial order, so output files are byte-identical for
 identical configuration and seed.
 """
@@ -284,10 +284,28 @@ def format_rows(columns: dict, fmt: str, indent: str = "") -> str:
     n = len(values[0])
     if fmt == "csv":
         return (",".join(specs) + "\n") * n % flat
-    keys = [json.dumps(name).replace("%", "%%") for name in columns]
-    fields = ",\n".join(f"{indent}    {k}: {s}" for k, s in zip(keys, specs))
-    record = f"{indent}  {{\n{fields}\n{indent}  }},\n"
+    record = f"{indent}  " + _object_template(columns, specs, indent + "  ") + ",\n"
     return "[\n" + (record * n % flat)[:-2] + f"\n{indent}]"
+
+
+def _object_template(names, specs, indent: str) -> str:
+    """The %-template of one object as json.dumps(..., indent=2) lays it out;
+    ``indent`` prefixes every line but the first."""
+    fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: {s}"
+                        for k, s in zip(names, specs))
+    return f"{{\n{fields}\n{indent}}}"
+
+
+def format_record(record: dict, fmt: str, indent: str = "") -> str:
+    """One record (name -> scalar), cells as in ``format_rows``.  "json": the
+    object json.dumps(record, indent=2) writes, nested at ``indent``; "text":
+    one "name = value" line per entry, cells as in CSV.  No final newline."""
+    if fmt not in ("text", "json"):
+        raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
+    specs, values = zip(*(_cells([v], "csv" if fmt == "text" else fmt) for v in record.values()))
+    template = (_object_template(record, specs, indent) if fmt == "json" else
+                "\n".join(f"{k.replace('%', '%%')} = {s}" for k, s in zip(record, specs)))
+    return template % tuple(v for v, in values)
 
 
 def write_text(text: str, out) -> None:

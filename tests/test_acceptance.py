@@ -16,6 +16,8 @@ import numpy as np
 from qslreach import dynamics, models, qsl, reachset
 from qslreach.models import GateParams, QubitParams
 
+from reference import qubit_closed_form_coeffs
+
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -75,7 +77,7 @@ def test_acceptance_3_closed_form_equivalence():
             omega=rng.uniform(0.05, 3.0),
         )
         spec = models.qubit_spec(p)
-        closed = models.qubit_closed_form_coeffs(p)
+        closed = qubit_closed_form_coeffs(p)
         generic = qsl.generic_coefficients(spec)
         worst_a = max(worst_a, abs(closed.speed - generic.speed))
         worst_e = max(worst_e, abs(closed.noise - generic.noise))

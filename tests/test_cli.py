@@ -447,6 +447,54 @@ def test_unlisted_choice_fails_before_any_work(tmp_path, capsys, monkeypatch, fl
     assert err.endswith(f"got {argv[argv.index(flag) + 1]!r}\n")
 
 
+#: Axis errors name the flags of their axis: the flags, then the argv.
+BAD_AXIS_ARGV = [
+    ("--theta-min/--theta-max/--points", ["sweep-lambda", "--points", "1"]),
+    ("--alpha-min/--alpha-max/--points", ["gate-map", "--alpha-min", "1", "--alpha-max", "0.5"]),
+    ("--beta-min/--beta-max/--points", ["gate-map", "--beta-max", "0"]),
+    ("--gamma-min/--gamma-max/--points", ["bell-sweep", "--gamma-min", "0.5",
+                                          "--gamma-max", "0.1"]),
+]
+
+
+@pytest.mark.parametrize("flags,argv", BAD_AXIS_ARGV,
+                         ids=[" ".join(argv) for _, argv in BAD_AXIS_ARGV])
+def test_axis_error_names_its_flags(tmp_path, capsys, flags, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err.startswith(f"error: {flags}: axis ")
+
+
+#: Flags a gate model has no use for (it is a closed system, and the gate
+#: sets lambda): the flag, then the argv.
+GATE_FLAG_ARGV = [
+    ("--lambda", ["bound", "--model", "qubit-gate", "--beta", "0.3pi", "--lambda", "0.9"]),
+    ("--gamma", ["bound", "--model", "qubit-gate", "--beta", "0.3pi", "--gamma", "0.7"]),
+    ("--target-theta", ["bound", "--model", "qubit-gate", "--target-theta", "0.2pi"]),
+    ("--lambda", ["bound", "--model", "qutrit-gate", "--beta", "0.25pi", "--lambda", "0.5"]),
+    ("--gamma", ["bound", "--model", "qutrit-gate", "--gamma", "1"]),
+    ("--target-theta", ["bound", "--model", "qutrit-gate", "--target-theta", "0.2pi"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", GATE_FLAG_ARGV,
+                         ids=[" ".join(argv) for _, argv in GATE_FLAG_ARGV])
+def test_gate_model_rejects_physics_flags(tmp_path, capsys, flag, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == f"error: {flag} does not apply to --model {argv[2]}\n"
+
+
+@pytest.mark.parametrize("model", ["qubit-gate", "qutrit-gate"])
+def test_gate_model_rejects_physics_keys_in_a_config_file(tmp_path, capsys, model):
+    cfg = tmp_path / "run.cfg"
+    for line, flag in (("lambda = 0.5", "--lambda"), ("gamma = 0.3", "--gamma"),
+                       ("target-theta = 0.1pi", "--target-theta")):
+        cfg.write_text(f"model = {model}\n{line}\n")
+        err = _assert_config_error(tmp_path, capsys, ["bound", "--config", str(cfg)])
+        assert err == f"error: {flag} does not apply to --model {model}\n"
+    # a zero decay rate is the gate model's own
+    assert run(["bound", "--model", model, "--gamma", "0"]) == 0
+
+
 def _assert_config_error(tmp_path, capsys, argv) -> str:
     """Exit 2 with one "error:" line, no output and no file; returns the
     line."""
@@ -490,10 +538,9 @@ class TestParserReuse:
 
 
 class TestJsonReport:
-    def test_infinities_keep_their_sign(self, capsys):
-        cli._print_report([("t_star", math.inf), ("margin", -math.inf), ("A", 0.5)], "json")
-        assert json.loads(capsys.readouterr().out) == {
-            "t_star": "inf", "margin": "-inf", "A": 0.5}
+    def test_infinities_keep_their_sign(self):
+        text = reachset.format_record({"t_star": math.inf, "margin": -math.inf, "A": 0.5}, "json")
+        assert json.loads(text) == {"t_star": "inf", "margin": "-inf", "A": 0.5}
 
 
 class TestConfigFile:

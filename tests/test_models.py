@@ -18,7 +18,6 @@ from qslreach.models import (
     bell_state,
     collective_decay,
     gate_fidelity,
-    qubit_closed_form_coeffs,
     qubit_gate_radius,
     qubit_gate_time_bound,
     qubit_spec,
@@ -29,6 +28,8 @@ from qslreach.models import (
     so3_gate,
     su2_gate,
 )
+
+from reference import qubit_closed_form_coeffs
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 

@@ -342,8 +342,8 @@ class TestClosedFormInversion:
 
 class TestStackedCoefficients:
     def test_matches_per_system_loop(self):
-        # stacked states, Hamiltonians and two Lindblad operators against one
-        # SystemSpec per system
+        # one SystemSpec stacking states, Hamiltonians and one of two Lindblad
+        # operators against one SystemSpec per system
         rng = np.random.default_rng(17)
         n = 6
         for d in (2, 3, 4):
@@ -353,7 +353,9 @@ class TestStackedCoefficients:
             h = (x + np.swapaxes(x.conj(), -1, -2)) / 2
             m1 = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
             m2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            a, e = qsl.coefficients(psi, h, (m1, m2))
+            stack = qsl.generic_coefficients(
+                SystemSpec(psi0=psi, h_drift=h, lindblad_ops=(m1, m2)))
+            a, e = stack.speed, stack.noise
             for i in range(n):
                 c = qsl.generic_coefficients(
                     SystemSpec(psi0=psi[i], h_drift=h[i], lindblad_ops=(m1[i], m2)))

@@ -418,3 +418,22 @@ class TestWriteRows:
         safe = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]
         assert json_out.getvalue() == json.dumps(safe, indent=2) + "\n"
+
+
+class TestFormatRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(record=st.dictionaries(_TEXT, st.one_of(st.floats(), _TEXT), min_size=1, max_size=5))
+    def test_random_records_match_reference_encoders(self, record):
+        safe = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in record.items()}
+        text = reachset.format_record(record, "json")
+        assert text == json.dumps(safe, indent=2)
+        assert json.loads(text) == safe
+        assert reachset.format_record(record, "json", "  ") == text.replace("\n", "\n  ")
+        assert reachset.format_record(record, "text") == "\n".join(
+            f"{k} = {v:.9g}" if isinstance(v, float) else f"{k} = {v}" for k, v in record.items()
+        )
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format"):
+            reachset.format_record({"x": 1.0}, "csv")
