@@ -23,13 +23,10 @@ import numpy as np
 
 from qslreach import (
     QubitParams,
+    check_bound,
     draw_random_system,
     generic_coefficients,
-    integrate,
-    measured_radius,
-    qsl_time,
     qubit_spec,
-    theta_rate_check,
     verify_bound,
     write_rows,
 )
@@ -41,30 +38,25 @@ T, DT = 1.0, 1e-3
 def main() -> None:
     print("--- amplitude damping, gamma = 1, from the excited state ---")
     spec = qubit_spec(QubitParams(theta=0.0, gamma=1.0, omega=1.0))
-    traj = integrate(spec, T=T, dt=DT)
+    traj, rec = check_bound(spec, T=T, dt=DT)
     fid = float(traj.fidelities[-1])
     print(f"simulated fidelity at T = {T}: {fid:.9f}  (exact exp(-1) = {math.exp(-1):.9f})")
     print(f"integration error: {abs(fid - math.exp(-1)):.2e}")
 
     coeffs = generic_coefficients(spec)
-    lam = measured_radius(float(traj.thetas[-1]))
-    t_star = qsl_time(coeffs, lam)
     print(f"coefficients A = {coeffs.speed:.6f}, E = {coeffs.noise:.6f}")
-    print(f"radius reached: lambda = {lam:.6f}; bound T* = {t_star:.6f} <= T = {T}")
-
-    excess = theta_rate_check(traj, coeffs)
-    print(f"rate check on {excess.size} samples: worst -dF/dt - (A lambda + E) = "
-          f"{excess.max():.3e} (<= 0 expected)")
+    print(f"radius reached: lambda = {rec['lambda']:.6f}; "
+          f"bound T* = {rec['t_star']:.6f} <= T = {T}")
+    print(f"rate check on {traj.times.size} samples: worst -dF/dt - (A lambda + E) = "
+          f"{rec['rate_excess']:.3e} (<= 0 expected)")
     write_rows(traj.columns(), "trajectory_ampdamp.csv", "csv")
     print("wrote trajectory_ampdamp.csv")
 
     print("\n--- one random open system per dimension ---")
     for dim in (2, 3, 4):
-        spec = draw_random_system(seed=1, dim=dim, trial=0)
-        traj = integrate(spec, T=0.5, dt=DT)
-        lam = measured_radius(float(traj.thetas[-1]))
-        t_star = qsl_time(generic_coefficients(spec), lam)
-        print(f"dim {dim}: lambda = {lam:.4f}, T* = {t_star:.4f}, margin = {0.5 - t_star:+.4f}")
+        _, rec = check_bound(draw_random_system(seed=1, dim=dim, trial=0), T=0.5, dt=DT)
+        print(f"dim {dim}: lambda = {rec['lambda']:.4f}, T* = {rec['t_star']:.4f}, "
+              f"margin = {rec['margin']:+.4f}")
 
     print("\n--- batch verification (60 random systems) ---")
     cols = verify_bound(seed=123, n_trials=20, dims=(2, 3, 4), T=0.5, dt=DT)

@@ -41,6 +41,7 @@ from .qsl import (
 from .reachset import (
     GridAxis,
     bell_sweep,
+    check_bound,
     draw_random_system,
     gate_reach_map,
     measured_radius,

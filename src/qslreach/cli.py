@@ -8,8 +8,8 @@ and ``simulate`` build their system with one ``_spec``.  Angles accept
 radians or a "pi" suffix ("0.25pi").  A key=value config file can preload
 any flag; explicit flags win.  Every option is parsed before any work, so
 a bad value, such as a ``--model`` or ``--format`` outside its listed
-choices, exits 2 at once.  The gate models of ``bound`` reject the flags
-they have no use for: ``--lambda``, ``--target-theta``, a nonzero ``--gamma``.
+choices, exits 2 at once, and so does an option the chosen model has no
+use for (``_UNUSED``) set to anything but its default.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
 4 bound violation (verify only).
@@ -153,6 +153,19 @@ _OPTIONS: dict[str, list] = {
 }
 
 
+#: The options each model of a command has no use for, by dest name.  Set
+#: to anything but its default, by a flag or a config file, one is an error.
+_UNUSED: dict[tuple[str, str], tuple[str, ...]] = {
+    ("bound", "qubit"): ("u_max", "alpha", "beta", "state"),
+    ("bound", "qubit-gate"): ("gamma", "lam", "target_theta", "state"),
+    ("bound", "bell"): ("theta", "phi", "omega", "u_max", "alpha", "beta"),
+    ("bound", "qutrit-gate"): ("theta", "phi", "gamma", "lam", "target_theta", "state"),
+    ("simulate", "qubit"): ("state",),
+    ("simulate", "bell"): ("theta", "phi", "omega"),
+    ("gate-map", "qutrit"): ("theta",),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Every flag defaults to
@@ -188,6 +201,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if raw is None and key_of[dest] in file_cfg:
             raw = file_cfg[key_of[dest]]
         options[dest] = default if raw is None else typ(raw)
+    unused = _UNUSED.get((args.command, options.get("model")), ())
+    for dest, flag, _typ, default, _help in table:
+        if dest in unused and options[dest] != default:
+            raise ValueError(f"{flag} does not apply to --model {options['model']}")
     return options
 
 
@@ -238,10 +255,6 @@ def cmd_bound(cfg: dict) -> int:
     spec = _spec(cfg)
     coeffs = qsl.generic_coefficients(spec)
     if model.endswith("-gate"):  # a closed system, and the gate sets lambda
-        for flag, value in (("--lambda", cfg["lam"]), ("--target-theta", cfg["target_theta"]),
-                            ("--gamma", cfg["gamma"] or None)):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to --model {model}")
         g = models.GateParams(alpha=cfg["alpha"], beta=cfg["beta"])
         fid = (models.gate_fidelity(spec.psi0, models.su2_gate(g)) if model == "qubit-gate"
                else models.qutrit_gate_fidelity(g))
@@ -260,28 +273,23 @@ def cmd_bound(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    spec = _spec(cfg)
-    traj = dynamics.integrate(spec, cfg["T"], cfg["dt"])
-    theta_t = float(traj.thetas[-1])
-    lam = reachset.measured_radius(theta_t)
-    coeffs = qsl.generic_coefficients(spec)
-    t_star = qsl.qsl_time(coeffs, lam)
-    margin = cfg["T"] - t_star
-
+    traj, summary = reachset.check_bound(_spec(cfg), cfg["T"], cfg["dt"])
+    rate_excess = summary.pop("rate_excess")
     cols = traj.columns()
     if cfg["format"] == "json":
         # one indent=2 JSON document: {"trajectory": rows, "summary": record}
-        summary = {"theta_T": theta_t, "lambda": lam, "t_star": t_star, "margin": margin}
         reachset.write_text('{\n  "trajectory": ' + reachset.format_rows(cols, "json", "  ")
                             + ',\n  "summary": ' + reachset.format_record(summary, "json", "  ")
                             + "\n}\n", _out(cfg))
     else:
         reachset.write_rows(cols, _out(cfg), "csv")
+    margin = summary["margin"]
     verdict = "bound holds" if margin >= -reachset.MARGIN_TOL else "bound violated"
     # with the data on stdout, the summary goes to stderr, as verify's does
     print(
-        f"theta_T = {theta_t:.9g}  lambda = {lam:.9g}  T_star = {t_star:.9g}  "
-        f"margin = {margin:.9g}  [{verdict}]",
+        f"theta_T = {summary['theta_T']:.9g}  lambda = {summary['lambda']:.9g}  "
+        f"T_star = {summary['t_star']:.9g}  margin = {margin:.9g}  "
+        f"max_rate_excess = {rate_excess + 0.0:.3g}  [{verdict}]",
         file=sys.stderr if cfg["out"] == "-" else sys.stdout,
     )
     return EXIT_OK

@@ -169,24 +169,24 @@ def qubit_gate_radius(theta: float, g: GateParams):
 
 def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     """Minimum time to implement G(alpha, beta) with drift omega sigma_x and
-    control |u| <= u_max, from a scalar initial angle theta:
+    control |u| <= u_max, from the initial angle theta:
 
         T* = qubit_gate_radius / (omega |cos 2th| + u_max |sin 2th|).
 
     The denominator is A'/2.  Where it vanishes (below 1e-12) no drive term
     moves the state and the qsl_time convention applies: T* = inf, or 0 for
     gates whose radius is below RADIUS_RESOLUTION (the identity up to
-    roundoff).
+    roundoff).  Angles of theta and the gate broadcast, elementwise.
     """
     if p.phi != 0.0:
         raise ValueError("the closed-form gate bound assumes phi = 0")
     if np.asarray(g.delta != 0.0).any():
         raise ValueError("the closed-form gate bound assumes delta = 0")
-    denom = p.omega * abs(math.cos(2 * p.theta)) + p.u_max * abs(math.sin(2 * p.theta))
+    denom = p.omega * np.abs(np.cos(2 * p.theta)) + p.u_max * np.abs(np.sin(2 * p.theta))
     radius = qubit_gate_radius(p.theta, g)
-    if denom < 1e-12:
-        return qsl._scalar(np.where(np.asarray(radius) < qsl.RADIUS_RESOLUTION, 0.0, np.inf))
-    return radius / denom
+    moving = denom >= 1e-12
+    still = np.where(radius < qsl.RADIUS_RESOLUTION, 0.0, np.inf)
+    return qsl._scalar(np.where(moving, radius / np.where(moving, denom, 1.0), still))
 
 
 def bell_state(label: str) -> np.ndarray:

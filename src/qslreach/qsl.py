@@ -61,16 +61,20 @@ class QslCoefficients:
     """The (speed, noise) pair feeding the time bound.
 
     ``speed`` multiplies the displacement term (A above) and ``noise`` is
-    the dissipative floor (E above).  Both may be arrays of one shape, one
-    entry per system of a stack.
+    the dissipative floor (E above), both finite and nonnegative.  Both may
+    be arrays of one shape, one entry per system of a stack.
     """
 
     speed: float | np.ndarray
     noise: float | np.ndarray
 
     def __post_init__(self):
-        if not ((np.asarray(self.speed) >= 0).all() and (np.asarray(self.noise) >= 0).all()):
-            raise ValueError("coefficients must be nonnegative")
+        for name, x in (("A", self.speed), ("E", self.noise)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"coefficient {name} is not finite: a rate or frequency "
+                                 "is too large")
+            if not (np.asarray(x) >= 0).all():
+                raise ValueError("coefficients must be nonnegative")
 
 
 def _scalar(x):
@@ -109,12 +113,13 @@ def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
     2 sqrt(<h^2> - <h>^2).
     """
     psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
-    if spec.has_control:
-        a_noise, e = _coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
-        a = (_coefficients(psi, spec.h_drift)[0]
-             + spec.u_max * _coefficients(psi, spec.h_control)[0] + a_noise)
-    else:
-        a, e = _coefficients(psi, spec.h_drift, spec.lindblad_ops)
+    with np.errstate(over="ignore", invalid="ignore"):  # QslCoefficients names the overflow
+        if spec.has_control:
+            a_noise, e = _coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
+            a = (_coefficients(psi, spec.h_drift)[0]
+                 + spec.u_max * _coefficients(psi, spec.h_control)[0] + a_noise)
+        else:
+            a, e = _coefficients(psi, spec.h_drift, spec.lindblad_ops)
     return QslCoefficients(_scalar(a.reshape(spec.shape)), _scalar(e.reshape(spec.shape)))
 
 

@@ -5,8 +5,9 @@ The sweeps take each axis by name, as a ``GridAxis`` (a checked linspace),
 evaluate whole grids as arrays and, like ``verify_bound``, return column
 dicts: column name -> 1-D array, in file column order, one entry per output
 row.  A grid of systems is one stacked ``SystemSpec``, whose
-coefficients come from one ``qsl.generic_coefficients`` call; ``verify_bound``
-draws, integrates and checks its random systems one stack per block.
+coefficients come from one ``qsl.generic_coefficients`` call.  The one
+simulation check is ``check_bound``, which ``verify_bound`` runs on its
+random systems one stack per block.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
 by ``format_rows``: one %-format of a per-row template over all cells at
 once.  ``format_record`` renders one record with the same cell specs.
@@ -180,6 +181,24 @@ def draw_random_system(seed: int, dim: int, trial) -> SystemSpec:
     return SystemSpec(psi0=psi, h_drift=h, lindblad_ops=(m,))
 
 
+def check_bound(spec: SystemSpec, T: float, dt: float = dynamics.DEFAULT_DT):
+    """Integrate ``spec`` to ``T`` and hold the simulation against the bound.
+
+    Returns the trajectory and the record theta_T (the final angle), lambda
+    (its ``measured_radius``), t_star, margin (= T - t_star) and rate_excess
+    (the largest ``theta_rate_check`` value): floats for one system, arrays
+    of shape (B,) for a stack.  The bound holds where margin >= -MARGIN_TOL.
+    """
+    coeffs = qsl.generic_coefficients(spec)
+    traj = integrate(spec, T, dt)
+    theta_t = qsl._scalar(traj.thetas[..., -1].copy())  # a view keeps every angle alive
+    lam = measured_radius(theta_t)
+    t_star = qsl.qsl_time(coeffs, lam)
+    rate_excess = qsl._scalar(theta_rate_check(traj, coeffs).max(axis=-1))
+    return traj, {"theta_T": theta_t, "lambda": lam, "t_star": t_star,
+                  "margin": T - t_star, "rate_excess": rate_excess}
+
+
 def verify_bound(
     seed: int,
     n_trials: int,
@@ -190,15 +209,12 @@ def verify_bound(
     """Integrate ``n_trials`` random systems per dimension and check that the
     simulated evolution respects T >= T*(lambda).
 
-    Returns the verify file's columns trial, seed, dim, T, theta_T, lambda,
-    t_star and margin (= T - t_star), followed by rate_excess: the largest
-    ``theta_rate_check`` value of each trial, <= 0 up to roundoff.  One row
-    per trial, dim-major.  Each dim's trials go in blocks of about
+    Returns the verify file's columns trial, seed, dim and T, then the
+    ``check_bound`` record theta_T, lambda, t_star, margin and rate_excess;
+    one row per trial, dim-major.  Each dim's trials go in blocks of about
     ``dynamics.STACK_ENTRIES`` state entries, which bounds memory: a block
-    is one stacked draw, one ``qsl.generic_coefficients`` call, one
-    ``integrate`` and one ``theta_rate_check``.  t_star comes from one
-    ``qsl_time`` call over all trials.  The block size does not change any
-    result.
+    is one stacked draw and one ``check_bound``.  The block size does not
+    change any result.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -209,32 +225,19 @@ def verify_bound(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     samples = len(dynamics._step_sizes(T, dt)) + 1
-    theta_t, rate_excess, a, e = [], [], [], []
+    blocks = []
     for dim in dims:
         block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))
         for start in range(0, n_trials, block):
             spec = draw_random_system(seed, dim, range(start, min(start + block, n_trials)))
-            coeffs = qsl.generic_coefficients(spec)
-            traj = integrate(spec, T, dt)
-            theta_t.append(traj.thetas[:, -1].copy())  # a view keeps every angle alive
-            rate_excess.append(theta_rate_check(traj, coeffs).max(axis=1))
-            a.append(coeffs.speed)
-            e.append(coeffs.noise)
-            del traj  # the block's states go before the next block is integrated
-    theta_t = np.concatenate(theta_t)
-    lam = measured_radius(theta_t)
-    t_star = qsl.qsl_time(qsl.QslCoefficients(np.concatenate(a), np.concatenate(e)), lam)
-    n = t_star.size
+            blocks.append(check_bound(spec, T, dt)[1])
+    n = n_trials * len(dims)
     return {
         "trial": np.tile(np.arange(n_trials), len(dims)),
         "seed": np.full(n, seed),
         "dim": np.repeat(dims, n_trials),
         "T": np.full(n, T),
-        "theta_T": theta_t,
-        "lambda": lam,
-        "t_star": t_star,
-        "margin": T - t_star,
-        "rate_excess": np.concatenate(rate_excess),
+        **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]},
     }
 
 

@@ -104,10 +104,7 @@ def test_acceptance_4_gate_bound_equivalence():
         models.gate_fidelity(models.qubit_state(p)[:, None, :], models.su2_gate(g))
     )
     generic = qsl.qsl_time(qsl.QslCoefficients(coeffs.speed[:, None], coeffs.noise[:, None]), lam)
-    closed = np.stack([
-        models.qubit_gate_time_bound(QubitParams(theta=float(t), omega=1.0, u_max=1.0), g)
-        for t in thetas
-    ])
+    closed = models.qubit_gate_time_bound(QubitParams(thetas[:, None], omega=1.0, u_max=1.0), g)
     worst_qubit = np.abs(closed - generic).max()
 
     direct = models.gate_fidelity(models.QUTRIT_PSI0, models.so3_gate(g))

@@ -464,8 +464,8 @@ def test_axis_error_names_its_flags(tmp_path, capsys, flags, argv):
     assert err.startswith(f"error: {flags}: axis ")
 
 
-#: Flags a gate model has no use for (it is a closed system, and the gate
-#: sets lambda): the flag, then the argv.
+#: Flags a gate model has no use for (it is a closed system, the gate sets
+#: lambda, and the qutrit state is fixed): the flag, then the argv.
 GATE_FLAG_ARGV = [
     ("--lambda", ["bound", "--model", "qubit-gate", "--beta", "0.3pi", "--lambda", "0.9"]),
     ("--gamma", ["bound", "--model", "qubit-gate", "--beta", "0.3pi", "--gamma", "0.7"]),
@@ -473,6 +473,10 @@ GATE_FLAG_ARGV = [
     ("--lambda", ["bound", "--model", "qutrit-gate", "--beta", "0.25pi", "--lambda", "0.5"]),
     ("--gamma", ["bound", "--model", "qutrit-gate", "--gamma", "1"]),
     ("--target-theta", ["bound", "--model", "qutrit-gate", "--target-theta", "0.2pi"]),
+    ("--theta", ["bound", "--model", "qutrit-gate", "--beta", "0.25pi", "--theta", "0.3"]),
+    ("--phi", ["bound", "--model", "qutrit-gate", "--beta", "0.25pi", "--phi", "0.5"]),
+    ("--state", ["bound", "--model", "qutrit-gate", "--state", "psi-plus"]),
+    ("--state", ["bound", "--model", "qubit-gate", "--beta", "0.3pi", "--state", "psi-minus"]),
 ]
 
 
@@ -493,6 +497,67 @@ def test_gate_model_rejects_physics_keys_in_a_config_file(tmp_path, capsys, mode
         assert err == f"error: {flag} does not apply to --model {model}\n"
     # a zero decay rate is the gate model's own
     assert run(["bound", "--model", model, "--gamma", "0"]) == 0
+
+
+#: Options the other models have no use for, each set to a value other
+#: than its default: the flag, then the argv.  Each once printed the same
+#: bytes as the argv without it.
+UNUSED_FLAG_ARGV = [
+    *((flag, ["bound", "--model", "bell", "--state", "psi-plus", "--gamma", "0.5",
+              "--lambda", "0.5", flag, value])
+      for flag, value in (("--theta", "0.3"), ("--phi", "0.2"), ("--omega", "5"),
+                          ("--u-max", "3"), ("--alpha", "1"), ("--beta", "1"))),
+    *((flag, ["bound", "--model", "qubit", "--theta", "0.3", "--lambda", "0.5", flag, value])
+      for flag, value in (("--u-max", "2"), ("--alpha", "1"), ("--beta", "1"),
+                          ("--state", "psi-plus"))),
+    *((flag, ["simulate", "--model", "bell", "--T", "0.01", flag, value])
+      for flag, value in (("--theta", "0.3"), ("--phi", "0.2"), ("--omega", "2"))),
+    ("--state", ["simulate", "--model", "qubit", "--T", "0.01", "--state", "psi-plus"]),
+    ("--theta", ["gate-map", "--model", "qutrit", "--points", "3", "--theta", "0.3"]),
+]
+
+
+@pytest.mark.parametrize("flag,argv", UNUSED_FLAG_ARGV,
+                         ids=[" ".join(argv) for _, argv in UNUSED_FLAG_ARGV])
+def test_model_rejects_unused_flags(tmp_path, capsys, flag, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == f"error: {flag} does not apply to --model {argv[2]}\n"
+
+
+def test_unused_key_in_a_config_file_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = bell\nomega = 2\n")
+    err = _assert_config_error(tmp_path, capsys, ["simulate", "--T", "0.01",
+                                                  "--config", str(cfg)])
+    assert err == "error: --omega does not apply to --model bell\n"
+
+
+def test_unused_flags_at_their_defaults_are_accepted(tmp_path, capsys):
+    assert run(["bound", "--model", "bell", "--state", "psi-plus", "--lambda", "0.5",
+                "--theta", "0", "--omega", "1", "--u-max", "1"]) == 0
+    assert run(["simulate", "--model", "qubit", "--T", "0.01", "--state", "phi-plus",
+                "--out", str(tmp_path / "t.csv")]) == 0
+    assert run(["gate-map", "--model", "qutrit", "--points", "3", "--theta", "0",
+                "--out", str(tmp_path / "g.csv")]) == 0
+
+
+#: Rates so large that A overflows a double (np.linalg.norm squares the
+#: entries): each once wrote nan or a bound of 0 with exit 0, or blamed a
+#: negative coefficient, and printed numpy RuntimeWarnings.
+OVERFLOW_ARGV = [
+    ["sweep-lambda", "--gamma", "1e155", "--points", "3", "--horizons", "0.5"],
+    ["bound", "--model", "qubit", "--theta", "0.3", "--gamma", "1e160", "--lambda", "0.5"],
+    ["bound", "--model", "qubit", "--theta", "0.3", "--omega", "1e200", "--lambda", "0.5"],
+    ["bound", "--model", "qutrit-gate", "--omega", "1e200"],
+    ["bell-sweep", "--gamma-max", "1e308", "--points", "3"],
+    ["simulate", "--gamma", "1e160", "--T", "0.01"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV, ids=" ".join)
+def test_overflowing_coefficient_is_config_error(tmp_path, capsys, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == "error: coefficient A is not finite: a rate or frequency is too large\n"
 
 
 def _assert_config_error(tmp_path, capsys, argv) -> str:

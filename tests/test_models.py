@@ -323,6 +323,21 @@ class TestQubitGateBound:
                              beta=np.array([0.0, 0.0, 0.1]))
         assert list(qubit_gate_time_bound(p, stacked)) == [0.0, 0.0, math.inf]
 
+    @pytest.mark.parametrize("u_max", [0.0, 0.7])
+    def test_array_theta_equals_scalar_calls(self, u_max):
+        # theta = pi/4 with u_max = 0 is the degenerate drive: its row takes
+        # the inf/0 rule while the other rows divide, elementwise
+        thetas = np.array([0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
+        g = GateParams(alpha=np.array([0.0, 2 * math.pi, 0.0, 1.1]),
+                       beta=np.array([0.0, 0.0, 0.1, 2.0]))
+        stacked = qubit_gate_time_bound(QubitParams(thetas[:, None], u_max=u_max), g)
+        assert stacked.shape == (5, 4)
+        for row, theta in zip(stacked, thetas):
+            single = qubit_gate_time_bound(QubitParams(float(theta), u_max=u_max), g)
+            assert np.array_equal(row, single)
+        if u_max == 0.0:
+            assert list(stacked[2]) == [0.0, 0.0, math.inf, math.inf]
+
 
 class TestBellStates:
     def test_orthonormal_family(self):

@@ -45,6 +45,25 @@ class TestCoefficientTypes:
         with pytest.raises(ValueError):
             coeffs(np.array([1.0, np.nan]), 0.0)
 
+    @pytest.mark.parametrize("a,e,name", [(math.inf, 1.0, "A"), (1.0, math.inf, "E"),
+                                          (np.array([1.0, math.nan]), 0.0, "A"),
+                                          (0.0, np.array([0.5, -math.inf]), "E")])
+    def test_rejects_non_finite_and_names_it(self, a, e, name):
+        with pytest.raises(ValueError, match=f"coefficient {name} is not finite"):
+            coeffs(a, e)
+
+    @pytest.mark.parametrize("spec", [
+        qubit_spec(QubitParams(theta=0.3, gamma=1e160)),
+        qubit_spec(QubitParams(theta=0.3, omega=1e200)),
+        SystemSpec(psi0=bell_state("phi-plus"), h_drift=np.zeros((4, 4)),
+                   lindblad_ops=(collective_decay(np.array([0.5, 1e308])),)),
+    ], ids=["decay", "drive", "bell-stack"])
+    def test_overflowing_rates_raise_without_warnings(self, spec):
+        # np.linalg.norm overflows A once a rate is above about 1e154; the
+        # pipeline runs with RuntimeWarnings as errors, so none may escape
+        with pytest.raises(ValueError, match="coefficient A is not finite"):
+            qsl.generic_coefficients(spec)
+
 
 class TestSpeedCoefficient:
     def test_free_system(self):

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 
 from qslreach import dynamics, qsl, reachset
 from qslreach.dynamics import integrate
-from qslreach.models import QubitParams, bell_spec, qubit_spec
+from qslreach.models import BELL_LABELS, QubitParams, bell_spec, qubit_spec
 from qslreach.reachset import (
+    MARGIN_TOL,
     GridAxis,
     bell_sweep,
+    check_bound,
     draw_random_system,
     gate_reach_map,
     sweep_reachable_radius,
@@ -231,7 +233,7 @@ class TestVerifyBound:
         assert all(np.array_equal(a[name], b[name]) for name in a)
 
     def test_columns_match_per_trial_route(self):
-        # batched A/E and one qsl_time call give the per-trial numbers bit for bit
+        # stacked check_bound blocks give the per-trial numbers bit for bit
         cols = verify_bound(seed=3, n_trials=4, dims=(2, 4), T=0.3, dt=1e-3)
         for i, (k, dim) in enumerate(zip(cols["trial"], cols["dim"])):
             spec = draw_random_system(3, int(dim), int(k))
@@ -264,6 +266,46 @@ class TestVerifyBound:
         assert reachset.measured_radius(2.6e-8) == 0.0
         assert reachset.measured_radius(0.0) == 0.0
         assert reachset.measured_radius(0.5) == qsl.radius_from_angle(0.5)
+
+
+class TestCheckBound:
+    def test_one_system_gives_floats(self):
+        traj, rec = check_bound(qubit_spec(QubitParams(theta=0.0, gamma=1.0)), T=1.0)
+        assert list(rec) == ["theta_T", "lambda", "t_star", "margin", "rate_excess"]
+        assert all(type(v) is float for v in rec.values())
+        assert rec["theta_T"] == traj.thetas[-1]
+        assert_allclose(rec["lambda"], math.sqrt(1 - math.exp(-1.0)), atol=1e-6)
+        assert rec["margin"] == 1.0 - rec["t_star"] >= -MARGIN_TOL
+        assert rec["rate_excess"] <= 1e-12
+
+    def test_stack_rows_equal_single_checks(self):
+        thetas = np.array([0.0, 0.4, 1.1])
+        _, stacked = check_bound(qubit_spec(QubitParams(theta=thetas, gamma=0.5)), T=0.3)
+        for i, theta in enumerate(thetas):
+            _, single = check_bound(qubit_spec(QubitParams(theta=float(theta), gamma=0.5)), T=0.3)
+            for name, value in single.items():
+                assert stacked[name].shape == (3,)
+                assert stacked[name][i] == value, name
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 3.0])
+    def test_sweep_lambda_rows_are_reachable_by_simulation(self, gamma):
+        # each (theta, T) row of sweep-lambda, simulated: the bound holds and
+        # the simulated radius stays within the row's lambda_max
+        axis, hs = GridAxis(0.0, math.pi / 2, 60), (0.3, 0.5, 0.8)
+        lam_max = sweep_reachable_radius(axis, hs, gamma=gamma)["lambda_max"].reshape(60, 3)
+        spec = qubit_spec(QubitParams(theta=axis.values(), gamma=gamma))
+        for j, T in enumerate(hs):
+            _, rec = check_bound(spec, T)
+            assert (rec["margin"] >= -MARGIN_TOL).all()
+            assert (rec["lambda"] <= lam_max[:, j] + 1e-9).all()
+
+    def test_bell_sweep_rows_are_reachable_by_simulation(self):
+        gammas = GridAxis(0.01, 2.0, 50)
+        lam_max = bell_sweep(gammas, 0.5)["lambda_max"].reshape(len(BELL_LABELS), 50)
+        for label, row in zip(BELL_LABELS, lam_max):
+            _, rec = check_bound(bell_spec(label, gammas.values()), 0.5)
+            assert (rec["margin"] >= -MARGIN_TOL).all(), label
+            assert (rec["lambda"] <= row + 1e-9).all(), label
 
 
 class TestCsvOutput:
