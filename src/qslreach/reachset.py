@@ -10,7 +10,9 @@ simulation check is ``check_bound``, which ``verify_bound`` runs on its
 random systems one stack per block.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
 by ``format_rows``: one %-format of a per-row template over all cells at
-once.  ``format_record`` renders one record with the same cell specs.
+once, where a column that repeats its cells has each distinct value
+rendered once and looked up per row.  ``format_record`` renders one record
+with the same cell specs.
 Rows are always in grid/trial order, so output files are byte-identical for
 identical configuration and seed.
 """
@@ -253,31 +255,47 @@ def _cells(column, fmt: str) -> tuple[str, list]:
     """One column as a %-spec and the Python values it formats.  CSV:
     floats at 9 significant digits (+inf as "inf"), everything else
     verbatim.  JSON: the tokens json.dumps writes (str of a float is its
-    repr), except that non-finite floats become strings ("inf").  The
-    strings of a list or tuple column are taken as given: numpy's unicode
-    dtype would drop their trailing NULs."""
+    repr), except that non-finite floats become strings ("inf").
+
+    Each distinct cell is rendered once when at most half the rows are
+    distinct: floats are keyed by their bit pattern, so -0.0 and every NaN
+    keep their own text, and the rendered strings are looked up per row.
+    A mostly-distinct column is formatted in place, which is cheaper than
+    the lookup.  The strings of a list or tuple column are taken as given:
+    numpy's unicode dtype would drop their trailing NULs."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
-        values = list(column)
-    else:
-        values = arr.tolist()
-    if arr.dtype.kind == "f":
         if fmt == "csv":
-            return "%.9g", values
-        for i in np.flatnonzero(~np.isfinite(arr)):
+            return "%s", list(column)
+        tokens = {v: json.dumps(v) for v in set(column)}
+        return "%s", [tokens[v] for v in column]
+    floats = arr.dtype.kind == "f"
+    if floats:
+        arr = arr.astype(np.float64, copy=False)
+    uniq, inverse = np.unique(arr.view(np.int64) if floats else arr, return_inverse=True)
+    lookup = 2 * len(uniq) <= len(arr)
+    cells = uniq.view(arr.dtype) if lookup else arr
+    values = cells.tolist()
+    spec = "%.9g" if floats and fmt == "csv" else "%s"
+    if floats and fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(cells)):
             values[i] = f'"{values[i]}"'
-        return "%s", values
-    if fmt == "csv":
-        return "%s", values
-    tokens = {v: json.dumps(v) for v in set(values)}
-    return "%s", [tokens[v] for v in values]
+    elif fmt == "json":
+        values = [json.dumps(v) for v in values]
+    if not lookup:
+        return spec, values
+    strings = (((spec + "\n") * len(values) % tuple(values)).split("\n") if floats
+               else list(map(str, values)))
+    return "%s", np.array(strings, dtype=object)[inverse].tolist()
 
 
 def format_rows(columns: dict, fmt: str, indent: str = "") -> str:
     """The rows of a column dict as text: one %-format of a per-row template
-    repeated once per row.  CSV: one line per row, no header.  JSON: the
-    list json.dumps(rows, indent=2) writes, without a final newline;
-    ``indent`` prefixes every line but the first, to nest it in an object."""
+    repeated once per row, with cells from ``_cells`` (a repetitive column
+    arrives as strings rendered once per distinct value).  CSV: one line
+    per row, no header.  JSON: the list json.dumps(rows, indent=2) writes,
+    without a final newline; ``indent`` prefixes every line but the first,
+    to nest it in an object."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if not columns or not len(next(iter(columns.values()))):

@@ -560,6 +560,18 @@ def test_overflowing_coefficient_is_config_error(tmp_path, capsys, argv):
     assert err == "error: coefficient A is not finite: a rate or frequency is too large\n"
 
 
+def test_overflowing_radius_argument_caps_at_one(capsys):
+    # A is finite at theta = pi/4 but c = A^2 T / (2E) overflows; the radius
+    # is the capped 1, not nan, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep-lambda", "--omega", "5e153", "--gamma", "1e-10", "--points", "3",
+                    "--horizons", "0.5", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "theta,gamma,omega,T,lambda_max"
+    assert rows[2] == "0.785398163,1e-10,5e+153,0.5,1"
+
+
 def _assert_config_error(tmp_path, capsys, argv) -> str:
     """Exit 2 with one "error:" line, no output and no file; returns the
     line."""

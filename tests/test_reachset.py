@@ -377,12 +377,20 @@ _CELLS = (st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), _TEXT)
 
 @st.composite
 def _tables(draw):
-    """A column dict of 1-6 rows and 1-5 columns, each column of one type;
-    floats include inf, -inf, nan and -0.0."""
-    n = draw(st.integers(1, 6))
+    """A column dict of 1-40 rows and 1-5 columns, each column of one type;
+    floats include inf, -inf, nan and -0.0.  A column draws every cell
+    afresh or repeats a pool of 1-3 values, so the writer formats some
+    columns in place and renders the distinct cells of others once."""
+    n = draw(st.integers(1, 40))
     names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
-    return {name: draw(st.lists(draw(st.sampled_from(_CELLS)), min_size=n, max_size=n))
-            for name in names}
+
+    def column():
+        cells = draw(st.sampled_from(_CELLS))
+        if draw(st.booleans()):
+            cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3)))
+        return draw(st.lists(cells, min_size=n, max_size=n))
+
+    return {name: column() for name in names}
 
 
 class TestWriteRows:
@@ -449,6 +457,10 @@ class TestWriteRows:
     @settings(max_examples=200, deadline=None)
     @given(table=_tables())
     def test_random_tables_match_reference_encoders(self, table):
+        self._assert_matches_reference_encoders(table)
+
+    @staticmethod
+    def _assert_matches_reference_encoders(table):
         rows = [dict(zip(table, row)) for row in zip(*table.values())]
         csv_out, json_out = io.StringIO(), io.StringIO()
         reachset.write_rows(table, csv_out, "csv")
@@ -460,6 +472,24 @@ class TestWriteRows:
         safe = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]
         assert json_out.getvalue() == json.dumps(safe, indent=2) + "\n"
+
+    def test_signed_zeros_keep_their_sign(self):
+        column = {"x": [-0.0, 0.0, 0.0, -0.0] * 5}
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        reachset.write_rows(column, csv_out, "csv")
+        reachset.write_rows(column, json_out, "json")
+        assert csv_out.getvalue() == "x\n" + "-0\n0\n0\n-0\n" * 5
+        assert json_out.getvalue().count('"x": -0.0') == 10
+        assert json_out.getvalue().count('"x": 0.0') == 10
+
+    def test_repeated_non_finite_json_cells_are_quoted(self):
+        out = io.StringIO()
+        reachset.write_rows({"t_star": [math.nan, math.inf, -math.inf] * 4}, out, "json")
+        assert json.loads(out.getvalue()) == [{"t_star": s} for s in ["nan", "inf", "-inf"] * 4]
+
+    def test_one_value_repeated_matches_reference(self):
+        self._assert_matches_reference_encoders(
+            {"theta": [0.3] * 10 ** 4, "n": [7] * 10 ** 4, "label": ["x"] * 10 ** 4})
 
 
 class TestFormatRecord:
