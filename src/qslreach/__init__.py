@@ -44,7 +44,6 @@ from .reachset import (
     check_bound,
     draw_random_system,
     gate_reach_map,
-    measured_radius,
     sweep_reachable_radius,
     verify_bound,
     write_rows,

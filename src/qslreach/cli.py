@@ -95,7 +95,8 @@ _OPTIONS: dict[str, list] = {
         ("beta", "--beta", parse_angle, 0.0, "gate angle beta"),
         ("lam", "--lambda", float, None, "target radius in [0, 1]"),
         ("target_theta", "--target-theta", parse_angle, None, "target angle Theta_T"),
-        ("state", "--state", str, "phi-plus", "Bell state label"),
+        ("state", "--state", _one_of("--state", *models.BELL_LABELS), "phi-plus",
+         "Bell state label"),
         ("format", "--format", _one_of("--format", "text", "json"), "text",
          "output format: text or json"),
     ],
@@ -105,7 +106,8 @@ _OPTIONS: dict[str, list] = {
         ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
         ("gamma", "--gamma", float, 1.0, "decay rate"),
         ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("state", "--state", str, "phi-plus", "Bell state label"),
+        ("state", "--state", _one_of("--state", *models.BELL_LABELS), "phi-plus",
+         "Bell state label"),
         ("T", "--T", float, 1.0, "final time"),
         ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
         ("out", "--out", str, "trajectory.csv", "trajectory output path"),

@@ -4,7 +4,8 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
 Each model's ``SystemSpec`` comes from ``qubit_spec``, ``bell_spec`` or
 ``qutrit_spec``, and its coefficients from ``qsl.generic_coefficients``;
-the gate families also have closed forms that cross-check it.
+the gate families also have closed forms that cross-check it and return
+through ``qsl.qsl_time``, so every gate bound takes its one inf/0 rule.
 Angles in ``QubitParams.theta`` and ``GateParams`` and the Bell decay rate
 may be arrays: ``qubit_state`` gives a stack of states, ``qubit_spec`` and
 ``bell_spec`` a stacked ``SystemSpec``, ``su2_gate``/``so3_gate`` an
@@ -86,16 +87,14 @@ class QubitParams:
 
 @dataclass(frozen=True)
 class GateParams:
-    """Rotation angles (alpha, beta, delta) of a target gate."""
+    """Rotation angles (alpha, beta) of a target gate."""
 
     alpha: float
     beta: float
-    delta: float = 0.0
 
     def __post_init__(self):
         _check_angle("alpha", self.alpha, 2 * math.pi, "2pi")
         _check_angle("beta", self.beta, math.pi, "pi")
-        _check_angle("delta", self.delta, 4 * math.pi, "4pi")
 
 
 def qubit_state(p: QubitParams) -> np.ndarray:
@@ -134,13 +133,12 @@ def _matrices(*entries) -> np.ndarray:
 
 
 def su2_gate(g: GateParams) -> np.ndarray:
-    """G(alpha, beta, delta) = Rz(alpha) Ry(beta) Rz(delta) on a qubit; a
-    stack of shape (n, 2, 2) when the angles are arrays of n entries."""
-    alpha, beta, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                               for x in (g.alpha, g.beta, g.delta)))
+    """G(alpha, beta) = Rz(alpha) Ry(beta) on a qubit; a stack of shape
+    (n, 2, 2) when the angles are arrays of n entries."""
+    alpha, beta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (g.alpha, g.beta)))
     cb, sb = np.cos(beta / 2), np.sin(beta / 2)
-    rz_a, rz_d = (_matrices(np.exp(-0.5j * x), 0, 0, np.exp(0.5j * x)) for x in (alpha, delta))
-    return rz_a @ _matrices(cb, -sb, sb, cb) @ rz_d
+    rz = _matrices(np.exp(-0.5j * alpha), 0, 0, np.exp(0.5j * alpha))
+    return rz @ _matrices(cb, -sb, sb, cb)
 
 
 def gate_fidelity(psi0: np.ndarray, gate: np.ndarray):
@@ -159,34 +157,33 @@ def gate_fidelity(psi0: np.ndarray, gate: np.ndarray):
 def qubit_gate_radius(theta: float, g: GateParams):
     """Closed form of sqrt(1 - fidelity) for the su2 gate family at phi = 0:
 
-    sqrt(1 - cos^2(a/2) cos^2(b/2) - sin^2(a/2) cos^2(2 th + b/2)).
+    sqrt(1 - cos^2(a/2) cos^2(b/2) - sin^2(a/2) cos^2(2 th + b/2)),
+
+    zeroed below qsl.RADIUS_RESOLUTION as by ``qsl.radius_from_fidelity``.
     """
     ca, sa = np.cos(g.alpha / 2), np.sin(g.alpha / 2)
     cb = np.cos(g.beta / 2)
     cmix = np.cos(2 * theta + g.beta / 2)
-    return qsl._scalar(np.sqrt(np.maximum(1.0 - ca * ca * cb * cb - sa * sa * cmix * cmix, 0.0)))
+    lam = np.sqrt(np.maximum(1.0 - ca * ca * cb * cb - sa * sa * cmix * cmix, 0.0))
+    return qsl._scalar(np.where(lam < qsl.RADIUS_RESOLUTION, 0.0, lam))
 
 
 def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     """Minimum time to implement G(alpha, beta) with drift omega sigma_x and
-    control |u| <= u_max, from the initial angle theta:
+    control |u| <= u_max, from the initial angle theta: ``qsl.qsl_time`` at
+    the closed-form radius ``qubit_gate_radius``, E = 0 and
 
-        T* = qubit_gate_radius / (omega |cos 2th| + u_max |sin 2th|).
+        A' = 2 (omega |cos 2th| + u_max |sin 2th|),
 
-    The denominator is A'/2.  Where it vanishes (below 1e-12) no drive term
-    moves the state and the qsl_time convention applies: T* = inf, or 0 for
-    gates whose radius is below RADIUS_RESOLUTION (the identity up to
-    roundoff).  Angles of theta and the gate broadcast, elementwise.
+    so T* = 2 lambda / A', and a vanishing A' takes qsl_time's inf/0 rule.
+    Angles of theta and the gate broadcast, elementwise.
     """
     if p.phi != 0.0:
         raise ValueError("the closed-form gate bound assumes phi = 0")
-    if np.asarray(g.delta != 0.0).any():
-        raise ValueError("the closed-form gate bound assumes delta = 0")
-    denom = p.omega * np.abs(np.cos(2 * p.theta)) + p.u_max * np.abs(np.sin(2 * p.theta))
-    radius = qubit_gate_radius(p.theta, g)
-    moving = denom >= 1e-12
-    still = np.where(radius < qsl.RADIUS_RESOLUTION, 0.0, np.inf)
-    return qsl._scalar(np.where(moving, radius / np.where(moving, denom, 1.0), still))
+    with np.errstate(over="ignore"):  # QslCoefficients names the overflow
+        speed = 2.0 * (p.omega * np.abs(np.cos(2 * p.theta))
+                       + p.u_max * np.abs(np.sin(2 * p.theta)))
+    return qsl.qsl_time(qsl.QslCoefficients(speed, 0.0), qubit_gate_radius(p.theta, g))
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -237,23 +234,18 @@ def qutrit_spec(omega: float, u_max: float) -> SystemSpec:
 
 
 def so3_gate(g: GateParams) -> np.ndarray:
-    """Three-dimensional rotation G(alpha, beta, delta) = Rz(delta) Rx(alpha) Ry(beta).
+    """Three-dimensional rotation G(alpha, beta) = Rx(alpha) Ry(beta).
 
-    Rx, Ry, Rz are the standard 3x3 rotation blocks about the x, y, z axes.
+    Rx and Ry are the standard 3x3 rotation blocks about the x and y axes.
     Ry is applied first; this composition reproduces the closed-form gate
     fidelity of :func:`qutrit_gate_fidelity` and the displayed special
     gates, which the more obvious Ry-then-Rx order does not.  Arrays of n
     angles give a stack of shape (n, 3, 3).
     """
-    alpha, beta, delta = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                               for x in (g.alpha, g.beta, g.delta)))
+    alpha, beta = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (g.alpha, g.beta)))
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
-    cd, sd = np.cos(delta), np.sin(delta)
-    rx = _matrices(ca, -sa, 0, sa, ca, 0, 0, 0, 1)
-    ry = _matrices(cb, 0, sb, 0, 1, 0, -sb, 0, cb)
-    rz = _matrices(1, 0, 0, 0, cd, -sd, 0, sd, cd)
-    return rz @ rx @ ry
+    return _matrices(ca, -sa, 0, sa, ca, 0, 0, 0, 1) @ _matrices(cb, 0, sb, 0, 1, 0, -sb, 0, cb)
 
 
 def qutrit_gate_fidelity(g: GateParams):
@@ -269,11 +261,10 @@ def qutrit_gate_fidelity(g: GateParams):
 
 def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams):
     """Minimum time to implement the qutrit rotation G(alpha, beta):
-
-        T* = sqrt(1 - cos Theta_T) / (omega + u_max).
+    ``qsl.qsl_time`` at lambda = sqrt(1 - cos Theta_T), E = 0 and
+    A' = 2 (omega + u_max), so T* = 2 lambda / A'.
     """
     _check_rate("omega", omega, positive=True)
     _check_rate("u_max", u_max)
-    if np.asarray(g.delta != 0.0).any():
-        raise ValueError("the closed-form gate bound assumes delta = 0")
-    return qsl.radius_from_fidelity(qutrit_gate_fidelity(g)) / (omega + u_max)
+    return qsl.qsl_time(qsl.QslCoefficients(2.0 * (omega + u_max), 0.0),
+                        qsl.radius_from_fidelity(qutrit_gate_fidelity(g)))

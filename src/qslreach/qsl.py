@@ -48,11 +48,11 @@ from .dynamics import SystemSpec, lindblad
 #: T* are removable there and are substituted analytically.
 DEGENERACY_EPS = 1e-14
 
-#: Radii below this are indistinguishable from zero: a simulated angle is
-#: arccos of a fidelity carrying integrator roundoff, and a closed-form gate
-#: radius sqrt(1 - fidelity) carries the roundoff of cos terms, so an
-#: unmoved state can come back with lambda ~ 1e-8 of pure noise (fatal
-#: where A = 0, which maps any nonzero radius to an infinite bound).
+#: Radii below this are indistinguishable from zero, and ``radius_from_fidelity``
+#: reports them as 0: a simulated angle carries integrator roundoff and a
+#: gate fidelity the roundoff of cos terms, so an unmoved state can come back
+#: with lambda ~ 1e-8 of pure noise (fatal where A = 0, which maps any
+#: nonzero radius to an infinite bound).
 RADIUS_RESOLUTION = 1e-6
 
 
@@ -219,6 +219,8 @@ def radius_from_angle(theta: float) -> float:
 
 
 def radius_from_fidelity(fidelity):
-    """lambda = sqrt(1 - f) with the fidelity clamped into [0, 1]; takes
-    arrays, and gives a float for a scalar."""
-    return _scalar(np.sqrt(1.0 - np.minimum(np.maximum(fidelity, 0.0), 1.0)))
+    """lambda = sqrt(1 - f), the fidelity clamped into [0, 1] and radii below
+    RADIUS_RESOLUTION zeroed, for a gate's fidelity or the cos Theta_T of a
+    simulated angle; takes arrays, and gives a float for a scalar."""
+    lam = np.sqrt(1.0 - np.minimum(np.maximum(fidelity, 0.0), 1.0))
+    return _scalar(np.where(lam < RADIUS_RESOLUTION, 0.0, lam))

@@ -7,7 +7,8 @@ dicts: column name -> 1-D array, in file column order, one entry per output
 row.  A grid of systems is one stacked ``SystemSpec``, whose
 coefficients come from one ``qsl.generic_coefficients`` call.  The one
 simulation check is ``check_bound``, which ``verify_bound`` runs on its
-random systems one stack per block.
+random systems one stack per block; its radius, like ``bound``'s, comes
+from ``qsl.radius_from_fidelity``.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
 by ``format_rows``: one %-format of a per-row template over all cells at
 once, where a column that repeats its cells has each distinct value
@@ -42,14 +43,6 @@ DEFAULT_HORIZONS = (0.3, 0.5, 0.8)
 DEFAULT_SWEEP_POINTS = 200
 DEFAULT_MAP_POINTS = 100
 MARGIN_TOL = 1e-4  # numerical slack on T >= T*
-
-
-def measured_radius(theta_t):
-    """Radius sqrt(1 - cos Theta) of *simulated* angles in [0, pi/2], with
-    displacements below qsl.RADIUS_RESOLUTION reported as exactly zero;
-    takes arrays, and gives a float for a scalar."""
-    lam = qsl.radius_from_fidelity(np.cos(theta_t))
-    return lam * (lam >= qsl.RADIUS_RESOLUTION)
 
 
 @dataclass(frozen=True)
@@ -187,14 +180,14 @@ def check_bound(spec: SystemSpec, T: float, dt: float = dynamics.DEFAULT_DT):
     """Integrate ``spec`` to ``T`` and hold the simulation against the bound.
 
     Returns the trajectory and the record theta_T (the final angle), lambda
-    (its ``measured_radius``), t_star, margin (= T - t_star) and rate_excess
-    (the largest ``theta_rate_check`` value): floats for one system, arrays
-    of shape (B,) for a stack.  The bound holds where margin >= -MARGIN_TOL.
+    (``qsl.radius_from_fidelity`` of its cosine), t_star, margin (= T -
+    t_star) and rate_excess (the largest ``theta_rate_check`` value): floats
+    for one system, arrays of shape (B,) for a stack.  The bound holds where margin >= -MARGIN_TOL.
     """
     coeffs = qsl.generic_coefficients(spec)
     traj = integrate(spec, T, dt)
     theta_t = qsl._scalar(traj.thetas[..., -1].copy())  # a view keeps every angle alive
-    lam = measured_radius(theta_t)
+    lam = qsl.radius_from_fidelity(np.cos(theta_t))
     t_star = qsl.qsl_time(coeffs, lam)
     rate_excess = qsl._scalar(theta_rate_check(traj, coeffs).max(axis=-1))
     return traj, {"theta_T": theta_t, "lambda": lam, "t_star": t_star,
@@ -224,6 +217,8 @@ def verify_bound(
         raise ValueError("at least one dim is required")
     if min(dims) < 1:
         raise ValueError(f"dims must be >= 1, got {min(dims)}")
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"dims must be distinct, got {','.join(map(str, dims))}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     samples = len(dynamics._step_sizes(T, dt)) + 1

@@ -98,6 +98,16 @@ class TestBoundCommand:
         out = capsys.readouterr().out
         assert report_value(out, "T_star") == "inf"
 
+    def test_identity_gate_has_zero_radius(self, capsys):
+        # G(0, 0) leaves the state in place: gate_fidelity's roundoff must
+        # not read as a radius of 1.5e-8
+        assert run(["bound", "--model", "qubit-gate", "--theta", "0.3",
+                    "--alpha", "0", "--beta", "0"]) == 0
+        out = capsys.readouterr().out
+        for key in ("lambda", "T_star", "T_dc"):
+            assert report_value(out, key) == "0"
+        assert report_value(out, "larger") == "equal"
+
     def test_qutrit_gate(self, capsys):
         assert run(
             ["bound", "--model", "qutrit-gate", "--alpha", "0", "--beta", "0.25pi",
@@ -206,7 +216,7 @@ class TestSimulateCommand:
         cols = traj.columns()
         rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
         theta_t = float(traj.thetas[-1])
-        lam = reachset.measured_radius(theta_t)
+        lam = qsl.radius_from_fidelity(np.cos(theta_t))
         t_star = qsl.qsl_time(qsl.generic_coefficients(spec), lam)
         payload = {"trajectory": rows, "summary": {
             "theta_T": theta_t, "lambda": lam, "t_star": t_star, "margin": 0.05 - t_star}}
@@ -396,10 +406,12 @@ NON_FINITE_ARGV = [
 
 
 #: Dimensions below 1 once crashed (ZeroDivisionError) or failed with
-#: numpy's own seed message.
+#: numpy's own seed message; a repeated dimension once wrote every one of
+#: its trials twice under one (seed, dim, trial).  The message, then the argv.
 BAD_DIMS_ARGV = [
-    ["verify", "--dims", "0"],
-    ["verify", "--dims", "-1"],
+    ("dims must be >= 1, got 0", ["verify", "--dims", "0"]),
+    ("dims must be >= 1, got -1", ["verify", "--dims", "-1"]),
+    ("dims must be distinct, got 2,3,2", ["verify", "--dims", "2,3,2"]),
 ]
 
 
@@ -408,10 +420,11 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
     _assert_config_error(tmp_path, capsys, argv)
 
 
-@pytest.mark.parametrize("argv", BAD_DIMS_ARGV, ids=" ".join)
-def test_dims_below_one_is_config_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("message,argv", BAD_DIMS_ARGV,
+                         ids=[" ".join(argv) for _, argv in BAD_DIMS_ARGV])
+def test_dims_below_one_is_config_error(tmp_path, capsys, message, argv):
     err = _assert_config_error(tmp_path, capsys, argv)
-    assert err.startswith("error: dims must be >= 1")
+    assert err == f"error: {message}\n"
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
@@ -429,6 +442,8 @@ BAD_CHOICE_ARGV = [
     ("--model", ["gate-map", "--model", "bell"]),
     ("--format", ["bell-sweep", "--format", "xml"]),
     ("--format", ["verify", "--format", "xml"]),
+    ("--state", ["bound", "--model", "bell", "--state", "phi", "--lambda", "0.5"]),
+    ("--state", ["simulate", "--model", "bell", "--state", "phi"]),
 ]
 
 
@@ -541,6 +556,41 @@ def test_unused_flags_at_their_defaults_are_accepted(tmp_path, capsys):
                 "--out", str(tmp_path / "g.csv")]) == 0
 
 
+#: gate-map's closed forms against bound's generic route, one map per
+#: entry: the drive at theta = pi/4 without control vanishes, and at
+#: omega = 1e-13 A' lies between the degeneracy thresholds of the old code.
+GATE_ROUTE_MAPS = [
+    ("qubit", ["--theta", "0"]),
+    ("qubit", ["--theta", "0.3"]),
+    ("qubit", ["--theta", "0.25pi", "--u-max", "0"]),
+    ("qubit", ["--theta", "0", "--omega", "1e-13", "--u-max", "0"]),
+    ("qutrit", []),
+    ("qutrit", ["--omega", "1e-13", "--u-max", "0"]),
+]
+
+
+@pytest.mark.parametrize("model,args", GATE_ROUTE_MAPS,
+                         ids=[" ".join([m, *a]) for m, a in GATE_ROUTE_MAPS])
+def test_gate_map_cells_equal_bound(capsys, model, args):
+    # every cell's t_star is bound's T_star at the same (exact) angles: both
+    # 0, both inf, or equal to 5e-9 relative
+    assert run(["gate-map", "--model", model, *args, "--points", "6",
+                "--format", "json", "--out", "-"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 36
+    bad = []
+    for row in rows:
+        assert run(["bound", "--model", f"{model}-gate", *args, "--alpha", repr(row["alpha"]),
+                    "--beta", repr(row["beta"]), "--format", "json"]) == 0
+        bound = float(json.loads(capsys.readouterr().out)["T_star"])
+        cell = float(row["t_star"])
+        same = (cell == bound if bound in (0.0, math.inf) or cell in (0.0, math.inf)
+                else abs(cell - bound) <= 5e-9 * bound)
+        if not same:
+            bad.append((row["alpha"], row["beta"], cell, bound))
+    assert not bad, f"{len(bad)} of 36 cells disagree: {bad[:3]}"
+
+
 #: Rates so large that A overflows a double (np.linalg.norm squares the
 #: entries): each once wrote nan or a bound of 0 with exit 0, or blamed a
 #: negative coefficient, and printed numpy RuntimeWarnings.
@@ -549,6 +599,7 @@ OVERFLOW_ARGV = [
     ["bound", "--model", "qubit", "--theta", "0.3", "--gamma", "1e160", "--lambda", "0.5"],
     ["bound", "--model", "qubit", "--theta", "0.3", "--omega", "1e200", "--lambda", "0.5"],
     ["bound", "--model", "qutrit-gate", "--omega", "1e200"],
+    ["gate-map", "--omega", "1e308", "--points", "3"],
     ["bell-sweep", "--gamma-max", "1e308", "--points", "3"],
     ["simulate", "--gamma", "1e160", "--T", "0.01"],
 ]

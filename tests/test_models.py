@@ -35,13 +35,12 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
 def _random_gates(rng, n: int) -> GateParams:
-    return GateParams(alpha=rng.uniform(0, 2 * math.pi, n), beta=rng.uniform(0, math.pi, n),
-                      delta=rng.uniform(0, 4 * math.pi, n))
+    return GateParams(alpha=rng.uniform(0, 2 * math.pi, n), beta=rng.uniform(0, math.pi, n))
 
 
 def _each_gate(g: GateParams):
-    for a, b, d in zip(g.alpha, g.beta, g.delta):
-        yield GateParams(float(a), float(b), float(d))
+    for a, b in zip(g.alpha, g.beta):
+        yield GateParams(float(a), float(b))
 
 
 class TestOperators:
@@ -160,16 +159,12 @@ class TestQubitClosedForm:
 
 class TestSu2Gate:
     def test_identity(self):
-        assert_allclose(su2_gate(GateParams(0.0, 0.0, 0.0)), np.eye(2), atol=1e-15)
+        assert_allclose(su2_gate(GateParams(0.0, 0.0)), np.eye(2), atol=1e-15)
 
     def test_unitarity(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            g = GateParams(
-                alpha=rng.uniform(0, 2 * math.pi),
-                beta=rng.uniform(0, math.pi),
-                delta=rng.uniform(0, 4 * math.pi),
-            )
+            g = GateParams(alpha=rng.uniform(0, 2 * math.pi), beta=rng.uniform(0, math.pi))
             u = su2_gate(g)
             assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
@@ -300,10 +295,6 @@ class TestQubitGateBound:
         with pytest.raises(ValueError, match="phi"):
             qubit_gate_time_bound(
                 QubitParams(theta=0.1, phi=0.5), GateParams(0.0, 0.1)
-            )
-        with pytest.raises(ValueError, match="delta"):
-            qubit_gate_time_bound(
-                QubitParams(theta=0.1), GateParams(0.0, 0.1, delta=1.0)
             )
 
     def test_vanishing_drive_follows_qsl_time_convention(self):
@@ -452,7 +443,7 @@ class TestQutrit:
                 qutrit_gate_time_bound(1.0, bad, GateParams(0.1, 0.1))
 
     def test_so3_identity(self):
-        assert_allclose(so3_gate(GateParams(0.0, 0.0, 0.0)), np.eye(3), atol=1e-15)
+        assert_allclose(so3_gate(GateParams(0.0, 0.0)), np.eye(3), atol=1e-15)
 
     def test_so3_displayed_special_gates(self):
         assert_allclose(
@@ -477,8 +468,7 @@ class TestQutrit:
     def test_so3_orthogonality(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            g = GateParams(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi),
-                           rng.uniform(0, 2 * math.pi))
+            g = GateParams(rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi))
             u = so3_gate(g)
             assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
 
@@ -519,7 +509,3 @@ class TestQutrit:
             )
             got = qutrit_gate_time_bound(omega, u_max, g)
             assert abs(got - qsl.qsl_time(coeffs, lam)) <= 1e-10
-
-    def test_gate_bound_rejects_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            qutrit_gate_time_bound(1.0, 1.0, GateParams(0.0, 0.1, delta=0.5))

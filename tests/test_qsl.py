@@ -463,6 +463,16 @@ class TestRadiusAngleMaps:
         assert qsl.radius_from_fidelity(-1e-15) == 1.0
         assert_allclose(qsl.radius_from_fidelity(0.75), 0.5)
 
+    def test_radius_from_fidelity_floors_roundoff_noise(self):
+        # a frozen state comes back with an angle of pure float noise; that
+        # must not register as a nonzero displacement
+        assert qsl.radius_from_fidelity(np.cos(2.6e-8)) == 0.0
+        assert qsl.radius_from_fidelity(1.0 - 1e-13) == 0.0
+        assert qsl.radius_from_fidelity(np.cos(0.0)) == 0.0
+        assert qsl.radius_from_fidelity(np.cos(0.5)) == qsl.radius_from_angle(0.5)
+        lam = qsl.radius_from_fidelity(np.array([1.0 - 1e-13, 1.0 - 4e-12, 0.75]))
+        assert lam[0] == 0.0 and lam[1] == math.sqrt(1.0 - (1.0 - 4e-12)) and lam[2] == 0.5
+
 
 class TestGenericCoefficients:
     def test_controlled_spec_gives_primed_speed(self):

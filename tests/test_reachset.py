@@ -239,7 +239,7 @@ class TestVerifyBound:
             spec = draw_random_system(3, int(dim), int(k))
             traj = integrate(spec, T=0.3, dt=1e-3)
             coeffs = qsl.generic_coefficients(spec)
-            lam = reachset.measured_radius(float(traj.thetas[-1]))
+            lam = qsl.radius_from_fidelity(np.cos(float(traj.thetas[-1])))
             t_star = qsl.qsl_time(coeffs, lam)
             assert cols["theta_T"][i] == traj.thetas[-1]
             assert cols["lambda"][i] == lam
@@ -260,12 +260,10 @@ class TestVerifyBound:
             with pytest.raises(ValueError, match="dims must be >= 1"):
                 verify_bound(seed=1, n_trials=1, dims=dims)
 
-    def test_measured_radius_floors_roundoff_noise(self):
-        # a frozen state comes back with an angle of pure float noise; that
-        # must not register as a nonzero displacement
-        assert reachset.measured_radius(2.6e-8) == 0.0
-        assert reachset.measured_radius(0.0) == 0.0
-        assert reachset.measured_radius(0.5) == qsl.radius_from_angle(0.5)
+    def test_rejects_repeated_dims(self):
+        for dims in ((2, 2), (2, 3, 2)):
+            with pytest.raises(ValueError, match="dims must be distinct"):
+                verify_bound(seed=1, n_trials=1, dims=dims)
 
 
 class TestCheckBound:
