@@ -22,8 +22,10 @@ trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 A ``SystemSpec`` is one system or a stack of systems of one dimension, and
 ``integrate`` is the one integrator for both: it propagates the whole stack
 together, filling the samples by doubling (about 2 log2(n) stacked products
-for n steps).  Positivity is screened by one Cholesky factorization per
-trajectory; the eigenvalue solve runs only when the screen fails.
+for n steps), and checks the states of the whole stack in one screen:
+Hermiticity, trace, and positivity by an unrolled LDL^H factorization, all
+from the lower-triangle entries.  The exact per-sample checks, eigenvalue
+solve included, run only when the screen fails.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ DEFAULT_DT = 1e-3
 #: Complex entries (trials x samples x d^2) per ``integrate`` stack that
 #: callers aim for: 4 MB of states.
 STACK_ENTRIES = 2 ** 18
+
+#: Matrices per pass of the health screen in ``_check_states``: its dozen or
+#: so temporaries of this length stay in cache, whatever the stack size.
+_SCREEN_MATRICES = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -193,17 +199,67 @@ def _step_sizes(T: float, dt: float) -> np.ndarray:
 
 
 def _check_states(times: np.ndarray, states: np.ndarray) -> None:
-    """Raise IntegrationError at the earliest unhealthy state over all four
-    checks.  The cheap checks (non-finite, Hermiticity, trace) run on every
-    sample; positivity runs on the samples before the first cheap failure,
-    so a state that is already indefinite is named before a later one that
-    has overflowed.
+    """Raise IntegrationError for the first unhealthy system of a (B, n, d, d)
+    stack, at its earliest bad sample over all four checks.
 
-    Positivity is first screened by one Cholesky factorization of
-    states + (POSITIVITY_TOL / 2) I.  It is backward stable, so success
-    proves lambda_min >= -POSITIVITY_TOL / 2 - O(1e-15) for every state and
-    the check passes; only if it fails are the eigenvalues computed, so the
-    verdict and the message are those of the eigenvalue check alone."""
+    A healthy stack passes one screen over the d(d+1)/2 lower-triangle entry
+    arrays rho[:, i, j] of its matrices: Hermiticity as |rho_ij -
+    conj(rho_ji)| <= HERMITICITY_TOL (a non-finite entry makes its residual
+    inf or nan and fails it, so no finiteness pass is needed), the trace, and
+    positivity through ``_positive_pivots``, _SCREEN_MATRICES matrices at a
+    time.  Only if it fails does ``_classify_states``
+    judge each system, in stack order, so the verdict and the message are
+    those of the exact per-sample checks."""
+    dim = states.shape[-1]
+    flat = states.reshape(-1, dim, dim)
+    healthy = True
+    for start in range(0, len(flat), _SCREEN_MATRICES):
+        rho = flat[start:start + _SCREEN_MATRICES]
+        healthy &= bool((np.abs(np.einsum("tii->t", rho) - 1.0) <= TRACE_TOL).all())
+        for i in range(dim):
+            for j in range(i + 1):
+                healthy &= bool((np.abs(rho[:, i, j] - rho[:, j, i].conj())
+                                 <= HERMITICITY_TOL).all())
+        healthy &= bool(_positive_pivots(rho).all())
+    if not healthy:
+        for states_b in states:
+            _classify_states(times, states_b)
+
+
+def _positive_pivots(rho: np.ndarray) -> np.ndarray:
+    """Per matrix of an (m, d, d) stack, whether every pivot of the LDL^H
+    factorization of rho + (POSITIVITY_TOL / 2) I is > 0.
+
+    The factorization is unrolled over the lower triangle (LAPACK's 'L'),
+    outer-product form, each entry one array over the stack.  This is the
+    success test of Cholesky, which is backward stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), so True proves lambda_min >=
+    -POSITIVITY_TOL / 2 - O(1e-15), inside the tolerance; False (a nan
+    pivot included) proves nothing."""
+    dim = rho.shape[-1]
+    low = {(i, j): rho[:, i, j] for i in range(dim) for j in range(i)}
+    pivots = [rho[:, i, i].real + 0.5 * POSITIVITY_TOL for i in range(dim)]
+    positive = np.ones(len(rho), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(dim):
+            positive &= pivots[k] > 0.0
+            col = {i: low[i, k].conj() for i in range(k + 1, dim)}
+            for i in range(k + 1, dim):
+                ratio = low[i, k] / pivots[k]
+                for j in range(k + 1, i):
+                    low[i, j] = low[i, j] - ratio * col[j]
+                ratio *= col[i]
+                pivots[i] -= ratio.real
+    return positive
+
+
+def _classify_states(times: np.ndarray, states: np.ndarray) -> None:
+    """Raise IntegrationError at the earliest unhealthy state of one system's
+    (n, d, d) samples over all four checks.  The cheap checks (non-finite,
+    Hermiticity, trace) run on every sample; positivity runs on the samples
+    before the first cheap failure, so a state that is already indefinite is
+    named before a later one that has overflowed.  Its eigenvalues are
+    computed only if ``_positive_pivots`` fails on one of those samples."""
     finite = np.isfinite(states.view(float)).reshape(states.shape[0], -1).all(axis=1)
     checks = [
         ("non-finite", np.where(finite, 0.0, np.inf), 0.0),
@@ -212,11 +268,9 @@ def _check_states(times: np.ndarray, states: np.ndarray) -> None:
         ("trace", np.abs(np.einsum("tii->t", states) - 1.0), TRACE_TOL),
     ]
     bad = np.array([r > tol for _, r, tol in checks])
-    head = states[:int(np.argmax(bad.any(axis=0)))] if bad.any() else states
-    try:
-        np.linalg.cholesky(head + 0.5 * POSITIVITY_TOL * np.eye(states.shape[-1]))
-    except np.linalg.LinAlgError:
-        resid = -np.linalg.eigvalsh(head).min(axis=1)
+    head = int(np.argmax(bad.any(axis=0))) if bad.any() else len(states)
+    if not _positive_pivots(states[:head]).all():
+        resid = -np.linalg.eigvalsh(states[:head]).min(axis=1)
         if (resid > POSITIVITY_TOL).any():
             checks = [("positivity", resid, POSITIVITY_TOL)]
             bad = resid[None] > POSITIVITY_TOL
@@ -259,9 +313,10 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     last step is one product with its own propagator.  These are the RK4
     iterates up to roundoff, computed in about 2 log2(n) products instead of
     n.  ``fidelity_rates`` evaluate each system's L at every sample, so they
-    are the exact dF/dt of the sampled states under this u.  States are
-    checked system by system, in stack order, so a failure names the first
-    unhealthy system; overflow of an unstable step raises no numpy warning.
+    are the exact dF/dt of the sampled states under this u.  The states of
+    the stack are checked together (``_check_states``); a failure names the
+    first unhealthy system in stack order and its earliest bad sample, and
+    overflow of an unstable step raises no numpy warning.
     Every member of a stack equals ``integrate`` of that system alone, bit
     for bit.
     """
@@ -313,8 +368,7 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
         rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
         thetas[:, 0] = 0.0
-        for states_b in states:
-            _check_states(times, states_b)
+        _check_states(times, states)
     if not spec.shape:
         states, thetas, rates = states[0], thetas[0], rates[0]
     return Trajectory(times=times, states=states, thetas=thetas, fidelity_rates=rates)

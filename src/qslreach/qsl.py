@@ -142,9 +142,13 @@ def qsl_time(coeffs: QslCoefficients, lam):
     E.  Coefficients and ``lam`` broadcast; all-scalar input gives a float.
     """
     a, e, a_ok, e_ok = _regular(coeffs)
-    t = np.where(e_ok, 2.0 * lam / a - (2.0 / (a * a)) * e * np.log1p(a * lam / e),
-                 2.0 * lam / a)
-    t = np.where(a_ok, t, np.where(e_ok, lam * lam / e, np.inf))
+    t = 2.0 * lam / a
+    # each limit is evaluated only if some entry needs it: the closed-form
+    # gate bounds pass E = 0 throughout, and most stacks have every A > 0
+    if e_ok.any():
+        t = np.where(e_ok, t - (2.0 / (a * a)) * e * np.log1p(a * lam / e), t)
+    if not a_ok.all():
+        t = np.where(a_ok, t, np.where(e_ok, lam * lam / e, np.inf))
     return _scalar(np.where(lam > 0.0, t, 0.0))
 
 

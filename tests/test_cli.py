@@ -432,6 +432,23 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
+#: Steps far too large for the system: the health check names the first
+#: indefinite state, by its time and worst residual.  The residual, then the argv.
+UNSTABLE_ARGV = [
+    ("0.00301", ["verify", "--trials", "20", "--T", "4", "--dt", "0.5"]),
+    ("9.25e+14", ["simulate", "--theta", "0", "--gamma", "40", "--T", "2", "--dt", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("resid,argv", UNSTABLE_ARGV,
+                         ids=[" ".join(argv) for _, argv in UNSTABLE_ARGV])
+def test_integration_failure_exits_3(tmp_path, capsys, resid, argv):
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err == (
+        f"integration failure: positivity check failed at t = 0.5: worst residual {resid} "
+        "exceeds tolerance 1e-08 (step size too large for this system?)\n")
+
+
 #: Values outside an option's listed choices: the option, then the argv.
 BAD_CHOICE_ARGV = [
     ("--model", ["bound", "--model", "spin", "--lambda", "0.5"]),

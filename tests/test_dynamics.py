@@ -500,28 +500,31 @@ def hermitian_stack(rng, eigenvalues, n):
 
 class TestPositivityScreen:
     TOL = dynamics.POSITIVITY_TOL
+    #: lambda_min / POSITIVITY_TOL on both sides of the screen's shift (-0.5)
+    #: and of the tolerance itself (-1)
+    FACTORS = (-2.0, -1.1, -1.01, -0.99, -0.6, -0.5, -0.4, 0.0, 0.5)
 
     def spied_check(self, monkeypatch, states, times=None):
-        """Run _check_states, recording whether each positivity test ran."""
+        """Run _check_states on a (B, n, d, d) stack, or on one system's
+        (n, d, d) samples as a stack of one, recording each eigenvalue solve."""
         calls = []
-        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+        eigvalsh = np.linalg.eigvalsh
 
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
+        def spy(*args, **kwargs):
+            calls.append("eigvalsh")
+            return eigvalsh(*args, **kwargs)
 
+        if states.ndim == 3:
+            states = states[None]
         if times is None:
-            times = np.arange(len(states)) * 0.1
+            times = np.arange(states.shape[1]) * 0.1
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "cholesky", spy("cholesky", cholesky))
-            m.setattr(np.linalg, "eigvalsh", spy("eigvalsh", eigvalsh))
+            m.setattr(np.linalg, "eigvalsh", spy)
             dynamics._check_states(times, states)
         return calls
 
-    def states(self, factor, dim=3, n=6):
-        rng = np.random.default_rng(dim)
+    def states(self, factor, dim=3, n=6, seed=None):
+        rng = np.random.default_rng(dim if seed is None else seed)
         lam = factor * self.TOL
         return hermitian_stack(rng, [lam] + [(1.0 - lam) / (dim - 1)] * (dim - 1), n)
 
@@ -529,12 +532,12 @@ class TestPositivityScreen:
         for dim in (2, 3, 4):
             states = self.states(-0.4, dim)
             assert np.linalg.eigvalsh(states).min() < -0.39 * self.TOL
-            assert self.spied_check(monkeypatch, states) == ["cholesky"]
+            assert self.spied_check(monkeypatch, states) == []
 
     def test_eigenvalues_decide_when_screen_fails(self, monkeypatch):
         for dim in (2, 3, 4):
             states = self.states(-0.9, dim)
-            assert self.spied_check(monkeypatch, states) == ["cholesky", "eigvalsh"]
+            assert self.spied_check(monkeypatch, states) == ["eigvalsh"]
 
     def test_negative_eigenvalue_beyond_tolerance_fails(self, monkeypatch):
         states = self.states(-1.1)
@@ -553,6 +556,88 @@ class TestPositivityScreen:
         assert err.value.check == "positivity"
         assert err.value.time == times[5]
         assert "positivity check failed at t = 0.5:" in str(err.value)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_verdict_is_the_eigenvalue_check(self, monkeypatch, dim):
+        # raises exactly when some lambda_min < -tol; where the screen alone
+        # passes (no eigenvalue solve), it has proved lambda_min >= -tol/2
+        for factor in self.FACTORS:
+            states = np.stack([self.states(factor, dim, n=3, seed=seed) for seed in (1, 2)])
+            lam_min = np.linalg.eigvalsh(states).min()
+            try:
+                calls = self.spied_check(monkeypatch, states)
+            except IntegrationError as err:
+                assert lam_min < -self.TOL, factor
+                assert err.check == "positivity"
+                continue
+            assert lam_min >= -self.TOL, factor
+            if not calls:
+                assert lam_min >= -self.TOL / 2 - 1e-14, factor
+
+
+class TestStackFailureNaming:
+    """A failing stack names its first unhealthy system, in stack order, and
+    in it the earliest bad sample, whatever triangle the fault sits in."""
+
+    TIMES = np.arange(6) * 0.1
+
+    @pytest.fixture(autouse=True, params=[dynamics._SCREEN_MATRICES, 4],
+                    ids=["one-pass", "passes-of-4"])
+    def screen_size(self, request, monkeypatch):
+        # 3 systems x 6 samples: in passes of 4 a fault can sit in any pass
+        monkeypatch.setattr(dynamics, "_SCREEN_MATRICES", request.param)
+
+    def healthy(self):
+        return np.stack([hermitian_stack(np.random.default_rng(seed), [0.5, 0.3, 0.2], 6)
+                         for seed in range(3)])
+
+    def check(self, states):
+        with pytest.raises(IntegrationError) as err:
+            dynamics._check_states(self.TIMES, states)
+        return err.value
+
+    def test_healthy_stack_passes_the_screen_alone(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the screen failed a healthy stack")
+
+        monkeypatch.setattr(dynamics, "_classify_states", unexpected)
+        dynamics._check_states(self.TIMES, self.healthy())
+
+    def test_first_system_in_stack_order_is_named(self):
+        states = self.healthy()
+        states[1, 4, 0, 2] = np.inf                      # upper triangle only
+        states[2, 2] = hermitian_stack(np.random.default_rng(5), [-2e-8, 0.6, 0.4 + 2e-8], 1)[0]
+        err = self.check(states)
+        assert (err.check, err.time) == ("non-finite", self.TIMES[4])
+        assert str(err).startswith("non-finite check failed at t = 0.4: worst residual inf")
+
+    def test_later_system_is_named_when_earlier_ones_are_healthy(self):
+        states = self.healthy()
+        states[2, 2] = hermitian_stack(np.random.default_rng(5), [-2e-8, 0.6, 0.4 + 2e-8], 1)[0]
+        err = self.check(states)
+        assert (err.check, err.time) == ("positivity", self.TIMES[2])
+
+    def test_hermiticity_violation_in_the_upper_triangle(self):
+        states = self.healthy()
+        states[1, 3, 0, 1] += 1e-6                       # rho_01 only, rho_10 untouched
+        err = self.check(states)
+        assert (err.check, err.time) == ("Hermiticity", self.TIMES[3])
+        assert "Hermiticity check failed at t = 0.3: worst residual 1e-06" in str(err)
+
+    def test_trace_violation(self):
+        states = self.healthy()
+        states[2, 1] *= 1.0 + 1e-6                       # Hermitian and positive
+        err = self.check(states)
+        assert (err.check, err.time) == ("trace", self.TIMES[1])
+
+    def test_hermiticity_violation_on_the_diagonal(self):
+        # imaginary diagonal parts that cancel in the trace
+        states = self.healthy()
+        states[1, 3, 0, 0] += 0.5e-6j
+        states[1, 3, 1, 1] -= 0.5e-6j
+        err = self.check(states)
+        assert (err.check, err.time) == ("Hermiticity", self.TIMES[3])
+        assert "worst residual 1e-06" in str(err)
 
 
 class TestFidelityRates:
