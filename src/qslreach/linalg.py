@@ -1,4 +1,5 @@
-"""Validation and a few products for small (dim <= 4) operators and states.
+"""Validation and a few products for small dense operators and states: the
+models use d <= 4, and ``verify --dims`` draws random systems up to d = 16.
 
 Matrices are plain ``numpy.ndarray`` of complex128, square and dense; pure
 states are unit-norm complex vectors.  Either may carry leading stack axes,

@@ -156,24 +156,75 @@ def draw_random_system(seed: int, dim: int, trial) -> SystemSpec:
 
     Trial k draws from rng([seed, dim, k]) in the stream order H entries
     (real then imaginary), H strength, M entries, M strength, state
-    amplitudes.  A sequence of trials gives one stacked spec, whose members
-    equal the single draws bit for bit.
+    amplitudes; a zero H is left as it is, and draws no strength.  A
+    sequence of trials gives one stacked spec, whose members equal the
+    single draws bit for bit.
+
+    The loop over trials only makes the rng calls, each trial filling one
+    row of a (B, 4d^2 + 2d + 2) array: standard_normal(2d^2) is the stream
+    of two (d, d) calls, and 2 * random() is the double uniform(0, 2)
+    returns.  H, M, psi0 and their scaling are then formed over the whole
+    stack by the elementwise operations of a per-trial draw, and each norm
+    is the sqrt of the two ddot sums np.linalg.norm takes of one member
+    (``_norms``).  Since h_00 = Re x_00 exactly, only a trial whose first
+    normal is 0 needs its H norm in the loop, to decide the stream: a
+    nonzero standard normal exceeds 1e-17 in magnitude, so its square does
+    not underflow.
     """
     single = np.ndim(trial) == 0
-    draws = []
-    for k in [trial] if single else trial:
-        rng = np.random.default_rng([seed, dim, k])
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (x + x.conj().T) / 2
-        nrm = np.linalg.norm(h)
-        if nrm > 0:
-            h = h / nrm * rng.uniform(0.0, 2.0)
-        y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = y / np.linalg.norm(y) * rng.uniform(0.0, 2.0)
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        draws.append((psi / np.linalg.norm(psi), h, m))
-    psi, h, m = (x[0] if single else np.stack(x) for x in zip(*draws))
+    trials = [trial] if single else list(trial)
+    if not trials:
+        raise ValueError("a draw needs at least one trial")
+    n = dim * dim
+    s_h, s_m = 2 * n, 4 * n + 1  # the strength columns
+    raw = np.empty((len(trials), 4 * n + 2 * dim + 2))
+    zero_h = []
+    for b, k in enumerate(trials):
+        rng, row = np.random.default_rng([seed, dim, k]), raw[b]
+        rng.standard_normal(2 * n, out=row[:s_h])
+        if row[0] == 0.0 and not _norms(_hermitian(row[None], dim))[0] > 0:
+            zero_h.append(b)  # no strength drawn: H / 1 * 1 keeps its +0 entries
+            row[s_h] = 1.0
+        else:
+            row[s_h] = 2.0 * rng.random()
+        rng.standard_normal(2 * n, out=row[s_h + 1:s_m])
+        row[s_m] = 2.0 * rng.random()
+        rng.standard_normal(2 * dim, out=row[s_m + 1:])
+    h = _hermitian(raw, dim)
+    h_norm = _norms(h)
+    h_norm[zero_h] = 1.0
+    h = h / h_norm[:, None, None] * raw[:, s_h, None, None]
+    y = _complex_columns(raw, s_h + 1, (dim, dim))
+    m = y / _norms(y)[:, None, None] * raw[:, s_m, None, None]
+    psi = _complex_columns(raw, s_m + 1, (dim,))
+    psi = psi / _norms(psi)[:, None]
+    if single:
+        psi, h, m = psi[0], h[0], m[0]
     return SystemSpec(psi0=psi, h_drift=h, lindblad_ops=(m,))
+
+
+def _complex_columns(raw: np.ndarray, start: int, shape: tuple) -> np.ndarray:
+    """re + 1j * im per row of ``raw`` as a (B, *shape) stack: re from the
+    ``prod(shape)`` columns at ``start``, im from the next as many."""
+    size = math.prod(shape)
+    part = raw[:, start:start + 2 * size].reshape(len(raw), 2, *shape)
+    return part[:, 0] + 1j * part[:, 1]
+
+
+def _hermitian(raw: np.ndarray, dim: int) -> np.ndarray:
+    """(X + X^dag) / 2 per row, X from the first 2 dim^2 columns."""
+    x = _complex_columns(raw, 0, (dim, dim))
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each member of the C-contiguous complex stack ``a``,
+    bit for bit: sqrt(re . re + im . im) over the member's .real and .imag
+    views.  A (B, 1, n) @ (B, n, 1) matmul on those views makes, per member,
+    the same strided BLAS ddot call as np.linalg.norm's vector dot."""
+    v = a.reshape(len(a), 1, -1)
+    re, im = v.real, v.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 def check_bound(spec: SystemSpec, T: float, dt: float = dynamics.DEFAULT_DT):

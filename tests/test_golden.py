@@ -22,6 +22,9 @@ _SIM_BELL = ["simulate", "--model", "bell", "--state", "psi-plus", "--gamma", "0
 GOLDEN = {
     "verify_trials4.csv": ["verify", "--trials", "4"],
     "verify_trials4.json": ["verify", "--trials", "4", "--format", "json"],
+    # at d = 8 the 40 trials are drawn and checked in five blocks
+    "verify_dims1_2_5_8_trials40.json": ["verify", "--trials", "40", "--dims", "1,2,5,8",
+                                         "--format", "json"],
     "simulate_T0.05.csv": ["simulate", "--T", "0.05"],
     "simulate_T0.05.json": ["simulate", "--T", "0.05", "--format", "json"],
     "simulate_bell_psi_plus_T0.05.csv": _SIM_BELL,

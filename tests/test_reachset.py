@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import reference
+
 from qslreach import dynamics, qsl, reachset
 from qslreach.dynamics import integrate
 from qslreach.models import BELL_LABELS, QubitParams, bell_spec, qubit_spec
@@ -264,6 +266,72 @@ class TestVerifyBound:
         for dims in ((2, 2), (2, 3, 2)):
             with pytest.raises(ValueError, match="dims must be distinct"):
                 verify_bound(seed=1, n_trials=1, dims=dims)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class _LeadingZeros:
+    """A Generator whose first ``count`` standard normals read -0.0."""
+
+    def __init__(self, rng, count):
+        self._rng, self._count = rng, count
+
+    def standard_normal(self, size, out=None):
+        z = self._rng.standard_normal(size)
+        zeroed = min(self._count, z.size)
+        z.reshape(-1)[:zeroed] = -0.0  # a zero with a sign to keep
+        self._count -= zeroed
+        if out is None:
+            return z
+        out[...] = z
+        return out
+
+    def uniform(self, low, high):
+        return self._rng.uniform(low, high)
+
+    def random(self):
+        return self._rng.random()
+
+
+class TestStackedDraw:
+    """The stacked draw against the per-trial draw of ``reference``."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 901])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16])
+    def test_members_equal_the_per_trial_draw_bit_for_bit(self, seed, dim):
+        for trials in (range(40), [7, 3, 11], 5):
+            spec = draw_random_system(seed, dim, trials)
+            fields = [spec.psi0, spec.h_drift, spec.lindblad_ops[0]]
+            if np.ndim(trials) == 0:
+                fields, trials = [a[None] for a in fields], [trials]
+            for i, k in enumerate(trials):
+                for got, want in zip(fields, reference.draw_random_system(seed, dim, k)):
+                    assert _same_bits(got[i], want), (trials, k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_h_draws_no_strength(self, monkeypatch, dim):
+        # trial k's rng hands out zeros[k] zero normals first: trial 1's X
+        # is 0, trial 2 has x_00 = 0 only (H = 0 for d = 1, where the
+        # imaginary part cancels), trial 3 has a zero real part
+        zeros = [0, 2 * dim * dim, 1, dim * dim]
+        rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda s: _LeadingZeros(rng(s), zeros[s[2]]))
+        spec = draw_random_system(4, dim, range(4))
+        for k in range(4):
+            want = reference.draw_random_system(4, dim, k)
+            assert _same_bits(spec.psi0[k], want[0])
+            assert _same_bits(spec.h_drift[k], want[1])
+            assert _same_bits(spec.lindblad_ops[0][k], want[2])
+        zero = [not h.any() for h in spec.h_drift]
+        assert zero == [False, True, dim == 1, dim == 1]
+
+    def test_empty_trial_sequence_is_rejected(self):
+        for trials in (range(0), []):
+            with pytest.raises(ValueError, match="a draw needs at least one trial"):
+                draw_random_system(42, 2, trials)
 
 
 class TestCheckBound:
