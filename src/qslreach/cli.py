@@ -74,8 +74,9 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-# Option tables: (dest, flag, parser, default, help).  ``None`` defaults
-# mean "required".  Config-file keys equal the dest names.
+# Option tables: (dest, flag, parser, default, help).  A ``None`` default
+# means unset; the command checks what it requires (``cmd_bound`` its
+# --model and its target).  Config-file keys equal the dest names.
 _COMMON_OUT = [
     ("out", "--out", str, "-", "output path ('-' for stdout)"),
     ("format", "--format", _one_of("--format", "csv", "json"), "csv",
@@ -149,7 +150,7 @@ _OPTIONS: dict[str, list] = {
         ("trials", "--trials", int, 500, "trials per dimension"),
         ("dims", "--dims", parse_int_list, (2, 3, 4), "comma-separated dims"),
         ("T", "--T", float, 0.5, "horizon"),
-        ("dt", "--dt", float, 1e-3, "integration step"),
+        ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
         *_COMMON_OUT,
     ],
 }

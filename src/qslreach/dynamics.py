@@ -22,10 +22,10 @@ trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 A ``SystemSpec`` is one system or a stack of systems of one dimension, and
 ``integrate`` is the one integrator for both: it propagates the whole stack
 together, filling the samples by doubling (about 2 log2(n) stacked products
-for n steps), and checks the states of the whole stack in one screen:
-Hermiticity, trace, and positivity by an unrolled LDL^H factorization, all
-from the lower-triangle entries.  The exact per-sample checks, eigenvalue
-solve included, run only when the screen fails.
+for n steps), and checks its states in one pass that keeps each state's
+residuals (trace, Hermiticity, LDL^H pivots), which the failure report and
+``Trajectory.trace_errors`` read.  The exact per-sample checks, eigenvalue
+solve included, run only on the systems whose residuals fail.
 """
 
 from __future__ import annotations
@@ -136,15 +136,12 @@ class Trajectory:
     states: np.ndarray           # ([B,] n, dim, dim) density matrices
     thetas: np.ndarray           # ([B,] n) relative-purity angles, 0 at t = 0
     fidelity_rates: np.ndarray   # ([B,] n) exact dF/dt = <psi0| L(rho_t) |psi0>
+    trace_errors: np.ndarray     # ([B,] n) |tr rho_t - 1|, from the health check
 
     @property
     def fidelities(self) -> np.ndarray:
         """<psi0| rho_t |psi0> = cos(Theta_t) per sample."""
         return np.cos(self.thetas)
-
-    @property
-    def trace_errors(self) -> np.ndarray:
-        return np.abs(np.einsum("...ii->...", self.states) - 1.0)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The trajectory file's columns: t, theta, fidelity, trace_err."""
@@ -198,32 +195,34 @@ def _step_sizes(T: float, dt: float) -> np.ndarray:
     return np.full(n_full, dt)
 
 
-def _check_states(times: np.ndarray, states: np.ndarray) -> None:
-    """Raise IntegrationError for the first unhealthy system of a (B, n, d, d)
-    stack, at its earliest bad sample over all four checks.
+def _check_states(times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (B, n) trace errors |tr rho - 1| of a (B, n, d, d) stack; raise
+    IntegrationError for the first unhealthy system, at its earliest bad
+    sample over all four checks.
 
-    A healthy stack passes one screen over the d(d+1)/2 lower-triangle entry
-    arrays rho[:, i, j] of its matrices: Hermiticity as |rho_ij -
-    conj(rho_ji)| <= HERMITICITY_TOL (a non-finite entry makes its residual
-    inf or nan and fails it, so no finiteness pass is needed), the trace, and
-    positivity through ``_positive_pivots``, _SCREEN_MATRICES matrices at a
-    time.  Only if it fails does ``_classify_states``
-    judge each system, in stack order, so the verdict and the message are
-    those of the exact per-sample checks."""
-    dim = states.shape[-1]
+    One pass over the d(d+1)/2 lower-triangle entry arrays rho[:, i, j],
+    _SCREEN_MATRICES matrices at a time, keeps three residuals per state:
+    the trace error, the Hermiticity residual max |rho_ij - conj(rho_ji)|
+    (a non-finite entry makes it inf or nan and fails it, so no finiteness
+    pass is needed) and the ``_positive_pivots`` verdict.  The systems
+    whose residuals fail go to ``_classify_states`` with their rows, in
+    stack order, for the verdict and message of the exact checks."""
+    b, n, dim = states.shape[:3]
     flat = states.reshape(-1, dim, dim)
-    healthy = True
+    trace_err, herm, pivots = np.empty(b * n), np.zeros(b * n), np.empty(b * n, dtype=bool)
     for start in range(0, len(flat), _SCREEN_MATRICES):
-        rho = flat[start:start + _SCREEN_MATRICES]
-        healthy &= bool((np.abs(np.einsum("tii->t", rho) - 1.0) <= TRACE_TOL).all())
+        chunk = slice(start, start + _SCREEN_MATRICES)
+        rho, herm_c = flat[chunk], herm[chunk]
+        np.abs(np.einsum("tii->t", rho) - 1.0, out=trace_err[chunk])
         for i in range(dim):
             for j in range(i + 1):
-                healthy &= bool((np.abs(rho[:, i, j] - rho[:, j, i].conj())
-                                 <= HERMITICITY_TOL).all())
-        healthy &= bool(_positive_pivots(rho).all())
-    if not healthy:
-        for states_b in states:
-            _classify_states(times, states_b)
+                np.maximum(herm_c, np.abs(rho[:, i, j] - rho[:, j, i].conj()), out=herm_c)
+        pivots[chunk] = _positive_pivots(rho)
+    trace_err, herm, pivots = (a.reshape(b, n) for a in (trace_err, herm, pivots))
+    healthy = (trace_err <= TRACE_TOL) & (herm <= HERMITICITY_TOL) & pivots
+    for k in np.flatnonzero(~healthy.all(axis=1)):
+        _classify_states(times, states[k], trace_err[k], herm[k], pivots[k])
+    return trace_err
 
 
 def _positive_pivots(rho: np.ndarray) -> np.ndarray:
@@ -253,23 +252,23 @@ def _positive_pivots(rho: np.ndarray) -> np.ndarray:
     return positive
 
 
-def _classify_states(times: np.ndarray, states: np.ndarray) -> None:
+def _classify_states(times: np.ndarray, states: np.ndarray, trace_err, herm, pivots) -> None:
     """Raise IntegrationError at the earliest unhealthy state of one system's
-    (n, d, d) samples over all four checks.  The cheap checks (non-finite,
-    Hermiticity, trace) run on every sample; positivity runs on the samples
+    (n, d, d) samples over all four checks, from its rows of
+    ``_check_states``' residuals.  The cheap checks (non-finite,
+    Hermiticity, trace) judge every sample; positivity judges the samples
     before the first cheap failure, so a state that is already indefinite is
-    named before a later one that has overflowed.  Its eigenvalues are
-    computed only if ``_positive_pivots`` fails on one of those samples."""
+    named before a later one that has overflowed.  Their eigenvalues are
+    computed only if a pivot failed on one of those samples."""
     finite = np.isfinite(states.view(float)).reshape(states.shape[0], -1).all(axis=1)
     checks = [
         ("non-finite", np.where(finite, 0.0, np.inf), 0.0),
-        ("Hermiticity", np.abs(states - states.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
-         HERMITICITY_TOL),
-        ("trace", np.abs(np.einsum("tii->t", states) - 1.0), TRACE_TOL),
+        ("Hermiticity", herm, HERMITICITY_TOL),
+        ("trace", trace_err, TRACE_TOL),
     ]
     bad = np.array([r > tol for _, r, tol in checks])
     head = int(np.argmax(bad.any(axis=0))) if bad.any() else len(states)
-    if not _positive_pivots(states[:head]).all():
+    if not pivots[:head].all():
         resid = -np.linalg.eigvalsh(states[:head]).min(axis=1)
         if (resid > POSITIVITY_TOL).any():
             checks = [("positivity", resid, POSITIVITY_TOL)]
@@ -368,10 +367,10 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
         rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
         thetas[:, 0] = 0.0
-        _check_states(times, states)
+        trace_err = _check_states(times, states)
     if not spec.shape:
-        states, thetas, rates = states[0], thetas[0], rates[0]
-    return Trajectory(times=times, states=states, thetas=thetas, fidelity_rates=rates)
+        states, thetas, rates, trace_err = states[0], thetas[0], rates[0], trace_err[0]
+    return Trajectory(times, states, thetas, rates, trace_err)
 
 
 def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:

@@ -250,7 +250,7 @@ def verify_bound(
     n_trials: int,
     dims=(2, 3, 4),
     T: float = 0.5,
-    dt: float = 1e-3,
+    dt: float = dynamics.DEFAULT_DT,
 ) -> dict:
     """Integrate ``n_trials`` random systems per dimension and check that the
     simulated evolution respects T >= T*(lambda).
@@ -263,7 +263,7 @@ def verify_bound(
     change any result.
     """
     if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {n_trials}")
     if not dims:
         raise ValueError("at least one dim is required")
     if min(dims) < 1:

@@ -432,6 +432,11 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
+def test_zero_trials_is_config_error(tmp_path, capsys):
+    err = _assert_config_error(tmp_path, capsys, ["verify", "--trials", "0"])
+    assert err == "error: trials must be >= 1, got 0\n"
+
+
 #: Steps far too large for the system: the health check names the first
 #: indefinite state, by its time and worst residual.  The residual, then the argv.
 UNSTABLE_ARGV = [

@@ -354,7 +354,7 @@ class TestIntegrateMany:
     """``integrate`` of a stack of many systems: every member equals the run
     of that system alone, bit for bit."""
 
-    FIELDS = ("states", "thetas", "fidelity_rates")
+    FIELDS = ("states", "thetas", "fidelity_rates", "trace_errors")
 
     def assert_members_equal_single_runs(self, stack, singles, T, dt, u=0.0):
         many = integrate(stack, T, dt, u)
@@ -405,6 +405,14 @@ class TestIntegrateMany:
         stack = SystemSpec(psi0=PLUS, h_drift=np.stack([s.h_drift for s in singles]),
                            lindblad_ops=tuple(np.stack(ms) for ms in zip(*padded)))
         self.assert_members_equal_single_runs(stack, singles, T=0.1, dt=1e-3)
+
+    def test_trace_errors_are_those_of_the_states(self):
+        # the stored column is |tr rho - 1| of the returned states, bit for bit
+        stack, singles = self.draws(5, 3, 3)
+        for traj in (integrate(stack, 0.2, 1e-3), integrate(singles[0], 0.2, 1e-3)):
+            assert traj.trace_errors.shape == traj.thetas.shape
+            ref = np.abs(np.einsum("...ii->...", traj.states) - 1.0)
+            assert np.array_equal(traj.trace_errors, ref)
 
     def test_rejects_empty_and_mixed_stacks(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -602,6 +610,24 @@ class TestStackFailureNaming:
 
         monkeypatch.setattr(dynamics, "_classify_states", unexpected)
         dynamics._check_states(self.TIMES, self.healthy())
+
+    def test_only_flagged_systems_are_classified(self, monkeypatch):
+        # a false alarm of the pivots (lambda_min = -0.9 tol, inside the
+        # tolerance) sends its system alone to the exact checks, which pass it
+        tol = dynamics.POSITIVITY_TOL
+        states = self.healthy()
+        states[1, 3] = hermitian_stack(np.random.default_rng(5),
+                                       [-0.9 * tol, 0.6, 0.4 + 0.9 * tol], 1)[0]
+        classified = []
+        classify = dynamics._classify_states
+
+        def spy(times, states_b, *rows):
+            classified.append(states_b)
+            return classify(times, states_b, *rows)
+
+        monkeypatch.setattr(dynamics, "_classify_states", spy)
+        dynamics._check_states(self.TIMES, states)
+        assert len(classified) == 1 and np.array_equal(classified[0], states[1])
 
     def test_first_system_in_stack_order_is_named(self):
         states = self.healthy()

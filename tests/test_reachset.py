@@ -252,7 +252,7 @@ class TestVerifyBound:
         assert list(cols["dim"]) == [2] * 4 + [4] * 4
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="n_trials"):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             verify_bound(seed=1, n_trials=0)
         with pytest.raises(ValueError, match="dim"):
             verify_bound(seed=1, n_trials=1, dims=())
