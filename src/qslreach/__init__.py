@@ -35,7 +35,6 @@ from .qsl import (
     generic_coefficients,
     max_reachable_radius,
     qsl_time,
-    radius_from_angle,
     radius_from_fidelity,
 )
 from .reachset import (

@@ -8,7 +8,7 @@ and ``simulate`` build their system with one ``_spec``.  Angles accept
 radians or a "pi" suffix ("0.25pi").  A key=value config file can preload
 any flag; explicit flags win.  Every option is parsed before any work, so
 a bad value, such as a ``--model`` or ``--format`` outside its listed
-choices, exits 2 at once, and so does an option the chosen model has no
+choices, exits 2 at once with an error that names its flag, and so does an option the chosen model has no
 use for (``_UNUSED``) set to anything but its default.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
@@ -49,12 +49,11 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in str(text).split(",") if x.strip())
 
 
-def _one_of(flag: str, *values: str):
-    """A parser that accepts only ``values`` and names ``flag`` otherwise."""
+def _one_of(*values: str):
+    """A parser that accepts only ``values``."""
     def parse(text: str) -> str:
         if text not in values:
-            listed = ", ".join(map(repr, values))
-            raise ValueError(f"{flag} must be one of {listed}, got {text!r}")
+            raise ValueError(f"must be one of {', '.join(map(repr, values))}, got {text!r}")
         return text
     return parse
 
@@ -79,13 +78,12 @@ def load_config(path: str) -> dict[str, str]:
 # --model and its target).  Config-file keys equal the dest names.
 _COMMON_OUT = [
     ("out", "--out", str, "-", "output path ('-' for stdout)"),
-    ("format", "--format", _one_of("--format", "csv", "json"), "csv",
-     "output format: csv or json"),
+    ("format", "--format", _one_of("csv", "json"), "csv", "output format: csv or json"),
 ]
 
 _OPTIONS: dict[str, list] = {
     "bound": [
-        ("model", "--model", _one_of("--model", "qubit", "qubit-gate", "bell", "qutrit-gate"),
+        ("model", "--model", _one_of("qubit", "qubit-gate", "bell", "qutrit-gate"),
          None, "qubit | qubit-gate | bell | qutrit-gate"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
         ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
@@ -96,19 +94,16 @@ _OPTIONS: dict[str, list] = {
         ("beta", "--beta", parse_angle, 0.0, "gate angle beta"),
         ("lam", "--lambda", float, None, "target radius in [0, 1]"),
         ("target_theta", "--target-theta", parse_angle, None, "target angle Theta_T"),
-        ("state", "--state", _one_of("--state", *models.BELL_LABELS), "phi-plus",
-         "Bell state label"),
-        ("format", "--format", _one_of("--format", "text", "json"), "text",
-         "output format: text or json"),
+        ("state", "--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
+        ("format", "--format", _one_of("text", "json"), "text", "output format: text or json"),
     ],
     "simulate": [
-        ("model", "--model", _one_of("--model", "qubit", "bell"), "qubit", "qubit | bell"),
+        ("model", "--model", _one_of("qubit", "bell"), "qubit", "qubit | bell"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
         ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
         ("gamma", "--gamma", float, 1.0, "decay rate"),
         ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("state", "--state", _one_of("--state", *models.BELL_LABELS), "phi-plus",
-         "Bell state label"),
+        ("state", "--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
         ("T", "--T", float, 1.0, "final time"),
         ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
         ("out", "--out", str, "trajectory.csv", "trajectory output path"),
@@ -125,7 +120,7 @@ _OPTIONS: dict[str, list] = {
         *_COMMON_OUT,
     ],
     "gate-map": [
-        ("model", "--model", _one_of("--model", "qubit", "qutrit"), "qubit", "qubit | qutrit"),
+        ("model", "--model", _one_of("qubit", "qutrit"), "qubit", "qubit | qutrit"),
         ("theta", "--theta", parse_angle, 0.0, "initial-state angle (qubit only)"),
         ("omega", "--omega", float, 1.0, "drive frequency"),
         ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
@@ -199,11 +194,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if key not in known:
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
     options = {}
-    for dest, _flag, typ, default, _help in table:
+    for dest, flag, typ, default, _help in table:
         raw = getattr(args, dest)
         if raw is None and key_of[dest] in file_cfg:
             raw = file_cfg[key_of[dest]]
-        options[dest] = default if raw is None else typ(raw)
+        try:
+            options[dest] = default if raw is None else typ(raw)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
     unused = _UNUSED.get((args.command, options.get("model")), ())
     for dest, flag, _typ, default, _help in table:
         if dest in unused and options[dest] != default:
@@ -232,9 +230,11 @@ def _target_radius(cfg: dict) -> float:
         raise ValueError("a target is required: --lambda or --target-theta")
     if lam is not None:
         if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+            raise ValueError(f"--lambda must lie in [0, 1], got {lam!r}")
         return lam
-    return qsl.radius_from_angle(target_theta)
+    if not 0.0 <= target_theta <= math.pi / 2 + 1e-12:
+        raise ValueError(f"--target-theta must lie in [0, pi/2], got {target_theta!r}")
+    return qsl.radius_from_fidelity(math.cos(target_theta))
 
 
 def _spec(cfg: dict) -> dynamics.SystemSpec:

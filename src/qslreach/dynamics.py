@@ -122,7 +122,7 @@ def _operator(name: str, m, dim: int, hermitian: bool = False) -> np.ndarray:
     m = linalg.as_matrix(m)
     if m.shape[-1] != dim:
         raise ValueError(f"{name} dimension does not match psi0")
-    if hermitian and not linalg.is_hermitian(m, 1e-10):
+    if hermitian and np.max(np.abs(m - _dagger(m))) > 1e-10:
         raise ValueError(f"{name} must be Hermitian within 1e-10")
     return m
 
@@ -183,16 +183,18 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def _step_sizes(T: float, dt: float) -> np.ndarray:
+def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
+    """The sample times 0, dt, 2 dt, ..., T and the number of full steps
+    among them; a last step shorter than dt ends the grid on T."""
     if not 0 < T < math.inf:
         raise ValueError(f"T must be finite and > 0, got {T!r}")
     if not 0 < dt <= T:
         raise ValueError("dt must satisfy 0 < dt <= T")
     n_full = int(np.floor(T / dt + 1e-9))
-    rem = T - n_full * dt
-    if rem > 1e-12 * max(1.0, T):
-        return np.concatenate([np.full(n_full, dt), [rem]])
-    return np.full(n_full, dt)
+    n = n_full + (T - n_full * dt > 1e-12 * max(1.0, T))
+    times = np.arange(n + 1) * dt
+    times[-1] = T
+    return times, n_full
 
 
 def _check_states(times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -302,8 +304,8 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     """Propagate rho_0 = |psi0><psi0| of ``spec`` with fixed-step classical
     RK4; a stack of systems is propagated together.
 
-    The sample times are 0, dt, 2 dt, ... with the last step shortened so
-    the final sample lands exactly on T.  The control u is constant and must
+    The sample times are ``_sample_times``' 0, dt, 2 dt, ... with the last
+    step shortened so the final sample lands exactly on T.  The control u is constant and must
     stay within +-u_max of every system.  The generators are time-invariant,
     so the sample after i full steps is P^i vec(rho_0) with P =
     _rk4_propagator(L, dt), a stack of shape (B, d^2, d^2).  The samples are
@@ -319,7 +321,8 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     Every member of a stack equals ``integrate`` of that system alone, bit
     for bit.
     """
-    steps = _step_sizes(T, dt)
+    times, n_full = _sample_times(T, dt)
+    n = len(times) - 1
     if spec.h_control is None:
         if u != 0.0:
             raise ValueError("control value supplied but spec has no control Hamiltonian")
@@ -339,15 +342,11 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     gen = lindblad(per_system(ham), [per_system(m) for m in spec.lindblad_ops], basis)
     gen = gen.reshape(b, d2, d2).transpose(0, 2, 1)
 
-    n = len(steps)
-    n_full = n if steps[-1] == dt else n - 1
     vecs = np.empty((b, n + 1, d2), dtype=complex)
     vecs[:, 0] = linalg.outer(np.broadcast_to(spec.psi0, (b, dim))).reshape(b, d2)
     # dF/dt = vec(rho_0)^dag L vec(rho_t) and F = vec(rho_0)^dag vec(rho_t):
     # two row vectors, multiplied into every sample by one product
     probes = np.concatenate([np.matmul(vecs[:, :1].conj(), gen), vecs[:, :1].conj()], axis=1)
-    times = np.arange(n + 1) * dt
-    times[-1] = T
     states = vecs.reshape(b, n + 1, dim, dim)
     # unstable steps overflow; _check_states then names the first bad sample
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,8 +361,8 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
             if m <= n_full:
                 power = power @ power
         if n > n_full:
-            np.matmul(vecs[:, n_full:n], _rk4_propagator(gen, steps[-1]).transpose(0, 2, 1),
-                      out=vecs[:, n:])
+            last = _rk4_propagator(gen, T - n_full * dt).transpose(0, 2, 1)
+            np.matmul(vecs[:, n_full:n], last, out=vecs[:, n:])
         rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
         thetas[:, 0] = 0.0

@@ -4,10 +4,10 @@ models use d <= 4, and ``verify --dims`` draws random systems up to d = 16.
 Matrices are plain ``numpy.ndarray`` of complex128, square and dense; pure
 states are unit-norm complex vectors.  Either may carry leading stack axes,
 (..., d, d) and (..., d), and every check covers the whole stack at once.
-Besides the input checks (``as_matrix``, ``as_state``, ``is_hermitian``)
-this module holds only what the rest of the package calls: the projector
-|psi><psi|.  Every operation returns a fresh array and never mutates its
-arguments.
+Besides the input checks (``as_matrix``, ``as_state``) this module holds
+only what the rest of the package calls: the projector |psi><psi|.  Every
+operation returns a fresh array and never mutates its arguments.
+``SystemSpec`` checks its Hamiltonians' Hermiticity in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,3 @@ def outer(psi: np.ndarray) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     return v[..., :, None] * v[..., None, :].conj()
 
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether ``m``, or every matrix of a stack, is Hermitian within ``tol``."""
-    a = np.asarray(m)
-    return bool(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2))) <= tol)

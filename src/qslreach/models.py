@@ -107,20 +107,16 @@ def qubit_state(p: QubitParams) -> np.ndarray:
 def qubit_spec(p: QubitParams, with_control: bool = False) -> SystemSpec:
     """Qubit system.
 
-    Without control: H = omega sigma_z with decay M = sqrt(gamma) sigma_-.
-    With control (gate analysis, no decoherence): drift omega sigma_x,
+    Both carry the decay M = sqrt(gamma) sigma_-.  Without control: H =
+    omega sigma_z.  With control (gate analysis): drift omega sigma_x,
     control sigma_z bounded by u_max.  An array of angles theta gives a
     stack of initial states sharing these generators.
     """
     psi0 = qubit_state(p)
-    if with_control:
-        return SystemSpec(
-            psi0=psi0,
-            h_drift=p.omega * PAULI_X,
-            h_control=PAULI_Z,
-            u_max=p.u_max,
-        )
     ops = (math.sqrt(p.gamma) * SIGMA_MINUS,) if p.gamma > 0 else ()
+    if with_control:
+        return SystemSpec(psi0=psi0, h_drift=p.omega * PAULI_X, h_control=PAULI_Z,
+                          u_max=p.u_max, lindblad_ops=ops)
     return SystemSpec(psi0=psi0, h_drift=p.omega * PAULI_Z, lindblad_ops=ops)
 
 
@@ -180,6 +176,8 @@ def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     """
     if p.phi != 0.0:
         raise ValueError("the closed-form gate bound assumes phi = 0")
+    if p.gamma != 0.0:
+        raise ValueError("the closed-form gate bound assumes gamma = 0")
     with np.errstate(over="ignore"):  # QslCoefficients names the overflow
         speed = 2.0 * (p.omega * np.abs(np.cos(2 * p.theta))
                        + p.u_max * np.abs(np.sin(2 * p.theta)))

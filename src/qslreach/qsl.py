@@ -31,7 +31,8 @@ final states (or target gates) are compatible with a given control setup
 and time budget.  ``generic_coefficients`` is the one route from a
 ``SystemSpec`` to (A or A', E): floats for one system, arrays for a stack.
 It and ``qsl_time``, ``del_campo_time`` and ``max_reachable_radius`` work on
-whole stacks of systems or coefficients at once.
+whole stacks of systems or coefficients at once.  ``radius_from_fidelity``
+is the one map from a fidelity, or the cos Theta_T of an angle, to lambda.
 """
 
 from __future__ import annotations
@@ -203,23 +204,16 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
     if not (np.isfinite(t) & (t >= 0)).all():
         raise ValueError(f"T must be finite and >= 0, got {T!r}")
     a, e, a_ok, e_ok = _regular(coeffs)
-    with np.errstate(over="ignore"):  # c = inf: v = inf, capped to 1 below
+    with np.errstate(over="ignore"):  # an overflow is inf, capped to 1 below
         c = a * a * T / (2.0 * e)
-    lam = np.where(e_ok, e / a * _log1p_root(c), a * T / 2.0)
-    lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
+        lam = np.where(e_ok, e / a * _log1p_root(c), a * T / 2.0)
+        lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
     # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is
     # well conditioned, so the radius is never overstated.
     for _ in range(3):
         lam = np.where(qsl_time(coeffs, lam) > T, np.nextafter(lam, 0.0), lam)
     return _scalar(lam)
-
-
-def radius_from_angle(theta: float) -> float:
-    """lambda = sqrt(1 - cos Theta) for Theta in [0, pi/2]."""
-    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
-    return math.sqrt(max(1.0 - math.cos(theta), 0.0))
 
 
 def radius_from_fidelity(fidelity):

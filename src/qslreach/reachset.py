@@ -272,7 +272,7 @@ def verify_bound(
         raise ValueError(f"dims must be distinct, got {','.join(map(str, dims))}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    samples = len(dynamics._step_sizes(T, dt)) + 1
+    samples = len(dynamics._sample_times(T, dt)[0])
     blocks = []
     for dim in dims:
         block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))

@@ -480,8 +480,33 @@ def test_unlisted_choice_fails_before_any_work(tmp_path, capsys, monkeypatch, fl
                  "qsl.generic_coefficients"):
         monkeypatch.setattr(f"qslreach.{name}", work)
     err = _assert_config_error(tmp_path, capsys, argv)
-    assert err.startswith(f"error: {flag} must be one of ")
+    assert err.startswith(f"error: {flag}: must be one of ")
     assert err.endswith(f"got {argv[argv.index(flag) + 1]!r}\n")
+
+
+#: Values their option's parser cannot read, and an out-of-range --lambda
+#: (--target-theta's range is in test_qsl): the error line, then the argv.
+BAD_VALUE_ARGV = [
+    ("--trials: invalid literal for int() with base 10: '1.5'", ["verify", "--trials", "1.5"]),
+    ("--dims: invalid literal for int() with base 10: 'x'", ["verify", "--dims", "2,x"]),
+    ("--theta: could not convert string to float: 'abc'",
+     ["bound", "--model", "qubit", "--theta", "abcpi", "--lambda", "0.5"]),
+    ("--horizons: could not convert string to float: 'a'", ["sweep-lambda", "--horizons", "a"]),
+    ("--lambda must lie in [0, 1], got 2.0", ["bound", "--model", "qubit", "--lambda", "2"]),
+]
+
+
+@pytest.mark.parametrize("line,argv", BAD_VALUE_ARGV,
+                         ids=[" ".join(argv) for _, argv in BAD_VALUE_ARGV])
+def test_bad_value_names_its_flag(tmp_path, capsys, line, argv):
+    assert _assert_config_error(tmp_path, capsys, argv) == f"error: {line}\n"
+
+
+def test_bad_config_value_names_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("u-max = fast\n")
+    err = _assert_config_error(tmp_path, capsys, ["gate-map", "--config", str(cfg)])
+    assert err == "error: --u-max: could not convert string to float: 'fast'\n"
 
 
 #: Axis errors name the flags of their axis: the flags, then the argv.

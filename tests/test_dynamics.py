@@ -225,6 +225,21 @@ class TestSystemSpecValidation:
             SystemSpec(psi0=KET0, h_drift=ZERO2, h_control=np.stack([PAULI_Z, SIGMA_MINUS]),
                        u_max=1.0)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("field", ["h_drift", "h_control"])
+    def test_hermiticity_tolerance(self, field, stacked):
+        # |m - m^dag| peaks at the one off-diagonal entry: rejected just
+        # above 1e-10, accepted just below it
+        def spec(eps):
+            m = PAULI_Z + np.array([[0.0, eps], [0.0, 0.0]])
+            m = np.stack([PAULI_Z, m]) if stacked else m
+            fields = {"h_drift": ZERO2, "h_control": PAULI_Z, field: m}
+            return SystemSpec(psi0=KET0, u_max=1.0, **fields)
+
+        with pytest.raises(ValueError, match=f"{field} must be Hermitian within 1e-10"):
+            spec(1.1e-10)
+        assert spec(0.9e-10).shape == ((2,) if stacked else ())
+
     def test_stack_with_one_unnormalized_state(self):
         with pytest.raises(ValueError, match="unit norm"):
             SystemSpec(psi0=np.stack([KET0, np.array([1.0, 1.0]), PLUS]), h_drift=ZERO2)
@@ -315,6 +330,19 @@ class TestIntegrate:
                     integrate(spec, T=T, dt=0.5)
             errors.append((err.value.check, err.value.time))
         assert errors == [("positivity", 0.5)] * 2
+
+    @pytest.mark.parametrize("T,dt", [(0.35, 0.1), (0.3, 0.1), (0.5, 1e-3), (1.0, 0.3),
+                                      (0.1, 0.1), (3.0 - 1e-13, 1.0)])
+    def test_sample_grid(self, T, dt):
+        # integrate samples _sample_times' grid: n_full steps of dt, then at
+        # most one shorter step that ends on T
+        times, n_full = dynamics._sample_times(T, dt)
+        traj = integrate(SystemSpec(psi0=PLUS, h_drift=PAULI_Z), T=T, dt=dt)
+        assert np.array_equal(traj.times, times)
+        assert times[0] == 0.0 and times[-1] == T
+        assert np.array_equal(times[:n_full], np.arange(n_full) * dt)
+        assert len(times) - 1 - n_full in (0, 1)
+        assert 0.0 < times[-1] - times[-2] <= dt * (1 + 1e-9)
 
     def test_invalid_T_and_dt(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)

@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from qslreach import linalg
 
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-
 
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -39,7 +37,3 @@ class TestValidation:
     def test_as_state_accepts_unit_vectors(self):
         psi = random_state(np.random.default_rng(7), 3)
         assert_allclose(linalg.as_state(psi), psi)
-
-    def test_is_hermitian(self):
-        assert linalg.is_hermitian(np.diag([1.0, 2.0]))
-        assert not linalg.is_hermitian(SIGMA_MINUS)

@@ -121,6 +121,13 @@ class TestQubitSpec:
         assert spec.u_max == 0.7
         assert spec.lindblad_ops == ()
 
+    def test_control_model_keeps_its_decay(self):
+        p = QubitParams(theta=0.3, u_max=1.0, gamma=0.5)
+        spec = qubit_spec(p, with_control=True)
+        assert spec.h_control is not None and len(spec.lindblad_ops) == 1
+        assert_allclose(spec.lindblad_ops[0], math.sqrt(0.5) * models.SIGMA_MINUS)
+        assert qsl.generic_coefficients(spec).noise > 0.0
+
 
 class TestQubitClosedForm:
     def test_reference_point(self):
@@ -243,6 +250,12 @@ class TestGateFidelity:
 
 
 class TestQubitGateBound:
+    def test_rejects_decay(self):
+        # the closed form is the closed system's: a decay rate would be dropped
+        with pytest.raises(ValueError, match="gamma = 0"):
+            qubit_gate_time_bound(QubitParams(theta=0.3, u_max=1.0, gamma=0.5),
+                                  GateParams(0.0, 1.0))
+
     def test_excited_state_formula(self):
         # T* = |sin(beta/2)| / omega at theta = 0
         for beta in np.linspace(0.0, math.pi, 7):

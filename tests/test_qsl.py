@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qslreach import qsl
+from qslreach import cli, qsl
 from qslreach.dynamics import SystemSpec, integrate
 from qslreach.models import (
     PAULI_X,
@@ -441,22 +442,56 @@ class TestClosedSystemRadiusBound:
             self.radius(KET0, np.array([[0, 1], [0, 0]]), 1.0)
 
 
+def target_report(capsys, theta: str) -> dict:
+    """The JSON report of ``bound --target-theta theta`` for a decaying qubit."""
+    assert cli.main(["bound", "--model", "qubit", "--theta", "0.3", "--gamma", "0.5",
+                     "--target-theta", theta, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def target_radius(capsys, theta: str) -> float:
+    return target_report(capsys, theta)["lambda"]
+
+
 class TestRadiusAngleMaps:
-    def test_endpoints(self):
-        assert qsl.radius_from_angle(0.0) == 0.0
-        assert_allclose(qsl.radius_from_angle(math.pi / 2), 1.0)
+    """lambda(Theta) = radius_from_fidelity(cos Theta), which is also the route of
+    ``bound --target-theta``."""
+
+    def test_endpoints(self, capsys):
+        assert qsl.radius_from_fidelity(math.cos(0.0)) == 0.0
+        assert_allclose(qsl.radius_from_fidelity(math.cos(math.pi / 2)), 1.0)
+        assert target_radius(capsys, "0") == 0.0
+        assert_allclose(target_radius(capsys, "0.5pi"), 1.0)
 
     def test_round_trip(self):
         # Theta = arccos(1 - lambda^2) inverts lambda = sqrt(1 - cos Theta)
         for theta in np.linspace(0.0, math.pi / 2, 100):
-            back = math.acos(1.0 - qsl.radius_from_angle(float(theta)) ** 2)
+            back = math.acos(1.0 - qsl.radius_from_fidelity(math.cos(theta)) ** 2)
             assert abs(back - theta) < 1e-12
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            qsl.radius_from_angle(2.0)
-        with pytest.raises(ValueError):
-            qsl.radius_from_angle(math.nan)
+    def test_target_theta_takes_the_route(self, capsys):
+        for theta in (1e-3, 0.3, 1.2, math.pi / 2):
+            assert target_radius(capsys, repr(theta)) == qsl.radius_from_fidelity(math.cos(theta))
+
+    def test_out_of_range(self, capsys):
+        for theta in ("2.0", "-1e-9", "nan", "0.5000001pi"):
+            assert cli.main(["bound", "--model", "qubit", f"--target-theta={theta}"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --target-theta must lie in [0, pi/2], got {cli.parse_angle(theta)!r}\n")
+
+    def test_floor_below_the_resolution(self, capsys):
+        # 1 - cos(Theta) ~ Theta^2 / 2 < RADIUS_RESOLUTION^2 below Theta ~ 1.414e-6
+        assert target_radius(capsys, "1.4e-6") == 0.0
+        report = target_report(capsys, "1e-7")
+        assert (report["lambda"], report["T_star"], report["T_dc"]) == (0.0, 0.0, 0.0)
+        assert report["larger"] == "equal"
+        assert_allclose(target_radius(capsys, "1.5e-6"), 1.5e-6 / math.sqrt(2), rtol=1e-3)
+
+    def test_clamp_within_the_slack_above_half_pi(self, capsys):
+        # cos goes negative past pi/2; the fidelity is clamped at 0, so lambda = 1
+        theta = math.pi / 2 + 5e-13
+        assert math.cos(theta) < 0.0
+        assert target_radius(capsys, repr(theta)) == 1.0
 
     def test_radius_from_fidelity_clamps(self):
         assert qsl.radius_from_fidelity(1.0 + 1e-15) == 0.0
@@ -469,7 +504,7 @@ class TestRadiusAngleMaps:
         assert qsl.radius_from_fidelity(np.cos(2.6e-8)) == 0.0
         assert qsl.radius_from_fidelity(1.0 - 1e-13) == 0.0
         assert qsl.radius_from_fidelity(np.cos(0.0)) == 0.0
-        assert qsl.radius_from_fidelity(np.cos(0.5)) == qsl.radius_from_angle(0.5)
+        assert qsl.radius_from_fidelity(np.cos(0.5)) == math.sqrt(1.0 - math.cos(0.5))
         lam = qsl.radius_from_fidelity(np.array([1.0 - 1e-13, 1.0 - 4e-12, 0.75]))
         assert lam[0] == 0.0 and lam[1] == math.sqrt(1.0 - (1.0 - 4e-12)) and lam[2] == 0.5
 

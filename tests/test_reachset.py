@@ -98,6 +98,14 @@ class TestRadiusSweep:
         assert all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))
 
 
+    def test_huge_horizon_caps_without_overflow(self):
+        # A T / 2 and E T overflow to inf at T = 1e308: capped to 1, while the
+        # unmoving pole (A = E = 0) stays at 0; warnings are errors here
+        theta = GridAxis(0.0, math.pi / 4, 2)
+        assert list(sweep_reachable_radius(theta, (1e308,), gamma=0.0)["lambda_max"]) == [0, 1]
+        assert list(sweep_reachable_radius(theta, (1e308,), gamma=0.5)["lambda_max"]) == [1, 1]
+
+
 class TestGateReachMap:
     def _grid(self, n=21):
         """The alpha axis, beta axis and horizons of an n x n gate map."""
@@ -170,6 +178,13 @@ class TestBellSweep:
             with pytest.raises(ValueError, match="T must be"):
                 bell_sweep(GridAxis(0.1, 1.0, 3), T=T)
 
+    def test_huge_horizon_caps_without_overflow(self):
+        # the dark psi-minus state stays at 0, every other state reaches 1
+        cols = bell_sweep(GridAxis(0.1, 2.0, 3), T=1e308)
+        dark = cols["state"] == "psi-minus"
+        assert (cols["lambda_max"][dark] == 0.0).all()
+        assert (cols["lambda_max"][~dark] == 1.0).all()
+
     def test_rows_equal_single_bell_bounds(self):
         # each row is max_reachable_radius of that state's own coefficients
         cols = bell_sweep(GridAxis(0.05, 3.0, 25), T=0.7)
@@ -183,7 +198,7 @@ class TestVerifyBound:
         # the degenerate trial: nothing moves, so lambda = 0 and t_star = 0
         spec = qubit_spec(QubitParams(theta=0.0, omega=1.0))  # |0> eigenstate, no decay
         traj = integrate(spec, T=0.4, dt=1e-3)
-        lam = qsl.radius_from_angle(float(traj.thetas[-1]))
+        lam = qsl.radius_from_fidelity(math.cos(traj.thetas[-1]))
         assert lam == 0.0
         assert qsl.qsl_time(qsl.generic_coefficients(spec), lam) == 0.0
 
@@ -192,7 +207,7 @@ class TestVerifyBound:
         traj = integrate(spec, T=1.0, dt=1e-3)
         theta_t = float(traj.thetas[-1])
         assert_allclose(theta_t, math.acos(math.exp(-1.0)), atol=1e-6)
-        lam = qsl.radius_from_angle(theta_t)
+        lam = qsl.radius_from_fidelity(math.cos(theta_t))
         assert_allclose(lam, math.sqrt(1 - math.exp(-1.0)), atol=1e-6)
         t_star = qsl.qsl_time(qsl.generic_coefficients(spec), lam)
         assert t_star <= 1.0
