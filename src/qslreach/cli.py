@@ -3,8 +3,10 @@
 Commands: bound, simulate, sweep-lambda, gate-map, bell-sweep, verify.
 Every printed number comes straight from a library call, and every data
 byte is rendered by ``reachset.format_rows`` or, for one record (``bound``'s
-report, ``simulate``'s JSON summary), ``reachset.format_record``.  ``bound``
-and ``simulate`` build their system with one ``_spec``.  Angles accept
+report, ``simulate``'s JSON summary), ``reachset.format_record``.  Tables
+go out in the row blocks ``format_rows`` yields; ``simulate --format json``
+writes its opening, the blocks and its summary in turn.  ``bound`` and
+``simulate`` build their system with one ``_spec``.  Angles accept
 radians or a "pi" suffix ("0.25pi").  A key=value config file can preload
 any flag; explicit flags win.  Every option is parsed before any work, so
 a bad value, such as a ``--model`` or ``--format`` outside its listed
@@ -21,6 +23,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import chain
 
 from . import dynamics, models, qsl, reachset
 
@@ -280,10 +283,11 @@ def cmd_simulate(cfg: dict) -> int:
     rate_excess = summary.pop("rate_excess")
     cols = traj.columns()
     if cfg["format"] == "json":
-        # one indent=2 JSON document: {"trajectory": rows, "summary": record}
-        reachset.write_text('{\n  "trajectory": ' + reachset.format_rows(cols, "json", "  ")
-                            + ',\n  "summary": ' + reachset.format_record(summary, "json", "  ")
-                            + "\n}\n", _out(cfg))
+        # one indent=2 JSON document: {"trajectory": rows, "summary": record},
+        # the rows written block by block
+        tail = ',\n  "summary": ' + reachset.format_record(summary, "json", "  ") + "\n}\n"
+        reachset.write_text(chain(['{\n  "trajectory": '],
+                                  reachset.format_rows(cols, "json", "  "), [tail]), _out(cfg))
     else:
         reachset.write_rows(cols, _out(cfg), "csv")
     margin = summary["margin"]

@@ -122,8 +122,9 @@ def _operator(name: str, m, dim: int, hermitian: bool = False) -> np.ndarray:
     m = linalg.as_matrix(m)
     if m.shape[-1] != dim:
         raise ValueError(f"{name} dimension does not match psi0")
-    if hermitian and np.max(np.abs(m - _dagger(m))) > 1e-10:
-        raise ValueError(f"{name} must be Hermitian within 1e-10")
+    with np.errstate(over="ignore"):  # an overflowing residual is inf, which fails
+        if hermitian and np.max(np.abs(m - _dagger(m))) > 1e-10:
+            raise ValueError(f"{name} must be Hermitian within 1e-10")
     return m
 
 

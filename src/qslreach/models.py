@@ -6,12 +6,13 @@ Each model's ``SystemSpec`` comes from ``qubit_spec``, ``bell_spec`` or
 ``qutrit_spec``, and its coefficients from ``qsl.generic_coefficients``;
 the gate families also have closed forms that cross-check it and return
 through ``qsl.qsl_time``, so every gate bound takes its one inf/0 rule.
-Angles in ``QubitParams.theta`` and ``GateParams`` and the Bell decay rate
-may be arrays: ``qubit_state`` gives a stack of states, ``qubit_spec`` and
-``bell_spec`` a stacked ``SystemSpec``, ``su2_gate``/``so3_gate`` an
-(n, d, d) stack of gates, ``gate_fidelity`` broadcasts states against
-gates, and the closed-form gate functions evaluate elementwise.  Each
-member of a stack equals the single call bit for bit.
+Angles in ``QubitParams.theta`` and ``GateParams`` and the qubit and Bell
+decay rates may be arrays: ``qubit_state`` gives a stack of states,
+``qubit_spec`` and ``bell_spec`` a stacked ``SystemSpec``,
+``su2_gate``/``so3_gate`` an (n, d, d) stack of gates, ``gate_fidelity``
+broadcasts states against gates, and the closed-form gate functions
+evaluate elementwise.  Each member of a stack equals the single call bit
+for bit.
 """
 
 from __future__ import annotations
@@ -107,13 +108,15 @@ def qubit_state(p: QubitParams) -> np.ndarray:
 def qubit_spec(p: QubitParams, with_control: bool = False) -> SystemSpec:
     """Qubit system.
 
-    Both carry the decay M = sqrt(gamma) sigma_-.  Without control: H =
-    omega sigma_z.  With control (gate analysis): drift omega sigma_x,
-    control sigma_z bounded by u_max.  An array of angles theta gives a
-    stack of initial states sharing these generators.
+    Both carry the decay M = sqrt(gamma) sigma_- (none for a scalar gamma
+    = 0).  Without control: H = omega sigma_z.  With control (gate
+    analysis): drift omega sigma_x, control sigma_z bounded by u_max.  An
+    array of angles theta gives a stack of initial states sharing these
+    generators; an array of rates gamma, a stack of decay operators.
     """
     psi0 = qubit_state(p)
-    ops = (math.sqrt(p.gamma) * SIGMA_MINUS,) if p.gamma > 0 else ()
+    gamma = np.asarray(p.gamma, dtype=float)
+    ops = (np.sqrt(gamma)[..., None, None] * SIGMA_MINUS,) if gamma.ndim or gamma > 0 else ()
     if with_control:
         return SystemSpec(psi0=psi0, h_drift=p.omega * PAULI_X, h_control=PAULI_Z,
                           u_max=p.u_max, lindblad_ops=ops)
@@ -174,10 +177,9 @@ def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     so T* = 2 lambda / A', and a vanishing A' takes qsl_time's inf/0 rule.
     Angles of theta and the gate broadcast, elementwise.
     """
-    if p.phi != 0.0:
-        raise ValueError("the closed-form gate bound assumes phi = 0")
-    if p.gamma != 0.0:
-        raise ValueError("the closed-form gate bound assumes gamma = 0")
+    for name in ("phi", "gamma"):
+        if np.any(getattr(p, name) != 0.0):
+            raise ValueError(f"the closed-form gate bound assumes {name} = 0")
     with np.errstate(over="ignore"):  # QslCoefficients names the overflow
         speed = 2.0 * (p.omega * np.abs(np.cos(2 * p.theta))
                        + p.u_max * np.abs(np.sin(2 * p.theta)))

@@ -10,10 +10,12 @@ simulation check is ``check_bound``, which ``verify_bound`` runs on its
 random systems one stack per block; its radius, like ``bound``'s, comes
 from ``qsl.radius_from_fidelity``.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
-by ``format_rows``: one %-format of a per-row template over all cells at
-once, where a column that repeats its cells has each distinct value
-rendered once and looked up per row.  ``format_record`` renders one record
-with the same cell specs.
+by ``format_rows``, which yields it in blocks of ``_BLOCK_ROWS`` rows, each
+one %-format of the per-row template over that block's cells; ``write_rows``
+writes each block as it is made, so no whole-table text is held.  A
+constant column is literal text in the template, and a column that repeats
+its cells has each distinct value rendered once and looked up per row.
+``format_record`` renders one record with the same cell specs.
 Rows are always in grid/trial order, so output files are byte-identical for
 identical configuration and seed.
 """
@@ -43,6 +45,10 @@ DEFAULT_HORIZONS = (0.3, 0.5, 0.8)
 DEFAULT_SWEEP_POINTS = 200
 DEFAULT_MAP_POINTS = 100
 MARGIN_TOL = 1e-4  # numerical slack on T >= T*
+
+#: Rows per block of ``format_rows``: the text, and the cells it formats,
+#: exist one block at a time, whatever the table's length.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -297,62 +303,91 @@ VERIFY_CSV_COMMENT = (
 )
 
 
-def _cells(column, fmt: str) -> tuple[str, list]:
-    """One column as a %-spec and the Python values it formats.  CSV:
-    floats at 9 significant digits (+inf as "inf"), everything else
-    verbatim.  JSON: the tokens json.dumps writes (str of a float is its
-    repr), except that non-finite floats become strings ("inf").
+def _cells(column, fmt: str):
+    """One column as a %-spec and a function of (i, j) that gives the Python
+    values the spec formats for rows i:j.  CSV: floats at 9 significant
+    digits (+inf as "inf"), everything else verbatim.  JSON: the tokens
+    json.dumps writes (str of a float is its repr), except that non-finite
+    floats become strings ("inf").
 
-    Each distinct cell is rendered once when at most half the rows are
-    distinct: floats are keyed by their bit pattern, so -0.0 and every NaN
-    keep their own text, and the rendered strings are looked up per row.
-    A mostly-distinct column is formatted in place, which is cheaper than
-    the lookup.  The strings of a list or tuple column are taken as given:
+    A column whose cells are all equal (floats: bit patterns) is rendered
+    once and returned as literal template text, "%" escaped, with no value
+    function: it is neither sorted nor substituted per row.  Otherwise each
+    distinct cell is rendered once when at most half the rows are distinct:
+    floats are keyed by their bit pattern, so -0.0 and every NaN keep their
+    own text, and the rendered strings are looked up per row.  A
+    mostly-distinct column is formatted in place, which is cheaper than the
+    lookup.  The strings of a list or tuple column are taken as given:
     numpy's unicode dtype would drop their trailing NULs."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
-        if fmt == "csv":
-            return "%s", list(column)
-        tokens = {v: json.dumps(v) for v in set(column)}
-        return "%s", [tokens[v] for v in column]
+        tokens = {v: v if fmt == "csv" else json.dumps(v) for v in set(column)}
+        if len(tokens) == 1:
+            return tokens[column[0]].replace("%", "%%"), None
+        return "%s", lambda i, j: [tokens[v] for v in column[i:j]]
     floats = arr.dtype.kind == "f"
     if floats:
         arr = arr.astype(np.float64, copy=False)
-    uniq, inverse = np.unique(arr.view(np.int64) if floats else arr, return_inverse=True)
-    lookup = 2 * len(uniq) <= len(arr)
-    cells = uniq.view(arr.dtype) if lookup else arr
-    values = cells.tolist()
     spec = "%.9g" if floats and fmt == "csv" else "%s"
-    if floats and fmt == "json":
-        for i in np.flatnonzero(~np.isfinite(cells)):
-            values[i] = f'"{values[i]}"'
-    elif fmt == "json":
-        values = [json.dumps(v) for v in values]
-    if not lookup:
-        return spec, values
-    strings = (((spec + "\n") * len(values) % tuple(values)).split("\n") if floats
-               else list(map(str, values)))
-    return "%s", np.array(strings, dtype=object)[inverse].tolist()
+
+    def values(cells):
+        out = cells.tolist()
+        if floats and fmt == "json":
+            for k in np.flatnonzero(~np.isfinite(cells)):
+                out[k] = f'"{out[k]}"'
+        elif fmt == "json":
+            out = [json.dumps(v) for v in out]
+        return out
+
+    keys = arr.view(np.int64) if floats else arr
+    if (keys == keys[0]).all():
+        uniq, inverse = keys[:1], None
+    else:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        if 2 * len(uniq) > len(arr):
+            return spec, lambda i, j: values(arr[i:j])
+    cells = values(uniq.view(arr.dtype))
+    strings = (((spec + "\n") * len(cells) % tuple(cells)).split("\n") if floats
+               else list(map(str, cells)))
+    if inverse is None:
+        return strings[0].replace("%", "%%"), None
+    strings = np.array(strings, dtype=object)
+    return "%s", lambda i, j: strings[inverse[i:j]].tolist()
 
 
-def format_rows(columns: dict, fmt: str, indent: str = "") -> str:
-    """The rows of a column dict as text: one %-format of a per-row template
-    repeated once per row, with cells from ``_cells`` (a repetitive column
-    arrives as strings rendered once per distinct value).  CSV: one line
-    per row, no header.  JSON: the list json.dumps(rows, indent=2) writes,
-    without a final newline; ``indent`` prefixes every line but the first,
-    to nest it in an object."""
+def format_rows(columns: dict, fmt: str, indent: str = ""):
+    """The rows of a column dict as text, yielded in blocks of
+    ``_BLOCK_ROWS`` rows: each block is one %-format of the per-row template
+    repeated once per row, over only that block's cells from ``_cells`` (a
+    constant column is literal template text, a repetitive one arrives as
+    strings rendered once per distinct value).  CSV: one line per row, no
+    header.  JSON: the list json.dumps(rows, indent=2) writes, without a
+    final newline; ``indent`` prefixes every line but the first, to nest it
+    in an object.  The bytes do not depend on the block size.  The format
+    and the columns (non-empty, of one length) are checked, and the cells
+    prepared, before the first block is asked for."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if not columns or not len(next(iter(columns.values()))):
+    n = len(next(iter(columns.values()))) if columns else 0
+    if not n:
         raise ValueError("no rows to write")
-    specs, values = zip(*(_cells(col, fmt) for col in columns.values()))
-    flat = tuple(chain.from_iterable(zip(*values)))
-    n = len(values[0])
+    if any(len(col) != n for col in columns.values()):
+        raise ValueError("columns must all have the same length")
+    specs, cells = zip(*(_cells(col, fmt) for col in columns.values()))
+    cells = [c for c in cells if c is not None]
     if fmt == "csv":
-        return (",".join(specs) + "\n") * n % flat
-    record = f"{indent}  " + _object_template(columns, specs, indent + "  ") + ",\n"
-    return "[\n" + (record * n % flat)[:-2] + f"\n{indent}]"
+        head, row = "", ",".join(specs) + "\n"
+        last = row
+    else:
+        record = f"{indent}  " + _object_template(columns, specs, indent + "  ")
+        head, row, last = "[\n", record + ",\n", record + f"\n{indent}]"
+
+    def blocks():
+        for i in range(0, n, _BLOCK_ROWS):
+            j = min(i + _BLOCK_ROWS, n)
+            template = (head if i == 0 else "") + row * (j - i - 1) + (last if j == n else row)
+            yield template % tuple(chain.from_iterable(zip(*(c(i, j) for c in cells))))
+    return blocks()
 
 
 def _object_template(names, specs, indent: str) -> str:
@@ -369,19 +404,20 @@ def format_record(record: dict, fmt: str, indent: str = "") -> str:
     one "name = value" line per entry, cells as in CSV.  No final newline."""
     if fmt not in ("text", "json"):
         raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
-    specs, values = zip(*(_cells([v], "csv" if fmt == "text" else fmt) for v in record.values()))
+    specs = [_cells([v], "csv" if fmt == "text" else fmt)[0] for v in record.values()]
     template = (_object_template(record, specs, indent) if fmt == "json" else
                 "\n".join(f"{k.replace('%', '%%')} = {s}" for k, s in zip(record, specs)))
-    return template % tuple(v for v, in values)
+    return template % ()
 
 
-def write_text(text: str, out) -> None:
-    """Write ``text`` to a file path ("\\n" line ends) or an open text stream."""
+def write_text(pieces, out) -> None:
+    """Write the strings ``pieces``, in order, to a file path ("\\n" line
+    ends) or an open text stream."""
     if hasattr(out, "write"):
-        out.write(text)
+        out.writelines(pieces)
     else:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def write_rows(columns: dict, out, fmt: str, comment: str | None = None) -> None:
@@ -391,13 +427,12 @@ def write_rows(columns: dict, out, fmt: str, comment: str | None = None) -> None
     ``comment`` line, if given, goes first) or "json" (a list of one object
     per row, laid out as json.dumps(..., indent=2) lays it out).  ``out``
     is a file path or an open text stream.  The rows come from
-    ``format_rows``.
+    ``format_rows``, and each block is written as it is made.
     """
-    text = format_rows(columns, fmt)
+    rows = format_rows(columns, fmt)
     if fmt == "csv":
-        text = ",".join(columns) + "\n" + text
-        if comment is not None:
-            text = comment + "\n" + text
+        head = "" if comment is None else comment + "\n"
+        pieces = chain([head + ",".join(columns) + "\n"], rows)
     else:
-        text += "\n"
-    write_text(text, out)
+        pieces = chain(rows, ["\n"])
+    write_text(pieces, out)

@@ -240,6 +240,21 @@ class TestSystemSpecValidation:
             spec(1.1e-10)
         assert spec(0.9e-10).shape == ((2,) if stacked else ())
 
+    @pytest.mark.parametrize("off", [1e308, 1e308j, 0.75e308 + 0.75e308j],
+                             ids=["subtract", "imaginary", "absolute"])
+    @pytest.mark.parametrize("field", ["h_drift", "h_control"])
+    def test_overflowing_residual_fails_without_a_warning(self, field, off):
+        # finite entries whose residual m - m^dag, or its modulus, overflows
+        # to inf: the Hermiticity error, and no numpy warning before it
+        m = np.array([[0.0, off], [-np.conj(off), 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.max(np.abs(m - m.conj().T)) == np.inf
+        fields = {"h_drift": ZERO2, "h_control": PAULI_Z, field: m}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be Hermitian within 1e-10$"):
+                SystemSpec(psi0=KET0, u_max=1.0, **fields)
+
     def test_stack_with_one_unnormalized_state(self):
         with pytest.raises(ValueError, match="unit norm"):
             SystemSpec(psi0=np.stack([KET0, np.array([1.0, 1.0]), PLUS]), h_drift=ZERO2)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qslreach import cli
+from qslreach import cli, reachset
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +59,18 @@ STDOUT = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_reference_bytes(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch, name,
+                                                  block_rows):
+    # the writers stream their rows in blocks; 51 trajectory samples or 24
+    # verify rows span many blocks of these sizes, and end mid-block for some
+    monkeypatch.setattr(reachset, "_BLOCK_ROWS", block_rows)
     out = tmp_path / name
     assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()

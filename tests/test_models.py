@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qslreach import models, qsl
+from qslreach.dynamics import integrate
 from qslreach.models import (
     PAULI_X,
     PAULI_Y,
@@ -113,6 +114,25 @@ class TestQubitSpec:
         assert stack.h_drift.shape == (2, 2)
         for k, theta in enumerate(thetas):
             assert np.array_equal(stack.psi0[k], qubit_spec(QubitParams(theta=theta)).psi0)
+
+    @pytest.mark.parametrize("with_control", [False, True])
+    @pytest.mark.parametrize("theta", [0.3, np.array([0.3, 0.9, 0.0, 1.2])])
+    def test_rate_array_gives_a_stack(self, theta, with_control):
+        # each member equals the spec of its scalar rate, gamma = 0 (no
+        # decay operator) included, in its coefficients and final angle
+        gammas = np.array([0.0, 0.1, 0.2, 1.5])
+        thetas = np.broadcast_to(theta, gammas.shape)
+        stack = qubit_spec(QubitParams(theta=theta, gamma=gammas, u_max=0.7), with_control)
+        assert stack.shape == (4,) and stack.lindblad_ops[0].shape == (4, 2, 2)
+        coeffs = qsl.generic_coefficients(stack)
+        final = integrate(stack, 0.3, 1e-3).thetas[:, -1]
+        for k in range(4):
+            one = qubit_spec(QubitParams(theta=thetas[k], gamma=gammas[k], u_max=0.7),
+                             with_control)
+            c = qsl.generic_coefficients(one)
+            assert np.array_equal(coeffs.speed[k], c.speed)
+            assert np.array_equal(coeffs.noise[k], c.noise)
+            assert np.array_equal(final[k], integrate(one, 0.3, 1e-3).thetas[-1])
 
     def test_control_model(self):
         spec = qubit_spec(QubitParams(theta=0.3, omega=2.0, u_max=0.7), with_control=True)
@@ -309,6 +329,15 @@ class TestQubitGateBound:
             qubit_gate_time_bound(
                 QubitParams(theta=0.1, phi=0.5), GateParams(0.0, 0.1)
             )
+
+    @pytest.mark.parametrize("name", ["phi", "gamma"])
+    def test_preconditions_on_arrays(self, name):
+        g = GateParams(0.0, 0.1)
+        with pytest.raises(ValueError, match=f"assumes {name} = 0"):
+            qubit_gate_time_bound(QubitParams(theta=0.1, **{name: np.array([0.0, 0.5])}), g)
+        zeros = QubitParams(theta=0.1, u_max=1.0, **{name: np.zeros(2)})
+        assert qubit_gate_time_bound(zeros, g) == qubit_gate_time_bound(
+            QubitParams(theta=0.1, u_max=1.0), g)
 
     def test_vanishing_drive_follows_qsl_time_convention(self):
         # at theta = pi/4 with u_max = 0 neither drive term moves the state

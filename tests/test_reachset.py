@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,16 @@ class TestCsvOutput:
         with pytest.raises(ValueError, match="no rows"):
             reachset.write_rows({}, "unused.csv", "csv")
 
+    @pytest.mark.parametrize("table", [{"x": [1.0, 2.0], "c": [5]},
+                                       {"x": [1.0, 2.0], "n": [1, 2, 3]}], ids=["short", "long"])
+    def test_unequal_columns_rejected(self, tmp_path, table):
+        # a one-cell column would otherwise be written as a constant, and the
+        # extra cells of a longer column dropped; no file is created
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="same length"):
+                reachset.write_rows(table, tmp_path / f"t.{fmt}", fmt)
+        assert not list(tmp_path.iterdir())
+
 
 # names and strings carry the characters that %-templates, str.format, JSON
 # and CSV treat specially, and the NUL that numpy's unicode dtype strips
@@ -512,6 +523,17 @@ class TestWriteRows:
             reachset.write_rows(arrays, b, fmt)
             assert a.getvalue() == b.getvalue()
 
+    def test_constant_numpy_columns_write_like_lists(self):
+        # constant float (by bit pattern), int, bool and unicode columns, each
+        # rendered once into the row template
+        table = {"model": np.full(9, "q%"), "nan": np.full(9, np.nan),
+                 "zero": np.full(9, -0.0), "n": np.full(9, 3), "b": np.full(9, True)}
+        for fmt in ("csv", "json"):
+            a, b = io.StringIO(), io.StringIO()
+            reachset.write_rows(table, a, fmt)
+            reachset.write_rows({k: v.tolist() for k, v in table.items()}, b, fmt)
+            assert a.getvalue() == b.getvalue()
+
     def test_comment_precedes_csv_header_only(self):
         cols = {"x": [0.5]}
         csv_out, json_out = io.StringIO(), io.StringIO()
@@ -538,7 +560,12 @@ class TestWriteRows:
     @settings(max_examples=200, deadline=None)
     @given(table=_tables())
     def test_random_tables_match_reference_encoders(self, table):
-        self._assert_matches_reference_encoders(table)
+        # 1-40 rows in blocks of 1, 2, 3 and 4096 rows: the row counts fall on,
+        # and one either side of, whole blocks of 2 and 3 rows
+        for block_rows in (1, 2, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reachset, "_BLOCK_ROWS", block_rows)
+                self._assert_matches_reference_encoders(table)
 
     @staticmethod
     def _assert_matches_reference_encoders(table):
@@ -553,6 +580,45 @@ class TestWriteRows:
         safe = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in row.items()} for row in rows]
         assert json_out.getvalue() == json.dumps(safe, indent=2) + "\n"
+        # nested as simulate nests its trajectory: every line but the first indented
+        nested = "".join(reachset.format_rows(table, "json", "  "))
+        assert nested == json.dumps(safe, indent=2).replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8191, 8192, 8193])
+    def test_rows_around_whole_blocks_match_reference(self, n):
+        # the default block size: distinct, repeating and constant columns
+        x = np.linspace(-1.0, 1.0, n)
+        self._assert_matches_reference_encoders({
+            "x": x.tolist(), "k": (np.arange(n) % 5).tolist(), "T": [0.5] * n,
+            "t": np.where(x > 0.9, math.inf, x).tolist(), "label": ["a%s"] * n})
+
+    @pytest.mark.parametrize("value", ["a%\x00b%", "%s\x00", "%%", math.nan, -0.0, 0.0,
+                                       math.inf, -math.inf, 7, -2 ** 63, True, False], ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_constant_columns_match_reference(self, value, n):
+        # a constant column sits in the row template as literal text; so does
+        # every column of the second table
+        for block_rows in (1, 2, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reachset, "_BLOCK_ROWS", block_rows)
+                self._assert_matches_reference_encoders(
+                    {"c": [value] * n, "y": [0.25 * i for i in range(n)]})
+                self._assert_matches_reference_encoders(
+                    {"c%": [value] * n, "s%d": ["%d"] * n, "e": [1.5] * n})
+
+    def test_json_gate_map_peaks_below_its_file_size(self, tmp_path):
+        # the rows are formatted and written a block at a time: no whole-table
+        # text, template or cell list is ever held
+        cols = reachset.gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
+                                       GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
+        path = tmp_path / "map.json"
+        tracemalloc.start()
+        try:
+            reachset.write_rows(cols, path, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_signed_zeros_keep_their_sign(self):
         column = {"x": [-0.0, 0.0, 0.0, -0.0] * 5}
