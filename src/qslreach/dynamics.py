@@ -6,8 +6,9 @@ The density matrix evolves under
     D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2,
 
 with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  L is written
-once, in ``lindblad``; the integrator (via L as a d^2 x d^2 matrix) and,
-through its adjoint, ``qsl``'s A both call it.  The distance of the evolved
+once, in ``lindblad``; the integrator calls it (via L as a d^2 x d^2
+matrix), and its adjoint is the reference for ``qsl``'s A, which forms
+L^dag(rho_0) from state vectors.  The distance of the evolved
 state from the initial one is tracked through the fidelity
 F_t = <psi_0| rho_t |psi_0> and the relative-purity angle
 
@@ -191,7 +192,10 @@ def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
         raise ValueError(f"T must be finite and > 0, got {T!r}")
     if not 0 < dt <= T:
         raise ValueError("dt must satisfy 0 < dt <= T")
-    n_full = int(np.floor(T / dt + 1e-9))
+    steps = T / dt + 1e-9
+    if steps == math.inf:
+        raise ValueError(f"T / dt overflows: T = {T!r} and dt = {dt!r} give too many steps")
+    n_full = int(np.floor(steps))
     n = n_full + (T - n_full * dt > 1e-12 * max(1.0, T))
     times = np.arange(n + 1) * dt
     times[-1] = T

@@ -14,8 +14,12 @@ generators:
     A = sqrt(2) || i [H, rho_0] + sum_k D^dag[M_k] rho_0 ||_F,
     E = sum_k ( ||M_k psi_0||^2 - |<psi_0| M_k |psi_0>|^2 ).
 
-The operator inside A is the adjoint generator
-``dynamics.lindblad(..., adjoint=True)`` applied to rho_0, term by term in A'.
+The operator inside A is the adjoint generator L^dag applied to rho_0,
+term by term in A'.  For a pure rho_0 it is formed from state vectors
+alone, as a psi_0^dag + psi_0 a^dag + sum_k b_k b_k^dag with
+a = i H psi_0 - (1/2) sum_k M_k^dag M_k psi_0 and b_k = M_k^dag psi_0;
+``dynamics.lindblad(..., adjoint=True)`` is the dense reference it is
+tested against.
 
 For a bounded control |u(t)| <= u_max the triangle inequality gives the
 controlled variant
@@ -42,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .dynamics import SystemSpec, lindblad
+from .dynamics import SystemSpec
 
 #: Coefficients below this are treated as exactly degenerate; the limits of
 #: T* are removable there and are substituted analytically.
@@ -91,16 +94,33 @@ def _coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
 
         A_i = sqrt(2) ||lindblad(h, ops, rho_i, adjoint=True)||_F,
         E_i = sum_k (||M_k psi_i||^2 - |<psi_i|M_k|psi_i>|^2),  floored at 0.
+
+    The adjoint generator is built from state vectors: with a = K^dag psi =
+    i h psi - (1/2) sum_k M_k^dag (M_k psi) and b_k = M_k^dag psi it is
+    a psi^dag + psi a^dag + sum_k b_k b_k^dag, so each operator costs three
+    mat-vecs instead of d x d products, and its M_k psi serves E as well.
+    The Frobenius norm is taken of that sum, never of an inner-product
+    expansion of it, which would cancel to about sqrt(eps) A near an
+    eigenstate and hide A = 0 from DEGENERACY_EPS.
     """
     psi = np.asarray(psi, dtype=complex)
-    x = lindblad(h, ops, linalg.outer(psi), adjoint=True)
-    a = math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1))
+    col = psi[:, :, None]
+    a = 1j * (h @ col)
     e = np.zeros(psi.shape[0])
+    jumps = []
     for m in ops:
-        mpsi = (np.asarray(m) @ psi[:, :, None])[:, :, 0]
+        md = np.swapaxes(m.conj(), -1, -2)
+        mpsi = m @ col
+        a = a - 0.5 * (md @ mpsi)
+        jumps.append(md @ col)
+        mpsi = mpsi[:, :, 0]
         e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
                  - np.abs(np.sum(psi.conj() * mpsi, axis=-1)) ** 2)
-    return a, np.maximum(e, 0.0)
+    y = a * psi.conj()[:, None, :]
+    x = y + np.swapaxes(y.conj(), 1, 2)
+    for b in jumps:
+        x = x + b * np.swapaxes(b.conj(), 1, 2)
+    return math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1)), np.maximum(e, 0.0)
 
 
 def generic_coefficients(spec: SystemSpec) -> QslCoefficients:

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from qslreach import qsl
+from qslreach import linalg, qsl
+from qslreach.dynamics import SystemSpec, lindblad
 from qslreach.models import QubitParams
 
 
@@ -39,3 +40,32 @@ def draw_random_system(seed: int, dim: int, k: int):
     m = y / np.linalg.norm(y) * rng.uniform(0.0, 2.0)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi), h, m
+
+
+def adjoint_coefficients(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A (A' for a controlled spec) and E of every member of ``spec``, as
+    arrays of shape (B,), through the dense adjoint generator:
+
+    A = sqrt(2) ||lindblad(h, ops, |psi><psi|, adjoint=True)||_F, with the
+    drift, u_max times the control and the dissipator taken apart for A';
+    E = sum_k (||M_k psi||^2 - |<psi|M_k|psi>|^2) floored at 0, each M_k psi
+    formed as one stacked ``m @ psi[:, :, None]``.
+    """
+    psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
+    rho = linalg.outer(psi)
+
+    def speed(h, ops=()):
+        return math.sqrt(2.0) * np.linalg.norm(lindblad(h, ops, rho, adjoint=True),
+                                               axis=(-2, -1))
+
+    if spec.has_control:
+        a = (speed(spec.h_drift) + spec.u_max * speed(spec.h_control)
+             + speed(np.zeros_like(spec.h_drift), spec.lindblad_ops))
+    else:
+        a = speed(spec.h_drift, spec.lindblad_ops)
+    e = np.zeros(psi.shape[0])
+    for m in spec.lindblad_ops:
+        mpsi = (m @ psi[:, :, None])[:, :, 0]
+        e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
+                 - np.abs(np.sum(psi.conj() * mpsi, axis=-1)) ** 2)
+    return a, np.maximum(e, 0.0)

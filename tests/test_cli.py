@@ -405,6 +405,15 @@ NON_FINITE_ARGV = [
 ]
 
 
+#: Finite T and dt whose ratio overflows to an infinite step count, which
+#: once crashed with an OverflowError traceback.  The message, then the argv.
+OVERFLOWING_STEPS_ARGV = [
+    ("T = 1e+308 and dt = 0.001", ["simulate", "--T", "1e308"]),
+    ("T = 1.0 and dt = 1e-320", ["simulate", "--T", "1", "--dt", "1e-320"]),
+    ("T = 1e+308 and dt = 0.001", ["verify", "--T", "1e308", "--trials", "1"]),
+]
+
+
 #: Dimensions below 1 once crashed (ZeroDivisionError) or failed with
 #: numpy's own seed message; a repeated dimension once wrote every one of
 #: its trials twice under one (seed, dim, trial).  The message, then the argv.
@@ -418,6 +427,13 @@ BAD_DIMS_ARGV = [
 @pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
 def test_non_finite_parameter_is_config_error(tmp_path, capsys, argv):
     _assert_config_error(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("names,argv", OVERFLOWING_STEPS_ARGV,
+                         ids=[" ".join(argv) for _, argv in OVERFLOWING_STEPS_ARGV])
+def test_overflowing_step_count_is_config_error(tmp_path, capsys, names, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == f"error: T / dt overflows: {names} give too many steps\n"
 
 
 @pytest.mark.parametrize("message,argv", BAD_DIMS_ARGV,

@@ -12,12 +12,14 @@ from qslreach.models import (
     PAULI_X,
     PAULI_Z,
     QubitParams,
+    bell_spec,
     bell_state,
     collective_decay,
     qubit_spec,
     qutrit_spec,
 )
 from qslreach.reachset import draw_random_system
+from reference import adjoint_coefficients
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -387,7 +389,7 @@ class TestStackedCoefficients:
         # one stacked spec against one spec per member, bit for bit
         rng = np.random.default_rng(23)
         n = 5
-        for d in (2, 3, 4):
+        for d in (1, 2, 3, 4, 8, 16):
             psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
             psi /= np.linalg.norm(psi, axis=1, keepdims=True)
             x = rng.standard_normal((2, n, d, d)) + 1j * rng.standard_normal((2, n, d, d))
@@ -408,6 +410,55 @@ class TestStackedCoefficients:
                 assert isinstance(single.speed, float)
                 assert stack.speed[i] == single.speed
                 assert stack.noise[i] == single.noise
+
+
+class TestStateVectorRoute:
+    """``generic_coefficients`` forms the adjoint generator from state
+    vectors; ``lindblad(..., adjoint=True)`` on |psi><psi| is its reference."""
+
+    @staticmethod
+    def _matrices(rng, shape, d, hermitian=False):
+        x = rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+        return (x + np.swapaxes(x.conj(), -1, -2)) / 2 if hermitian else x
+
+    @pytest.mark.parametrize("control", [False, True], ids=["uncontrolled", "controlled"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_matches_the_adjoint_generator(self, d, control):
+        # every mix of shared (d, d) and stacked (n, d, d) generators, with
+        # 0 to 3 Lindblad operators: A to 1e-14 relative, E bit for bit; a
+        # 1-level system cannot move, and both of its A are roundoff below
+        # the degeneracy threshold
+        rng = np.random.default_rng([29, d, control])
+        n = 3
+        psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        for n_ops in range(4):
+            for h_shape, op_shape in [((), ()), ((n,), ()), ((), (n,)), ((n,), (n,))]:
+                ctrl = dict(h_control=self._matrices(rng, h_shape, d, hermitian=True),
+                            u_max=rng.uniform(0.0, 2.0, n)) if control else {}
+                spec = SystemSpec(
+                    psi0=psi, h_drift=self._matrices(rng, h_shape, d, hermitian=True),
+                    lindblad_ops=tuple(self._matrices(rng, op_shape, d) for _ in range(n_ops)),
+                    **ctrl)
+                got = qsl.generic_coefficients(spec)
+                a, e = adjoint_coefficients(spec)
+                if d == 1:
+                    assert max(got.speed.max(), a.max()) < qsl.DEGENERACY_EPS
+                else:
+                    assert_allclose(got.speed, a, rtol=1e-14, atol=0)
+                assert np.array_equal(got.noise, e)
+
+    @pytest.mark.parametrize("spec", [
+        bell_spec("psi-minus", np.linspace(0.01, 4.0, 1250)),
+        draw_random_system(5, 1, range(200)),
+    ], ids=["dark-bell-stack", "one-level"])
+    def test_degenerate_stacks_stay_below_the_threshold(self, spec):
+        # the dark Bell state and every 1-level system cannot move: A and E
+        # read 0 within roundoff, here and in the reference
+        got = qsl.generic_coefficients(spec)
+        a, e = adjoint_coefficients(spec)
+        for x in (got.speed, got.noise, a, e):
+            assert x.max() < qsl.DEGENERACY_EPS
 
 
 class TestClosedSystemRadiusBound:
