@@ -6,31 +6,39 @@ The density matrix evolves under
     D[M] rho = M rho M^dag - (M^dag M rho + rho M^dag M) / 2,
 
 with hbar = 1 and a pure initial state rho_0 = |psi_0><psi_0|.  L is written
-once, in ``lindblad``; the integrator calls it (via L as a d^2 x d^2
-matrix), and its adjoint is the reference for ``qsl``'s A, which forms
-L^dag(rho_0) from state vectors.  The distance of the evolved
-state from the initial one is tracked through the fidelity
+once, in ``lindblad``, and its adjoint is the reference for ``qsl``'s A,
+which forms L^dag(rho_0) from state vectors.  L maps Hermitian matrices to
+Hermitian matrices, so the integrator works on real coordinates: in the
+orthonormal Hermitian basis E_ii, (E_ij + E_ji) / sqrt(2) and
+i (E_ij - E_ji) / sqrt(2) (i > j), rho is a real d^2-vector x and L a real
+d^2 x d^2 matrix G, built by applying ``lindblad`` to the basis (the
+coherence-vector form of Alicki and Lendi, Quantum Dynamical Semigroups
+and Applications, Lecture Notes in Physics 286, 1987).  The distance of
+the evolved state from the initial one is tracked through the fidelity
 F_t = <psi_0| rho_t |psi_0> and the relative-purity angle
 
     Theta_t = arccos(F_t),   0 <= Theta_t <= pi/2.
 
 Trajectories produced here are the ground truth that every speed-limit
 bound in this package is validated against, so states are *checked*
-(Hermiticity, unit trace, positivity) rather than silently repaired.  Each
+(finiteness, unit trace, positivity) rather than silently repaired; a state
+formed from real coordinates is Hermitian by construction.  Each
 trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 |psi_0>, against which ``theta_rate_check`` tests the differential bound.
 
 A ``SystemSpec`` is one system or a stack of systems of one dimension, and
 ``integrate`` is the one integrator for both: it propagates the whole stack
-together, filling the samples by doubling (about 2 log2(n) stacked products
-for n steps), and checks its states in one pass that keeps each state's
-residuals (trace, Hermiticity, LDL^H pivots), which the failure report and
-``Trajectory.trace_errors`` read.  The exact per-sample checks, eigenvalue
-solve included, run only on the systems whose residuals fail.
+together, filling the samples by doubling (about 2 log2(n) stacked real
+products for n steps), and checks its states in one pass over their
+coordinates that keeps each state's residuals (finiteness, trace, LDL^H
+pivots), which the failure report and ``Trajectory.trace_errors`` read.
+The exact per-sample checks, eigenvalue solve included, run only on the
+systems whose residuals fail, and only their density matrices are formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,11 +54,11 @@ POSITIVITY_TOL = 1e-8
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
 
-#: Complex entries (trials x samples x d^2) per ``integrate`` stack that
-#: callers aim for: 4 MB of states.
-STACK_ENTRIES = 2 ** 18
+#: Real coordinates (trials x samples x d^2) per ``integrate`` stack that
+#: callers aim for: 4 MB of 8-byte states.
+STACK_ENTRIES = 2 ** 19
 
-#: Matrices per pass of the health screen in ``_check_states``: its dozen or
+#: States per pass of the health screen in ``_check_states``: its dozen or
 #: so temporaries of this length stay in cache, whatever the stack size.
 _SCREEN_MATRICES = 4096
 
@@ -58,7 +66,9 @@ _SCREEN_MATRICES = 4096
 class IntegrationError(RuntimeError):
     """A trajectory state violated the health check named by ``check``
     ("non-finite", "Hermiticity", "trace" or "positivity") at ``time``; the
-    message gives the check's worst residual and its tolerance."""
+    message gives the check's worst residual and its tolerance.  States
+    from ``integrate`` are Hermitian by construction, so "Hermiticity" is
+    never named for them."""
 
     def __init__(self, message: str, time: float, check: str):
         super().__init__(message)
@@ -135,10 +145,16 @@ class Trajectory:
     stack of B systems every field but ``times`` leads with the stack axis."""
 
     times: np.ndarray            # (n,) increasing, times[0] = 0
-    states: np.ndarray           # ([B,] n, dim, dim) density matrices
+    coords: np.ndarray           # ([B,] n, dim^2) real coordinates of rho_t
     thetas: np.ndarray           # ([B,] n) relative-purity angles, 0 at t = 0
     fidelity_rates: np.ndarray   # ([B,] n) exact dF/dt = <psi0| L(rho_t) |psi0>
     trace_errors: np.ndarray     # ([B,] n) |tr rho_t - 1|, from the health check
+
+    @property
+    def states(self) -> np.ndarray:
+        """The ([B,] n, dim, dim) density matrices, formed from ``coords``
+        on each access; exactly Hermitian."""
+        return _from_coords(self.coords)
 
     @property
     def fidelities(self) -> np.ndarray:
@@ -185,6 +201,48 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _pairs(dim: int) -> list[tuple[int, int]]:
+    """The entries (i, j), i > j, of the strict lower triangle, row by row."""
+    return [(i, j) for i in range(dim) for j in range(i)]
+
+
+def _to_coords(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates (..., d^2) of Hermitian matrices (..., d, d) in
+    the orthonormal basis E_ii, then (E_ij + E_ji) / sqrt(2) and
+    i (E_ij - E_ji) / sqrt(2) for each pair i > j in ``_pairs`` order:
+    Re rho_ii, then sqrt(2) Re rho_ij and sqrt(2) Im rho_ij side by side.
+    Only the diagonal and the lower triangle are read."""
+    dim = rho.shape[-1]
+    flat = rho.reshape(rho.shape[:-2] + (dim * dim,))
+    low = np.take(flat, [i * dim + j for i, j in _pairs(dim)], axis=-1)
+    return np.concatenate([flat[..., ::dim + 1].real, _SQRT2 * low.view(float)], axis=-1)
+
+
+def _from_coords(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) of real coordinates (..., d^2),
+    the inverse of ``_to_coords``: rho_ji is written as the exact conjugate
+    of rho_ij, so the result is Hermitian bit for bit."""
+    dim = math.isqrt(x.shape[-1])
+    low = (x[..., dim:] / _SQRT2).view(complex)
+    rho = np.zeros(x.shape[:-1] + (dim * dim,), dtype=complex)
+    rho[..., ::dim + 1] = x[..., :dim]
+    rho[..., [i * dim + j for i, j in _pairs(dim)]] = low
+    rho[..., [j * dim + i for i, j in _pairs(dim)]] = low.conj()
+    return rho.reshape(x.shape[:-1] + (dim, dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(dim: int) -> np.ndarray:
+    """The d^2 Hermitian basis matrices (d^2, d, d), B_k for coordinate k,
+    built once per dimension and read-only."""
+    basis = _from_coords(np.eye(dim * dim))
+    basis.flags.writeable = False
+    return basis
+
+
 def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
     """The sample times 0, dt, 2 dt, ..., T and the number of full steps
     among them; a last step shorter than dt ends the grid on T."""
@@ -202,56 +260,64 @@ def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
     return times, n_full
 
 
-def _check_states(times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The (B, n) trace errors |tr rho - 1| of a (B, n, d, d) stack; raise
-    IntegrationError for the first unhealthy system, at its earliest bad
-    sample over all four checks.
+def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (B, n) trace errors |tr rho - 1| of a (B, n, d^2) stack of real
+    coordinates; raise IntegrationError for the first unhealthy system, at
+    its earliest bad sample over all four checks.
 
-    One pass over the d(d+1)/2 lower-triangle entry arrays rho[:, i, j],
-    _SCREEN_MATRICES matrices at a time, keeps three residuals per state:
-    the trace error, the Hermiticity residual max |rho_ij - conj(rho_ji)|
-    (a non-finite entry makes it inf or nan and fails it, so no finiteness
-    pass is needed) and the ``_positive_pivots`` verdict.  The systems
-    whose residuals fail go to ``_classify_states`` with their rows, in
-    stack order, for the verdict and message of the exact checks."""
-    b, n, dim = states.shape[:3]
-    flat = states.reshape(-1, dim, dim)
-    trace_err, herm, pivots = np.empty(b * n), np.zeros(b * n), np.empty(b * n, dtype=bool)
+    One pass, _SCREEN_MATRICES states at a time, reads each chunk
+    coordinate-major: the diagonal as a (d, m) real copy and the lower
+    triangle as a (d(d-1)/2, m) complex copy of rho_ij = (x_re + i x_im) /
+    sqrt(2), so every entry is one contiguous array over the chunk.  It
+    keeps three residuals per state: whether every coordinate is finite,
+    the trace error (the sum of the diagonal coordinates) and the
+    ``_positive_pivots`` verdict.  The coordinates describe a Hermitian
+    matrix exactly, so the Hermiticity residual is 0 by construction and is
+    reported as 0.  Only the systems whose residuals fail have their states
+    formed; they go to ``_classify_states`` with their rows, in stack
+    order, for the verdict and message of the exact checks."""
+    b, n, d2 = x.shape
+    dim = math.isqrt(d2)
+    flat = x.reshape(-1, d2)
+    trace_err, finite, pivots = np.empty(b * n), np.empty(b * n, bool), np.empty(b * n, bool)
     for start in range(0, len(flat), _SCREEN_MATRICES):
         chunk = slice(start, start + _SCREEN_MATRICES)
-        rho, herm_c = flat[chunk], herm[chunk]
-        np.abs(np.einsum("tii->t", rho) - 1.0, out=trace_err[chunk])
-        for i in range(dim):
-            for j in range(i + 1):
-                np.maximum(herm_c, np.abs(rho[:, i, j] - rho[:, j, i].conj()), out=herm_c)
-        pivots[chunk] = _positive_pivots(rho)
-    trace_err, herm, pivots = (a.reshape(b, n) for a in (trace_err, herm, pivots))
-    healthy = (trace_err <= TRACE_TOL) & (herm <= HERMITICITY_TOL) & pivots
+        diag = np.ascontiguousarray(flat[chunk, :dim].T)
+        low = np.ascontiguousarray(flat[chunk, dim:].view(complex).T)
+        np.divide(low.view(float), _SQRT2, out=low.view(float))
+        np.logical_and(np.isfinite(diag).all(axis=0), np.isfinite(low).all(axis=0),
+                       out=finite[chunk])
+        np.abs(diag.sum(axis=0) - 1.0, out=trace_err[chunk])
+        pivots[chunk] = _positive_pivots(diag, low)
+    trace_err, finite, pivots = (a.reshape(b, n) for a in (trace_err, finite, pivots))
+    healthy = finite & (trace_err <= TRACE_TOL) & pivots
     for k in np.flatnonzero(~healthy.all(axis=1)):
-        _classify_states(times, states[k], trace_err[k], herm[k], pivots[k])
+        _classify_states(times, _from_coords(x[k]), trace_err[k], np.zeros(n), pivots[k])
     return trace_err
 
 
-def _positive_pivots(rho: np.ndarray) -> np.ndarray:
-    """Per matrix of an (m, d, d) stack, whether every pivot of the LDL^H
-    factorization of rho + (POSITIVITY_TOL / 2) I is > 0.
+def _positive_pivots(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Per state of a chunk given by its diagonal rho_ii (d, m) and its
+    lower triangle rho_ij (d(d-1)/2, m) in ``_pairs`` order, whether every
+    pivot of the LDL^H factorization of rho + (POSITIVITY_TOL / 2) I is > 0.
 
     The factorization is unrolled over the lower triangle (LAPACK's 'L'),
-    outer-product form, each entry one array over the stack.  This is the
+    outer-product form, each entry one array over the chunk.  This is the
     success test of Cholesky, which is backward stable (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 10), so True proves lambda_min >=
     -POSITIVITY_TOL / 2 - O(1e-15), inside the tolerance; False (a nan
     pivot included) proves nothing."""
-    dim = rho.shape[-1]
-    low = {(i, j): rho[:, i, j] for i in range(dim) for j in range(i)}
-    pivots = [rho[:, i, i].real + 0.5 * POSITIVITY_TOL for i in range(dim)]
-    positive = np.ones(len(rho), dtype=bool)
+    dim = len(diag)
+    low = dict(zip(_pairs(dim), low))
+    pivots = [diag[i] + 0.5 * POSITIVITY_TOL for i in range(dim)]
+    positive = np.ones(diag.shape[1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(dim):
             positive &= pivots[k] > 0.0
             col = {i: low[i, k].conj() for i in range(k + 1, dim)}
+            inv = 1.0 / pivots[k]
             for i in range(k + 1, dim):
-                ratio = low[i, k] / pivots[k]
+                ratio = low[i, k] * inv
                 for j in range(k + 1, i):
                     low[i, j] = low[i, j] - ratio * col[j]
                 ratio *= col[i]
@@ -262,11 +328,12 @@ def _positive_pivots(rho: np.ndarray) -> np.ndarray:
 def _classify_states(times: np.ndarray, states: np.ndarray, trace_err, herm, pivots) -> None:
     """Raise IntegrationError at the earliest unhealthy state of one system's
     (n, d, d) samples over all four checks, from its rows of
-    ``_check_states``' residuals.  The cheap checks (non-finite,
-    Hermiticity, trace) judge every sample; positivity judges the samples
-    before the first cheap failure, so a state that is already indefinite is
-    named before a later one that has overflowed.  Their eigenvalues are
-    computed only if a pivot failed on one of those samples."""
+    ``_check_states``' residuals (its Hermiticity row is 0).  The cheap
+    checks (non-finite, Hermiticity, trace) judge every sample; positivity
+    judges the samples before the first cheap failure, so a state that is
+    already indefinite is named before a later one that has overflowed.
+    Their eigenvalues are computed only if a pivot failed on one of those
+    samples."""
     finite = np.isfinite(states.view(float)).reshape(states.shape[0], -1).all(axis=1)
     checks = [
         ("non-finite", np.where(finite, 0.0, np.inf), 0.0),
@@ -305,29 +372,12 @@ def _rk4_propagator(gen: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
-def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> Trajectory:
-    """Propagate rho_0 = |psi0><psi0| of ``spec`` with fixed-step classical
-    RK4; a stack of systems is propagated together.
-
-    The sample times are ``_sample_times``' 0, dt, 2 dt, ... with the last
-    step shortened so the final sample lands exactly on T.  The control u is constant and must
-    stay within +-u_max of every system.  The generators are time-invariant,
-    so the sample after i full steps is P^i vec(rho_0) with P =
-    _rk4_propagator(L, dt), a stack of shape (B, d^2, d^2).  The samples are
-    filled by doubling: with m filled, the next m are one stacked product
-    with P^m, and P^2m = P^m P^m; the last block is clipped, and a shortened
-    last step is one product with its own propagator.  These are the RK4
-    iterates up to roundoff, computed in about 2 log2(n) products instead of
-    n.  ``fidelity_rates`` evaluate each system's L at every sample, so they
-    are the exact dF/dt of the sampled states under this u.  The states of
-    the stack are checked together (``_check_states``); a failure names the
-    first unhealthy system in stack order and its earliest bad sample, and
-    overflow of an unstable step raises no numpy warning.
-    Every member of a stack equals ``integrate`` of that system alone, bit
-    for bit.
-    """
-    times, n_full = _sample_times(T, dt)
-    n = len(times) - 1
+def _generator(spec: SystemSpec, u: float = 0.0) -> np.ndarray:
+    """The master equation of every system of ``spec`` under the constant
+    control u as a real (B, d^2, d^2) matrix G on the coordinates of
+    ``_to_coords``: column k holds the coordinates of L(B_k), with B_k the
+    Hermitian basis matrix of coordinate k, so dx/dt = G x.  L is
+    ``lindblad``, applied to the d^2 basis matrices at once."""
     if spec.h_control is None:
         if u != 0.0:
             raise ValueError("control value supplied but spec has no control Hamiltonian")
@@ -337,44 +387,72 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
             raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
         ham = spec.h_drift + u * spec.h_control
     b, dim = math.prod(spec.shape), spec.dim
-    d2 = dim ** 2
 
     def per_system(m):
         """(b, 1, d, d): one matrix per system, broadcast over the basis."""
         return np.broadcast_to(m, (b, dim, dim))[:, None]
 
-    basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
-    gen = lindblad(per_system(ham), [per_system(m) for m in spec.lindblad_ops], basis)
-    gen = gen.reshape(b, d2, d2).transpose(0, 2, 1)
+    gen = lindblad(per_system(ham), [per_system(m) for m in spec.lindblad_ops], _basis(dim))
+    return _to_coords(gen).transpose(0, 2, 1)
 
-    vecs = np.empty((b, n + 1, d2), dtype=complex)
-    vecs[:, 0] = linalg.outer(np.broadcast_to(spec.psi0, (b, dim))).reshape(b, d2)
-    # dF/dt = vec(rho_0)^dag L vec(rho_t) and F = vec(rho_0)^dag vec(rho_t):
-    # two row vectors, multiplied into every sample by one product
-    probes = np.concatenate([np.matmul(vecs[:, :1].conj(), gen), vecs[:, :1].conj()], axis=1)
-    states = vecs.reshape(b, n + 1, dim, dim)
+
+def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> Trajectory:
+    """Propagate rho_0 = |psi0><psi0| of ``spec`` with fixed-step classical
+    RK4; a stack of systems is propagated together.
+
+    The sample times are ``_sample_times``' 0, dt, 2 dt, ... with the last
+    step shortened so the final sample lands exactly on T.  The control u
+    is constant and must stay within +-u_max of every system.  Each state
+    is carried as its d^2 real coordinates x in an orthonormal Hermitian
+    basis (``_to_coords``), on which the master equation is the real
+    matrix G of ``_generator``.  The generators are time-invariant, so the
+    sample after i full steps is P^i x_0 with P = _rk4_propagator(G, dt), a
+    real stack of shape (B, d^2, d^2).  The samples are filled by doubling:
+    with m filled, the next m are one stacked product with P^m, and P^2m =
+    P^m P^m; the last block is clipped, and a shortened last step is one
+    product with its own propagator.  These are the RK4 iterates up to
+    roundoff, computed in about 2 log2(n) products instead of n.  The basis
+    is orthonormal, so F_t = x_0 . x_t and ``fidelity_rates`` = x_0 . G x_t,
+    the exact dF/dt of the sampled states under this u.  The returned
+    ``Trajectory`` keeps the coordinates and forms the density matrices
+    only when ``states`` is read; they are Hermitian by construction.  The
+    states of the stack are checked together (``_check_states``); a
+    failure names the first unhealthy system in stack order and its
+    earliest bad sample, and overflow of an unstable step raises no numpy
+    warning.  Every member of a stack equals ``integrate`` of that system
+    alone, bit for bit.
+    """
+    times, n_full = _sample_times(T, dt)
+    n = len(times) - 1
+    gen = _generator(spec, u)
+    b, d2 = gen.shape[:2]
+    x = np.empty((b, n + 1, d2))
+    x[:, 0] = _to_coords(linalg.outer(np.broadcast_to(spec.psi0, (b, spec.dim))))
+    # dF/dt = x_0 . G x_t and F = x_0 . x_t: two columns, multiplied into
+    # every sample by one product
+    probes = np.stack([np.matmul(x[:, :1], gen)[:, 0], x[:, 0]], axis=-1)
     # unstable steps overflow; _check_states then names the first bad sample
     with np.errstate(over="ignore", invalid="ignore"):
-        # samples are rows, vecs[:, i] = vecs[:, 0] (P^i)^T: with m samples
-        # filled, the next m are vecs[:, :m] (P^m)^T, then P^2m = P^m P^m
+        # samples are rows, x[:, i] = x[:, 0] (P^i)^T: with m samples
+        # filled, the next m are x[:, :m] (P^m)^T, then P^2m = P^m P^m
         power = _rk4_propagator(gen, dt).transpose(0, 2, 1)
         m = 1
         while m <= n_full:
             k = min(m, n_full + 1 - m)
-            np.matmul(vecs[:, :k], power, out=vecs[:, m:m + k])
+            np.matmul(x[:, :k], power, out=x[:, m:m + k])
             m += k
             if m <= n_full:
                 power = power @ power
         if n > n_full:
             last = _rk4_propagator(gen, T - n_full * dt).transpose(0, 2, 1)
-            np.matmul(vecs[:, n_full:n], last, out=vecs[:, n:])
-        rates, fids = np.moveaxis(np.matmul(vecs, probes.transpose(0, 2, 1)).real, -1, 0)
+            np.matmul(x[:, n_full:n], last, out=x[:, n:])
+        rates, fids = np.moveaxis(np.matmul(x, probes), -1, 0)
         thetas = np.arccos(np.clip(fids, 0.0, 1.0))
         thetas[:, 0] = 0.0
-        trace_err = _check_states(times, states)
+        trace_err = _check_states(times, x)
     if not spec.shape:
-        states, thetas, rates, trace_err = states[0], thetas[0], rates[0], trace_err[0]
-    return Trajectory(times, states, thetas, rates, trace_err)
+        x, thetas, rates, trace_err = x[0], thetas[0], rates[0], trace_err[0]
+    return Trajectory(times, x, thetas, rates, trace_err)
 
 
 def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:

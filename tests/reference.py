@@ -69,3 +69,41 @@ def adjoint_coefficients(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
         e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
                  - np.abs(np.sum(psi.conj() * mpsi, axis=-1)) ** 2)
     return a, np.maximum(e, 0.0)
+
+
+def complex_generator(h: np.ndarray, ops) -> np.ndarray:
+    """L as a complex (d^2, d^2) matrix on vec(rho) (row-major), from
+    ``lindblad`` applied to the d^2 matrix units E_ij."""
+    dim = h.shape[-1]
+    d2 = dim * dim
+    units = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
+    return lindblad(h, ops, units).reshape(d2, d2).T
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """The orthonormal Hermitian basis (d^2, d, d), each matrix written out
+    entry by entry: E_ii, then for each pair i > j, row by row,
+    (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2)."""
+    s = 1.0 / math.sqrt(2.0)
+    out = []
+    for i in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, i] = 1.0
+        out.append(e)
+    for i in range(dim):
+        for j in range(i):
+            re = np.zeros((dim, dim), dtype=complex)
+            re[i, j] = re[j, i] = s
+            im = np.zeros((dim, dim), dtype=complex)
+            im[i, j], im[j, i] = 1j * s, -1j * s
+            out += [re, im]
+    return np.array(out)
+
+
+def real_generator(h: np.ndarray, ops) -> np.ndarray:
+    """U^dag L U with L = ``complex_generator`` and U the unitary whose
+    column k is vec(B_k) of ``hermitian_basis``: the master equation on the
+    real coordinates, as a complex matrix whose imaginary part is roundoff."""
+    dim = h.shape[-1]
+    u = hermitian_basis(dim).reshape(dim * dim, -1).T
+    return u.conj().T @ complex_generator(h, ops) @ u

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference
+
 from qslreach import dynamics, linalg, qsl, reachset
 from qslreach.dynamics import IntegrationError, SystemSpec, integrate
 from qslreach.models import (
@@ -279,6 +281,96 @@ class TestSystemSpecValidation:
         assert stack.psi0.shape == (2,) and stack.h_drift.shape == (2, 2)
 
 
+def unit_system(rng, dim, n_ops):
+    """A random system whose H and Lindblad operators have unit Frobenius
+    norm."""
+    h = random_hermitian(rng, dim)
+    ops = [random_matrix(rng, dim) for _ in range(n_ops)]
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return SystemSpec(psi0=psi / np.linalg.norm(psi), h_drift=h / np.linalg.norm(h),
+                      lindblad_ops=tuple(m / np.linalg.norm(m) for m in ops))
+
+
+class TestGenerator:
+    """The real generator G of ``_generator``, dx/dt = G x on the
+    coordinates of ``_to_coords``, over random unit-norm systems."""
+
+    DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 16)
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_the_complex_basis_generator(self, dim):
+        # G = U^dag L U, with L the complex matrix of lindblad on vec(rho)
+        rng = np.random.default_rng(dim)
+        for n_ops in range(4):
+            spec = unit_system(rng, dim, n_ops)
+            gen = dynamics._generator(spec)
+            assert gen.dtype == np.float64 and gen.shape == (1, dim * dim, dim * dim)
+            ref = reference.real_generator(spec.h_drift, spec.lindblad_ops)
+            assert np.abs(gen[0] - ref).max() <= self.TOL, n_ops
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_preserves_the_trace(self, dim):
+        # tr rho is the sum of the diagonal coordinates: those rows of G sum to 0
+        rng = np.random.default_rng(dim)
+        for n_ops in range(4):
+            gen = dynamics._generator(unit_system(rng, dim, n_ops))[0]
+            assert np.abs(gen[:dim].sum(axis=0)).max() <= self.TOL, n_ops
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_unitary_evolution_is_antisymmetric(self, dim):
+        # with no Lindblad operator, -i[H, .] is antisymmetric in an
+        # orthonormal basis: G + G^T = 0
+        gen = dynamics._generator(unit_system(np.random.default_rng(dim), dim, 0))[0]
+        assert np.abs(gen + gen.T).max() <= self.TOL
+
+    def test_controlled_generator(self):
+        # the constant control enters through H_drift + u H_control
+        spec = qutrit_spec(1.2, 0.8)
+        gen = dynamics._generator(spec, u=-0.5)[0]
+        ref = reference.real_generator(spec.h_drift - 0.5 * spec.h_control, spec.lindblad_ops)
+        assert np.abs(gen - ref).max() <= self.TOL
+
+    def test_stacked_generator(self):
+        stack = draw_random_system(4, 3, range(3))
+        gen = dynamics._generator(stack)
+        for k in range(3):
+            assert np.array_equal(gen[k], dynamics._generator(draw_random_system(4, 3, k))[0])
+
+    @pytest.mark.parametrize("dim", [1, 16])
+    def test_edge_dimensions_integrate(self, dim):
+        # d = 1 has no off-diagonal coordinates; d = 16 has 120 pairs
+        spec = unit_system(np.random.default_rng(dim), dim, 1)
+        traj = integrate(spec, T=0.05, dt=1e-2)
+        assert traj.coords.shape == (6, dim * dim)
+        assert traj.trace_errors.max() <= 1e-12
+        assert np.abs(traj.states - sequential_states(spec, [1e-2] * 5)).max() <= 1e-12
+        if dim == 1:
+            # every 1 x 1 generator is 0: the one state stays where it is
+            assert not dynamics._generator(spec).any()
+            assert (traj.coords == traj.coords[0]).all()
+
+
+class TestCoordinates:
+    """The maps between Hermitian matrices and their real coordinates."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+    def test_coordinates_are_the_basis_inner_products(self, dim):
+        # x_k = tr(B_k rho) in the written-out basis; rho = sum_k x_k B_k
+        rng = np.random.default_rng(dim)
+        rho = np.stack([random_hermitian(rng, dim) for _ in range(3)])
+        basis = reference.hermitian_basis(dim)
+        x = dynamics._to_coords(rho)
+        assert x.dtype == np.float64 and x.shape == (3, dim * dim)
+        assert_allclose(x, np.einsum("kij,bji->bk", basis, rho).real, rtol=0, atol=1e-14)
+        back = dynamics._from_coords(x)
+        assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+        assert_allclose(back, rho, rtol=0, atol=1e-14)
+        assert np.array_equal(dynamics._from_coords(np.eye(dim * dim)), basis)
+        assert np.array_equal(dynamics._basis(dim), basis)
+        assert not dynamics._basis(dim).flags.writeable
+
+
 class TestIntegrate:
     def test_static_system(self):
         spec = SystemSpec(psi0=KET0, h_drift=ZERO2)
@@ -490,12 +582,11 @@ class TestIntegrateMany:
 
 def sequential_states(spec, steps):
     """Reference states: vec(rho) stepped by one RK4 propagator product
-    P @ v per step, P = sum_{k<=4} (h G)^k / k! built from the generator
-    matrix G of ``lindblad``."""
+    P @ v per step, P = sum_{k<=4} (h G)^k / k! built from the complex
+    generator matrix G of ``reference.complex_generator``."""
     dim = spec.dim
     d2 = dim * dim
-    basis = np.eye(d2, dtype=complex).reshape(d2, dim, dim)
-    gen = dynamics.lindblad(spec.h_drift, spec.lindblad_ops, basis).reshape(d2, d2).T
+    gen = reference.complex_generator(spec.h_drift, spec.lindblad_ops)
     v = np.outer(spec.psi0, spec.psi0.conj()).reshape(d2)
     out = [v]
     for h in steps:
@@ -556,8 +647,9 @@ class TestPositivityScreen:
     FACTORS = (-2.0, -1.1, -1.01, -0.99, -0.6, -0.5, -0.4, 0.0, 0.5)
 
     def spied_check(self, monkeypatch, states, times=None):
-        """Run _check_states on a (B, n, d, d) stack, or on one system's
-        (n, d, d) samples as a stack of one, recording each eigenvalue solve."""
+        """Run _check_states on the coordinates of a (B, n, d, d) stack, or
+        of one system's (n, d, d) samples as a stack of one, recording each
+        eigenvalue solve."""
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -571,7 +663,7 @@ class TestPositivityScreen:
             times = np.arange(states.shape[1]) * 0.1
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", spy)
-            dynamics._check_states(times, states)
+            dynamics._check_states(times, dynamics._to_coords(states))
         return calls
 
     def states(self, factor, dim=3, n=6, seed=None):
@@ -628,7 +720,8 @@ class TestPositivityScreen:
 
 class TestStackFailureNaming:
     """A failing stack names its first unhealthy system, in stack order, and
-    in it the earliest bad sample, whatever triangle the fault sits in."""
+    in it the earliest bad sample, whatever coordinate the fault sits in.
+    Faults are written into the real coordinates of ``_to_coords``."""
 
     TIMES = np.arange(6) * 0.1
 
@@ -639,13 +732,33 @@ class TestStackFailureNaming:
         monkeypatch.setattr(dynamics, "_SCREEN_MATRICES", request.param)
 
     def healthy(self):
-        return np.stack([hermitian_stack(np.random.default_rng(seed), [0.5, 0.3, 0.2], 6)
-                         for seed in range(3)])
+        """(3, 6, 9): coordinates of three systems of six qutrit states."""
+        return dynamics._to_coords(np.stack([
+            hermitian_stack(np.random.default_rng(seed), [0.5, 0.3, 0.2], 6)
+            for seed in range(3)]))
 
-    def check(self, states):
+    @staticmethod
+    def indefinite():
+        """Coordinates of a unit-trace qutrit state with lambda_min = -2e-8."""
+        return dynamics._to_coords(
+            hermitian_stack(np.random.default_rng(5), [-2e-8, 0.6, 0.4 + 2e-8], 1)[0])
+
+    def check(self, x):
         with pytest.raises(IntegrationError) as err:
-            dynamics._check_states(self.TIMES, states)
+            dynamics._check_states(self.TIMES, x)
         return err.value
+
+    def spied_classify(self, monkeypatch):
+        """Record the arguments of every _classify_states call."""
+        classified = []
+        classify = dynamics._classify_states
+
+        def spy(*args):
+            classified.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(dynamics, "_classify_states", spy)
+        return classified
 
     def test_healthy_stack_passes_the_screen_alone(self, monkeypatch):
         def unexpected(*args):
@@ -658,55 +771,75 @@ class TestStackFailureNaming:
         # a false alarm of the pivots (lambda_min = -0.9 tol, inside the
         # tolerance) sends its system alone to the exact checks, which pass it
         tol = dynamics.POSITIVITY_TOL
-        states = self.healthy()
-        states[1, 3] = hermitian_stack(np.random.default_rng(5),
-                                       [-0.9 * tol, 0.6, 0.4 + 0.9 * tol], 1)[0]
-        classified = []
-        classify = dynamics._classify_states
-
-        def spy(times, states_b, *rows):
-            classified.append(states_b)
-            return classify(times, states_b, *rows)
-
-        monkeypatch.setattr(dynamics, "_classify_states", spy)
-        dynamics._check_states(self.TIMES, states)
-        assert len(classified) == 1 and np.array_equal(classified[0], states[1])
+        x = self.healthy()
+        x[1, 3] = dynamics._to_coords(hermitian_stack(np.random.default_rng(5),
+                                                      [-0.9 * tol, 0.6, 0.4 + 0.9 * tol], 1)[0])
+        classified = self.spied_classify(monkeypatch)
+        dynamics._check_states(self.TIMES, x)
+        assert len(classified) == 1
+        assert np.array_equal(classified[0][1], dynamics._from_coords(x[1]))
 
     def test_first_system_in_stack_order_is_named(self):
-        states = self.healthy()
-        states[1, 4, 0, 2] = np.inf                      # upper triangle only
-        states[2, 2] = hermitian_stack(np.random.default_rng(5), [-2e-8, 0.6, 0.4 + 2e-8], 1)[0]
-        err = self.check(states)
+        x = self.healthy()
+        x[1, 4, 6] = np.inf                              # Im rho_20 only
+        x[2, 2] = self.indefinite()
+        err = self.check(x)
         assert (err.check, err.time) == ("non-finite", self.TIMES[4])
         assert str(err).startswith("non-finite check failed at t = 0.4: worst residual inf")
 
+    # a qutrit's coordinates: rho_00, rho_11, rho_22, then the Re and Im
+    # parts of rho_10, rho_20 and rho_21
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("coord", [1, 3, 4, 7, 8],
+                             ids=["diag", "re-10", "im-10", "re-21", "im-21"])
+    def test_one_non_finite_coordinate_is_named(self, coord, value):
+        # an off-diagonal Re or Im part alone leaves the trace finite: the
+        # finiteness screen names it at its sample, before a later fault
+        x = self.healthy()
+        x[0, 3, coord] = value
+        x[0, 5] = self.indefinite()
+        err = self.check(x)
+        assert (err.check, err.time) == ("non-finite", self.TIMES[3])
+        assert str(err).startswith("non-finite check failed at t = 0.3: worst residual inf")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_finiteness_screen_flags_on_its_own(self, monkeypatch, value):
+        # with a pivot screen that passes everything, the explicit isfinite
+        # alone still sends an off-diagonal fault to the exact checks
+        monkeypatch.setattr(dynamics, "_positive_pivots",
+                            lambda diag, low: np.ones(diag.shape[1], dtype=bool))
+        x = self.healthy()
+        x[1, 2, 7] = value                               # Re rho_21 only
+        err = self.check(x)
+        assert (err.check, err.time) == ("non-finite", self.TIMES[2])
+
     def test_later_system_is_named_when_earlier_ones_are_healthy(self):
-        states = self.healthy()
-        states[2, 2] = hermitian_stack(np.random.default_rng(5), [-2e-8, 0.6, 0.4 + 2e-8], 1)[0]
-        err = self.check(states)
+        x = self.healthy()
+        x[2, 2] = self.indefinite()
+        err = self.check(x)
         assert (err.check, err.time) == ("positivity", self.TIMES[2])
 
-    def test_hermiticity_violation_in_the_upper_triangle(self):
-        states = self.healthy()
-        states[1, 3, 0, 1] += 1e-6                       # rho_01 only, rho_10 untouched
-        err = self.check(states)
-        assert (err.check, err.time) == ("Hermiticity", self.TIMES[3])
-        assert "Hermiticity check failed at t = 0.3: worst residual 1e-06" in str(err)
-
     def test_trace_violation(self):
-        states = self.healthy()
-        states[2, 1] *= 1.0 + 1e-6                       # Hermitian and positive
-        err = self.check(states)
+        x = self.healthy()
+        x[2, 1] *= 1.0 + 1e-6                            # Hermitian and positive
+        err = self.check(x)
         assert (err.check, err.time) == ("trace", self.TIMES[1])
 
-    def test_hermiticity_violation_on_the_diagonal(self):
-        # imaginary diagonal parts that cancel in the trace
-        states = self.healthy()
-        states[1, 3, 0, 0] += 0.5e-6j
-        states[1, 3, 1, 1] -= 0.5e-6j
-        err = self.check(states)
-        assert (err.check, err.time) == ("Hermiticity", self.TIMES[3])
-        assert "worst residual 1e-06" in str(err)
+    def test_states_are_hermitian_by_construction(self, monkeypatch):
+        # no coordinate can make a state non-Hermitian: the formed states
+        # are exactly Hermitian, and a flagged system's Hermiticity residual
+        # is reported as 0
+        traj = integrate(draw_random_system(3, 4, range(3)), T=0.05, dt=1e-3)
+        s = traj.states
+        assert np.array_equal(s, s.conj().swapaxes(-1, -2))
+        x = self.healthy()
+        x[1, 3] *= 1.0 + 1e-6
+        classified = self.spied_classify(monkeypatch)
+        with pytest.raises(IntegrationError, match="^trace check failed at t = 0.3"):
+            dynamics._check_states(self.TIMES, x)
+        (_, states, _, herm, _), = classified
+        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+        assert np.array_equal(herm, np.zeros(len(self.TIMES)))
 
 
 class TestFidelityRates:
