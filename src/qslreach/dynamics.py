@@ -32,8 +32,8 @@ together, filling the samples by doubling (about 2 log2(n) stacked real
 products for n steps), and checks its states in one pass over their
 coordinates that keeps each state's residuals (finiteness, trace, LDL^H
 pivots), which the failure report and ``Trajectory.trace_errors`` read.
-The exact per-sample checks, eigenvalue solve included, run only on the
-systems whose residuals fail, and only their density matrices are formed.
+An eigenvalue solve runs only on the samples of a failing system whose
+pivots fail, and only their density matrices are formed.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ import numpy as np
 from . import linalg
 
 #: Tolerances for trajectory health checks.
-HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
 
-#: Real coordinates (trials x samples x d^2) per ``integrate`` stack that
-#: callers aim for: 4 MB of 8-byte states.
+#: 8-byte entries per ``integrate`` stack that callers aim for, 4 MB: per
+#: trial and sample, the d^2 real coordinates of the state and the entries
+#: of the (trials x samples) per-sample arrays (``reachset.verify_bound``).
 STACK_ENTRIES = 2 ** 19
 
 #: States per pass of the health screen in ``_check_states``: its dozen or
@@ -65,10 +65,9 @@ _SCREEN_MATRICES = 4096
 
 class IntegrationError(RuntimeError):
     """A trajectory state violated the health check named by ``check``
-    ("non-finite", "Hermiticity", "trace" or "positivity") at ``time``; the
-    message gives the check's worst residual and its tolerance.  States
-    from ``integrate`` are Hermitian by construction, so "Hermiticity" is
-    never named for them."""
+    ("non-finite", "trace" or "positivity") at ``time``; the message gives
+    the check's worst residual and its tolerance.  States are Hermitian by
+    construction, so Hermiticity is not checked."""
 
     def __init__(self, message: str, time: float, check: str):
         super().__init__(message)
@@ -263,7 +262,8 @@ def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
 def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The (B, n) trace errors |tr rho - 1| of a (B, n, d^2) stack of real
     coordinates; raise IntegrationError for the first unhealthy system, at
-    its earliest bad sample over all four checks.
+    its earliest bad sample over the three checks (non-finite, trace,
+    positivity).
 
     One pass, _SCREEN_MATRICES states at a time, reads each chunk
     coordinate-major: the diagonal as a (d, m) real copy and the lower
@@ -272,10 +272,16 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     keeps three residuals per state: whether every coordinate is finite,
     the trace error (the sum of the diagonal coordinates) and the
     ``_positive_pivots`` verdict.  The coordinates describe a Hermitian
-    matrix exactly, so the Hermiticity residual is 0 by construction and is
-    reported as 0.  Only the systems whose residuals fail have their states
-    formed; they go to ``_classify_states`` with their rows, in stack
-    order, for the verdict and message of the exact checks."""
+    matrix exactly, so there is no Hermiticity check.
+
+    A system whose residuals fail is judged from its rows, in stack order:
+    the cheap checks (non-finite, trace) on every sample, and positivity on
+    the samples before the first cheap failure, so a state that is already
+    indefinite is named before a later one that has overflowed.  Only the
+    samples there whose pivots failed are formed and given to ``eigvalsh``;
+    a passing pivot proves lambda_min >= -POSITIVITY_TOL / 2 - O(1e-15), so
+    the verdict, the time and the message are those of the eigenvalue
+    check on every sample."""
     b, n, d2 = x.shape
     dim = math.isqrt(d2)
     flat = x.reshape(-1, d2)
@@ -283,16 +289,31 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     for start in range(0, len(flat), _SCREEN_MATRICES):
         chunk = slice(start, start + _SCREEN_MATRICES)
         diag = np.ascontiguousarray(flat[chunk, :dim].T)
-        low = np.ascontiguousarray(flat[chunk, dim:].view(complex).T)
+        low = flat[chunk, dim:].view(complex).T.copy()  # a copy even of one state
         np.divide(low.view(float), _SQRT2, out=low.view(float))
         np.logical_and(np.isfinite(diag).all(axis=0), np.isfinite(low).all(axis=0),
                        out=finite[chunk])
         np.abs(diag.sum(axis=0) - 1.0, out=trace_err[chunk])
         pivots[chunk] = _positive_pivots(diag, low)
     trace_err, finite, pivots = (a.reshape(b, n) for a in (trace_err, finite, pivots))
-    healthy = finite & (trace_err <= TRACE_TOL) & pivots
-    for k in np.flatnonzero(~healthy.all(axis=1)):
-        _classify_states(times, _from_coords(x[k]), trace_err[k], np.zeros(n), pivots[k])
+    for k in np.flatnonzero(~(finite & (trace_err <= TRACE_TOL) & pivots).all(axis=1)):
+        cheap = ~finite[k] | (trace_err[k] > TRACE_TOL)
+        head = int(np.argmax(cheap)) if cheap.any() else n
+        suspect = np.flatnonzero(~pivots[k, :head])
+        resid = -np.linalg.eigvalsh(_from_coords(x[k, suspect])).min(axis=1)
+        bad = resid > POSITIVITY_TOL
+        if bad.any():
+            i, name, worst, tol = suspect[bad][0], "positivity", resid.max(), POSITIVITY_TOL
+        elif head == n:
+            continue
+        elif not finite[k, head]:
+            i, name, worst, tol = head, "non-finite", np.inf, 0.0
+        else:
+            i, name, worst, tol = head, "trace", np.nanmax(trace_err[k]), TRACE_TOL
+        raise IntegrationError(f"{name} check failed at t = {times[i]:.6g}: worst residual "
+                               f"{worst:.3g} exceeds tolerance {tol:.3g} "
+                               "(step size too large for this system?)",
+                               time=float(times[i]), check=name)
     return trace_err
 
 
@@ -323,42 +344,6 @@ def _positive_pivots(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
                 ratio *= col[i]
                 pivots[i] -= ratio.real
     return positive
-
-
-def _classify_states(times: np.ndarray, states: np.ndarray, trace_err, herm, pivots) -> None:
-    """Raise IntegrationError at the earliest unhealthy state of one system's
-    (n, d, d) samples over all four checks, from its rows of
-    ``_check_states``' residuals (its Hermiticity row is 0).  The cheap
-    checks (non-finite, Hermiticity, trace) judge every sample; positivity
-    judges the samples before the first cheap failure, so a state that is
-    already indefinite is named before a later one that has overflowed.
-    Their eigenvalues are computed only if a pivot failed on one of those
-    samples."""
-    finite = np.isfinite(states.view(float)).reshape(states.shape[0], -1).all(axis=1)
-    checks = [
-        ("non-finite", np.where(finite, 0.0, np.inf), 0.0),
-        ("Hermiticity", herm, HERMITICITY_TOL),
-        ("trace", trace_err, TRACE_TOL),
-    ]
-    bad = np.array([r > tol for _, r, tol in checks])
-    head = int(np.argmax(bad.any(axis=0))) if bad.any() else len(states)
-    if not pivots[:head].all():
-        resid = -np.linalg.eigvalsh(states[:head]).min(axis=1)
-        if (resid > POSITIVITY_TOL).any():
-            checks = [("positivity", resid, POSITIVITY_TOL)]
-            bad = resid[None] > POSITIVITY_TOL
-    if not bad.any():
-        return
-    i = int(np.argmax(bad.any(axis=0)))
-    j = int(np.argmax(bad[:, i]))
-    name, resid, tol = checks[j]
-    raise IntegrationError(
-        f"{name} check failed at t = {times[i]:.6g}: worst residual "
-        f"{resid[bad[j]].max():.3g} exceeds tolerance {tol:.3g} "
-        "(step size too large for this system?)",
-        time=float(times[i]),
-        check=name,
-    )
 
 
 def _rk4_propagator(gen: np.ndarray, h: float) -> np.ndarray:

@@ -264,9 +264,9 @@ def verify_bound(
     Returns the verify file's columns trial, seed, dim and T, then the
     ``check_bound`` record theta_T, lambda, t_star, margin and rate_excess;
     one row per trial, dim-major.  Each dim's trials go in blocks of about
-    ``dynamics.STACK_ENTRIES`` state entries, which bounds memory: a block
-    is one stacked draw and one ``check_bound``.  The block size does not
-    change any result.
+    ``dynamics.STACK_ENTRIES`` entries, which bounds memory: a block is one
+    stacked draw and one ``check_bound``.  The block size does not change
+    any result.
     """
     if n_trials < 1:
         raise ValueError(f"trials must be >= 1, got {n_trials}")
@@ -281,7 +281,10 @@ def verify_bound(
     samples = len(dynamics._sample_times(T, dt)[0])
     blocks = []
     for dim in dims:
-        block = max(1, dynamics.STACK_ENTRIES // (samples * dim * dim))
+        # per trial and sample: d^2 state coordinates and about 8 entries of
+        # (B, n) arrays (the angle, the rate/fidelity pair, the health
+        # screen's trace error and verdicts, the rate check's temporaries)
+        block = max(1, dynamics.STACK_ENTRIES // (samples * (dim * dim + 8)))
         for start in range(0, n_trials, block):
             spec = draw_random_system(seed, dim, range(start, min(start + block, n_trials)))
             blocks.append(check_bound(spec, T, dt)[1])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from qslreach import linalg, qsl
-from qslreach.dynamics import SystemSpec, lindblad
+from qslreach.dynamics import POSITIVITY_TOL, TRACE_TOL, SystemSpec, lindblad
 from qslreach.models import QubitParams
 
 
@@ -107,3 +107,47 @@ def real_generator(h: np.ndarray, ops) -> np.ndarray:
     dim = h.shape[-1]
     u = hermitian_basis(dim).reshape(dim * dim, -1).T
     return u.conj().T @ complex_generator(h, ops) @ u
+
+
+def health_verdict(times: np.ndarray, x: np.ndarray):
+    """The health verdict on a (B, n, d^2) stack of real coordinates, by
+    brute force: every state is formed entry by entry, rho_ii = x_i and
+    rho_ij = (x_re + i x_im) / sqrt(2) for each pair i > j, and checked
+    sample by sample.  None if every state is healthy; else (check, time,
+    message) of the first unhealthy system in stack order, at its earliest
+    bad sample.  The cheap checks (non-finite, trace) judge every sample,
+    positivity (``eigvalsh`` of every state) the samples before the first
+    cheap failure; the message gives the check's worst residual over the
+    samples it judges."""
+    b, n, d2 = x.shape
+    dim = math.isqrt(d2)
+    s = 1.0 / math.sqrt(2.0)
+    states = np.zeros((b, n, dim, dim), dtype=complex)
+    for i in range(dim):
+        states.real[..., i, i] = x[..., i]
+    pairs = [(i, j) for i in range(dim) for j in range(i)]
+    for p, (i, j) in enumerate(pairs):
+        re, im = x[..., dim + 2 * p] * s, x[..., dim + 2 * p + 1] * s
+        states.real[..., i, j] = states.real[..., j, i] = re
+        states.imag[..., i, j], states.imag[..., j, i] = im, -im
+    for k in range(b):
+        finite = np.isfinite(states[k]).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+            trace = np.abs(np.trace(states[k], axis1=-2, axis2=-1).real - 1.0)
+        cheap = ~finite | (trace > TRACE_TOL)
+        head = int(np.argmax(cheap)) if cheap.any() else n
+        resid = -np.linalg.eigvalsh(states[k, :head]).min(axis=1)
+        if (resid > POSITIVITY_TOL).any():
+            i, check = int(np.argmax(resid > POSITIVITY_TOL)), "positivity"
+            worst, tol = resid.max(), POSITIVITY_TOL
+        elif head == n:
+            continue
+        elif not finite[head]:
+            i, check, worst, tol = head, "non-finite", math.inf, 0.0
+        else:
+            i, check = head, "trace"
+            worst, tol = trace[trace > TRACE_TOL].max(), TRACE_TOL
+        return check, float(times[i]), (
+            f"{check} check failed at t = {times[i]:.6g}: worst residual {worst:.3g} "
+            f"exceeds tolerance {tol:.3g} (step size too large for this system?)")
+    return None

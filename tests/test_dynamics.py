@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import reference
@@ -567,10 +568,10 @@ class TestIntegrateMany:
         assert str(many.value) == str(single.value)
         assert (many.value.time, many.value.check) == (single.value.time, single.value.check)
 
-    @pytest.mark.parametrize("entries", [1, 2 * 201 * 9])
+    @pytest.mark.parametrize("entries", [1, 3 * 201 * (4 + 8)])
     def test_verify_blocks_do_not_change_columns(self, monkeypatch, entries):
-        # 1 entry gives blocks of one trial; 2 * samples * d^2 at d = 3 gives
-        # blocks of four, two and one trials at d = 2, 3 and 4
+        # 1 entry gives blocks of one trial; 3 * samples * (d^2 + 8) at d = 2
+        # gives blocks of three, two and one trials at d = 2, 3 and 4
         args = dict(seed=17, n_trials=5, dims=(2, 3, 4), T=0.2, dt=1e-3)
         whole = reachset.verify_bound(**args)
         monkeypatch.setattr(dynamics, "STACK_ENTRIES", entries)
@@ -626,6 +627,14 @@ class TestDoublingPropagation:
         assert traj.states.shape == (15001, 2, 2) and traj.thetas.shape == (15001,)
         assert traj.times[-1] == 15.0
         ref = sequential_states(spec, [1e-3] * 15000)
+        assert np.abs(traj.states - ref).max() <= self.TOL
+
+    def test_last_screen_pass_of_one_state(self):
+        # 4097 samples: the health screen's last pass holds one state, and
+        # its stored coordinates are left as they were propagated
+        spec = qubit_spec(QubitParams(theta=0.7, phi=0.3, gamma=0.4))
+        traj = integrate(spec, T=4.096, dt=1e-3)
+        ref = sequential_states(spec, [1e-3] * 4096)
         assert np.abs(traj.states - ref).max() <= self.TOL
 
 
@@ -748,36 +757,41 @@ class TestStackFailureNaming:
             dynamics._check_states(self.TIMES, x)
         return err.value
 
-    def spied_classify(self, monkeypatch):
-        """Record the arguments of every _classify_states call."""
-        classified = []
-        classify = dynamics._classify_states
-
-        def spy(*args):
-            classified.append(args)
-            return classify(*args)
-
-        monkeypatch.setattr(dynamics, "_classify_states", spy)
-        return classified
-
     def test_healthy_stack_passes_the_screen_alone(self, monkeypatch):
-        def unexpected(*args):
+        def unexpected(x):
             raise AssertionError("the screen failed a healthy stack")
 
-        monkeypatch.setattr(dynamics, "_classify_states", unexpected)
+        monkeypatch.setattr(dynamics, "_from_coords", unexpected)
         dynamics._check_states(self.TIMES, self.healthy())
 
-    def test_only_flagged_systems_are_classified(self, monkeypatch):
+    def test_only_suspect_samples_are_solved(self, monkeypatch):
         # a false alarm of the pivots (lambda_min = -0.9 tol, inside the
-        # tolerance) sends its system alone to the exact checks, which pass it
+        # tolerance) sends its sample alone to the eigenvalue check, which
+        # passes it
         tol = dynamics.POSITIVITY_TOL
         x = self.healthy()
         x[1, 3] = dynamics._to_coords(hermitian_stack(np.random.default_rng(5),
                                                       [-0.9 * tol, 0.6, 0.4 + 0.9 * tol], 1)[0])
-        classified = self.spied_classify(monkeypatch)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            solved.append(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         dynamics._check_states(self.TIMES, x)
-        assert len(classified) == 1
-        assert np.array_equal(classified[0][1], dynamics._from_coords(x[1]))
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], dynamics._from_coords(x[1, [3]]))
+
+    @pytest.mark.parametrize("b,n", [(1, 1), (1, 5), (3, 3)])
+    def test_screen_leaves_the_coordinates_unchanged(self, b, n):
+        # a chunk of one state (all of these stacks in one pass, the last of
+        # passes of 4) is still copied before its off-diagonals are scaled
+        x = self.healthy()[:b, :n].copy()
+        before = x.copy()
+        dynamics._check_states(self.TIMES[:n], x)
+        assert np.array_equal(x, before)
 
     def test_first_system_in_stack_order_is_named(self):
         x = self.healthy()
@@ -825,21 +839,67 @@ class TestStackFailureNaming:
         err = self.check(x)
         assert (err.check, err.time) == ("trace", self.TIMES[1])
 
-    def test_states_are_hermitian_by_construction(self, monkeypatch):
+    def test_states_are_hermitian_by_construction(self):
         # no coordinate can make a state non-Hermitian: the formed states
-        # are exactly Hermitian, and a flagged system's Hermiticity residual
-        # is reported as 0
+        # are exactly Hermitian
         traj = integrate(draw_random_system(3, 4, range(3)), T=0.05, dt=1e-3)
         s = traj.states
         assert np.array_equal(s, s.conj().swapaxes(-1, -2))
-        x = self.healthy()
-        x[1, 3] *= 1.0 + 1e-6
-        classified = self.spied_classify(monkeypatch)
-        with pytest.raises(IntegrationError, match="^trace check failed at t = 0.3"):
-            dynamics._check_states(self.TIMES, x)
-        (_, states, _, herm, _), = classified
-        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
-        assert np.array_equal(herm, np.zeros(len(self.TIMES)))
+
+
+_FAULTS = st.lists(st.tuples(
+    st.sampled_from(["inf", "-inf", "nan", "trace-up", "trace-down", "indefinite",
+                     "false-alarm"]),
+    st.integers(0, 2), st.integers(0, 5), st.integers(0, 15)), max_size=4)
+
+
+class TestHealthVerdict:
+    """``_check_states`` gives the verdict of the brute-force reference,
+    which forms and solves every state, on stacks with faults injected at
+    random (system, sample, coordinate) positions."""
+
+    TOL = dynamics.POSITIVITY_TOL
+    #: the state a fault puts in place: lambda_min = -2 tol fails, -0.9 tol
+    #: is a false alarm of the pivots that must pass
+    LAMBDA_MIN = {"indefinite": -2.0, "false-alarm": -0.9}
+
+    def faulty_stack(self, seed, dim, b, n, faults):
+        rng = np.random.default_rng(seed)
+
+        def state(lam):
+            return dynamics._to_coords(
+                hermitian_stack(rng, [lam] + [(1.0 - lam) / (dim - 1)] * (dim - 1), 1)[0])
+
+        x = np.stack([[state(0.1 / dim) for _ in range(n)] for _ in range(b)])
+        for kind, k, i, coord in faults:
+            k, i = k % b, i % n
+            if kind in self.LAMBDA_MIN:
+                x[k, i] = state(self.LAMBDA_MIN[kind] * self.TOL)
+            elif kind.startswith("trace"):
+                x[k, i] *= 1.0 + (1e-6 if kind == "trace-up" else -1e-6)
+            else:
+                x[k, i, coord % dim ** 2] = float(kind)
+        return x
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), b=st.integers(1, 3),
+           n=st.integers(1, 6), faults=_FAULTS)
+    def test_matches_reference(self, seed, dim, b, n, faults):
+        x = self.faulty_stack(seed, dim, b, n, faults)
+        times = np.arange(n) * 0.1
+        expected = reference.health_verdict(times, x)
+        # a stack of up to 18 states: in passes of 4 a fault can sit in any
+        # pass; the errstate is the one integrate calls the screen under
+        for screen in (dynamics._SCREEN_MATRICES, 4):
+            with pytest.MonkeyPatch.context() as mp, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                mp.setattr(dynamics, "_SCREEN_MATRICES", screen)
+                if expected is None:
+                    dynamics._check_states(times, x)
+                    continue
+                with pytest.raises(IntegrationError) as err:
+                    dynamics._check_states(times, x)
+            assert (err.value.check, err.value.time, str(err.value)) == expected
 
 
 class TestFidelityRates:
