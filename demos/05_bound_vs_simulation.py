@@ -30,7 +30,7 @@ from qslreach import (
     verify_bound,
     write_rows,
 )
-from qslreach.reachset import MARGIN_TOL, VERIFY_CSV_COMMENT
+from qslreach.reachset import VERIFY_CSV_COMMENT, violated
 
 T, DT = 1.0, 1e-3
 
@@ -61,7 +61,7 @@ def main() -> None:
     print("\n--- batch verification (60 random systems) ---")
     cols = verify_bound(seed=123, n_trials=20, dims=(2, 3, 4), T=0.5, dt=DT)
     margins = cols["margin"]
-    print(f"violations: {np.sum(margins < -MARGIN_TOL)} of {margins.size}; "
+    print(f"violations: {np.sum(violated(margins))} of {margins.size}; "
           f"min margin {margins.min():.4f}; worst rate excess {cols.pop('rate_excess').max():.1e}")
     write_rows(cols, "verify_demo.csv", "csv", comment=VERIFY_CSV_COMMENT)
     print("wrote verify_demo.csv")

@@ -10,8 +10,10 @@ writes its opening, the blocks and its summary in turn.  ``bound`` and
 radians or a "pi" suffix ("0.25pi").  A key=value config file can preload
 any flag; explicit flags win.  Every option is parsed before any work, so
 a bad value, such as a ``--model`` or ``--format`` outside its listed
-choices, exits 2 at once with an error that names its flag, and so does an option the chosen model has no
-use for (``_UNUSED``) set to anything but its default.
+choices, exits 2 at once with an error that names its flag, and so does an
+option the chosen model has no use for (``_UNUSED``) set to anything but
+its default.  An angle outside its domain exits 2 naming the parameter
+(not the flag) and the value typed.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
 4 bound violation (verify only).
@@ -44,12 +46,9 @@ def parse_angle(text: str) -> float:
     return float(s)
 
 
-def parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).split(",") if x.strip())
-
-
-def parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
+def _list_of(typ):
+    """A parser of comma-separated ``typ`` values, as a tuple."""
+    return lambda text: tuple(typ(x) for x in str(text).split(",") if x.strip())
 
 
 def _one_of(*values: str):
@@ -76,91 +75,90 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-# Option tables: (dest, flag, parser, default, help).  A ``None`` default
-# means unset; the command checks what it requires (``cmd_bound`` its
-# --model and its target).  Config-file keys equal the dest names.
-_COMMON_OUT = [
-    ("out", "--out", str, "-", "output path ('-' for stdout)"),
-    ("format", "--format", _one_of("csv", "json"), "csv", "output format: csv or json"),
-]
+# Option tables: (flag, parser, default, help).  An option's name, which is
+# also its config key, is its flag without the dashes, "-" read as "_", as
+# argparse names it.  A ``None`` default means unset; the command checks
+# what it requires (``cmd_bound`` its --model and its target).
+_OUT_ROW = ("--out", str, "-", "output path ('-' for stdout)")
+_FORMAT_ROW = ("--format", _one_of("csv", "json"), "csv", "output format: csv or json")
+_COMMON_OUT = [_OUT_ROW, _FORMAT_ROW]
+_HORIZONS_ROW = ("--horizons", _list_of(float), (0.3, 0.5, 0.8), "comma-separated horizons")
 
 _OPTIONS: dict[str, list] = {
     "bound": [
-        ("model", "--model", _one_of("qubit", "qubit-gate", "bell", "qutrit-gate"),
+        ("--model", _one_of("qubit", "qubit-gate", "bell", "qutrit-gate"),
          None, "qubit | qubit-gate | bell | qutrit-gate"),
-        ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
-        ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
-        ("gamma", "--gamma", float, 0.0, "decay rate"),
-        ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
-        ("alpha", "--alpha", parse_angle, 0.0, "gate angle alpha"),
-        ("beta", "--beta", parse_angle, 0.0, "gate angle beta"),
-        ("lam", "--lambda", float, None, "target radius in [0, 1]"),
-        ("target_theta", "--target-theta", parse_angle, None, "target angle Theta_T"),
-        ("state", "--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
-        ("format", "--format", _one_of("text", "json"), "text", "output format: text or json"),
+        ("--theta", parse_angle, 0.0, "initial-state angle"),
+        ("--phi", parse_angle, 0.0, "initial-state phase"),
+        ("--gamma", float, 0.0, "decay rate"),
+        ("--omega", float, 1.0, "drive frequency"),
+        ("--u-max", float, 1.0, "control amplitude bound"),
+        ("--alpha", parse_angle, 0.0, "gate angle alpha"),
+        ("--beta", parse_angle, 0.0, "gate angle beta"),
+        ("--lambda", float, None, "target radius in [0, 1]"),
+        ("--target-theta", parse_angle, None, "target angle Theta_T"),
+        ("--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
+        ("--format", _one_of("text", "json"), "text", "output format: text or json"),
     ],
     "simulate": [
-        ("model", "--model", _one_of("qubit", "bell"), "qubit", "qubit | bell"),
-        ("theta", "--theta", parse_angle, 0.0, "initial-state angle"),
-        ("phi", "--phi", parse_angle, 0.0, "initial-state phase"),
-        ("gamma", "--gamma", float, 1.0, "decay rate"),
-        ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("state", "--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
-        ("T", "--T", float, 1.0, "final time"),
-        ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
-        ("out", "--out", str, "trajectory.csv", "trajectory output path"),
-        _COMMON_OUT[1],
+        ("--model", _one_of("qubit", "bell"), "qubit", "qubit | bell"),
+        ("--theta", parse_angle, 0.0, "initial-state angle"),
+        ("--phi", parse_angle, 0.0, "initial-state phase"),
+        ("--gamma", float, 1.0, "decay rate"),
+        ("--omega", float, 1.0, "drive frequency"),
+        ("--state", _one_of(*models.BELL_LABELS), "phi-plus", "Bell state label"),
+        ("--T", float, 1.0, "final time"),
+        ("--dt", float, dynamics.DEFAULT_DT, "integration step"),
+        ("--out", str, "trajectory.csv", "trajectory output path"),
+        _FORMAT_ROW,
     ],
     "sweep-lambda": [
-        ("gamma", "--gamma", float, 0.0, "decay rate"),
-        ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("theta_min", "--theta-min", parse_angle, 0.0, "theta axis start"),
-        ("theta_max", "--theta-max", parse_angle, math.pi / 2, "theta axis stop"),
-        ("points", "--points", int, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
-        ("horizons", "--horizons", parse_float_list, reachset.DEFAULT_HORIZONS,
-         "comma-separated horizons"),
+        ("--gamma", float, 0.0, "decay rate"),
+        ("--omega", float, 1.0, "drive frequency"),
+        ("--theta-min", parse_angle, 0.0, "theta axis start"),
+        ("--theta-max", parse_angle, math.pi / 2, "theta axis stop"),
+        ("--points", int, 200, "grid points"),
+        _HORIZONS_ROW,
         *_COMMON_OUT,
     ],
     "gate-map": [
-        ("model", "--model", _one_of("qubit", "qutrit"), "qubit", "qubit | qutrit"),
-        ("theta", "--theta", parse_angle, 0.0, "initial-state angle (qubit only)"),
-        ("omega", "--omega", float, 1.0, "drive frequency"),
-        ("u_max", "--u-max", float, 1.0, "control amplitude bound"),
-        ("points", "--points", int, reachset.DEFAULT_MAP_POINTS, "points per axis"),
-        ("alpha_min", "--alpha-min", parse_angle, 0.0, "alpha axis start"),
-        ("alpha_max", "--alpha-max", parse_angle, 2 * math.pi, "alpha axis stop"),
-        ("beta_min", "--beta-min", parse_angle, 0.0, "beta axis start"),
-        ("beta_max", "--beta-max", parse_angle, math.pi, "beta axis stop"),
-        ("horizons", "--horizons", parse_float_list, reachset.DEFAULT_HORIZONS,
-         "comma-separated horizons"),
+        ("--model", _one_of("qubit", "qutrit"), "qubit", "qubit | qutrit"),
+        ("--theta", parse_angle, 0.0, "initial-state angle (qubit only)"),
+        ("--omega", float, 1.0, "drive frequency"),
+        ("--u-max", float, 1.0, "control amplitude bound"),
+        ("--points", int, 100, "points per axis"),
+        ("--alpha-min", parse_angle, 0.0, "alpha axis start"),
+        ("--alpha-max", parse_angle, 2 * math.pi, "alpha axis stop"),
+        ("--beta-min", parse_angle, 0.0, "beta axis start"),
+        ("--beta-max", parse_angle, math.pi, "beta axis stop"),
+        _HORIZONS_ROW,
         *_COMMON_OUT,
     ],
     "bell-sweep": [
-        ("gamma_min", "--gamma-min", float, 0.01, "gamma axis start (> 0)"),
-        ("gamma_max", "--gamma-max", float, 2.0, "gamma axis stop"),
-        ("points", "--points", int, reachset.DEFAULT_SWEEP_POINTS, "grid points"),
-        ("T", "--T", float, 0.5, "horizon"),
+        ("--gamma-min", float, 0.01, "gamma axis start (> 0)"),
+        ("--gamma-max", float, 2.0, "gamma axis stop"),
+        ("--points", int, 200, "grid points"),
+        ("--T", float, 0.5, "horizon"),
         *_COMMON_OUT,
     ],
     "verify": [
-        ("seed", "--seed", int, 42, "master seed"),
-        ("trials", "--trials", int, 500, "trials per dimension"),
-        ("dims", "--dims", parse_int_list, (2, 3, 4), "comma-separated dims"),
-        ("T", "--T", float, 0.5, "horizon"),
-        ("dt", "--dt", float, dynamics.DEFAULT_DT, "integration step"),
+        ("--seed", int, 42, "master seed"),
+        ("--trials", int, 500, "trials per dimension"),
+        ("--dims", _list_of(int), (2, 3, 4), "comma-separated dims"),
+        ("--T", float, 0.5, "horizon"),
+        ("--dt", float, dynamics.DEFAULT_DT, "integration step"),
         *_COMMON_OUT,
     ],
 }
 
 
-#: The options each model of a command has no use for, by dest name.  Set
+#: The options each model of a command has no use for, by name.  Set
 #: to anything but its default, by a flag or a config file, one is an error.
 _UNUSED: dict[tuple[str, str], tuple[str, ...]] = {
     ("bound", "qubit"): ("u_max", "alpha", "beta", "state"),
-    ("bound", "qubit-gate"): ("gamma", "lam", "target_theta", "state"),
+    ("bound", "qubit-gate"): ("gamma", "lambda", "target_theta", "state"),
     ("bound", "bell"): ("theta", "phi", "omega", "u_max", "alpha", "beta"),
-    ("bound", "qutrit-gate"): ("theta", "phi", "gamma", "lam", "target_theta", "state"),
+    ("bound", "qutrit-gate"): ("theta", "phi", "gamma", "lambda", "target_theta", "state"),
     ("simulate", "qubit"): ("state",),
     ("simulate", "bell"): ("theta", "phi", "omega"),
     ("gate-map", "qutrit"): ("theta",),
@@ -178,36 +176,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for dest, flag, typ, _default, help_text in options:
-            p.add_argument(flag, dest=dest, type=str, default=None, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        for flag, _parse, _default, help_text in options:
+            p.add_argument(flag, help=help_text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """The options of ``args.command``: flag values over config-file values
-    over defaults, by dest name.
+    """The options of ``args.command`` by name: flag values over config-file
+    values over defaults.
 
-    Config keys carry the flag names ("lambda = 0.5" for --lambda)."""
-    table = _OPTIONS[args.command]
+    Config keys are the option names ("lambda = 0.5" for --lambda)."""
+    rows = {flag.lstrip("-").replace("-", "_"): (flag, parse, default)
+            for flag, parse, default, _help in _OPTIONS[args.command]}
     file_cfg = load_config(args.config) if args.config else {}
-    key_of = {dest: flag.lstrip("-").replace("-", "_") for dest, flag, *_ in table}
-    known = set(key_of.values())
     for key in file_cfg:
-        if key not in known:
+        if key not in rows:
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
     options = {}
-    for dest, flag, typ, default, _help in table:
-        raw = getattr(args, dest)
-        if raw is None and key_of[dest] in file_cfg:
-            raw = file_cfg[key_of[dest]]
+    for name, (flag, parse, default) in rows.items():
+        raw = getattr(args, name)
+        if raw is None:
+            raw = file_cfg.get(name)
         try:
-            options[dest] = default if raw is None else typ(raw)
+            options[name] = default if raw is None else parse(raw)
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from None
     unused = _UNUSED.get((args.command, options.get("model")), ())
-    for dest, flag, _typ, default, _help in table:
-        if dest in unused and options[dest] != default:
+    for name, (flag, _parse, default) in rows.items():
+        if name in unused and options[name] != default:
             raise ValueError(f"{flag} does not apply to --model {options['model']}")
     return options
 
@@ -226,7 +223,7 @@ def _axis(cfg: dict, name: str) -> reachset.GridAxis:
 
 
 def _target_radius(cfg: dict) -> float:
-    lam, target_theta = cfg["lam"], cfg["target_theta"]
+    lam, target_theta = cfg["lambda"], cfg["target_theta"]
     if lam is not None and target_theta is not None:
         raise ValueError("give either --lambda or --target-theta, not both")
     if lam is None and target_theta is None:
@@ -291,7 +288,7 @@ def cmd_simulate(cfg: dict) -> int:
     else:
         reachset.write_rows(cols, _out(cfg), "csv")
     margin = summary["margin"]
-    verdict = "bound holds" if margin >= -reachset.MARGIN_TOL else "bound violated"
+    verdict = "bound violated" if reachset.violated(margin) else "bound holds"
     # with the data on stdout, the summary goes to stderr, as verify's does
     print(
         f"theta_T = {summary['theta_T']:.9g}  lambda = {summary['lambda']:.9g}  "
@@ -335,7 +332,7 @@ def cmd_verify(cfg: dict) -> int:
     rate_excess = cols.pop("rate_excess")
     reachset.write_rows(cols, _out(cfg), cfg["format"], comment=reachset.VERIFY_CSV_COMMENT)
     margin = cols["margin"]
-    bad = (margin < -reachset.MARGIN_TOL).nonzero()[0]
+    bad = reachset.violated(margin).nonzero()[0]
     print(
         f"trials = {margin.size}  violations = {bad.size}  "
         f"min_margin = {margin.min():.9g}  max_rate_excess = {rate_excess.max() + 0.0:.3g}",

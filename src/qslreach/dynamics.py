@@ -53,11 +53,6 @@ POSITIVITY_TOL = 1e-8
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
 
-#: 8-byte entries per ``integrate`` stack that callers aim for, 4 MB: per
-#: trial and sample, the d^2 real coordinates of the state and the entries
-#: of the (trials x samples) per-sample arrays (``reachset.verify_bound``).
-STACK_ENTRIES = 2 ** 19
-
 #: States per pass of the health screen in ``_check_states``: its dozen or
 #: so temporaries of this length stay in cache, whatever the stack size.
 _SCREEN_MATRICES = 4096
@@ -82,8 +77,8 @@ class SystemSpec:
 
     A stacked field carries a leading axis of length B: ``psi0`` (B, d), a
     matrix (B, d, d), ``u_max`` (B,).  An unstacked field is shared by every
-    system of the stack.  ``u_max`` bounds the admissible control amplitude
-    and is required exactly when a control Hamiltonian is present.
+    system of the stack.  ``u_max`` (default 0) bounds the amplitude of the
+    control; without ``h_control`` it is checked but unused.
     """
 
     psi0: np.ndarray

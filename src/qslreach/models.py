@@ -36,7 +36,11 @@ SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
 SPIN1_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
 SPIN1_Z = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
-BELL_LABELS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
+#: The four maximally entangled two-qubit states: label -> amplitudes in
+#: units of 1/sqrt(2).
+_BELL = {"phi-plus": (1, 0, 0, 1), "phi-minus": (1, 0, 0, -1),
+         "psi-plus": (0, 1, 1, 0), "psi-minus": (0, -1, 1, 0)}
+BELL_LABELS = tuple(_BELL)
 
 _ANGLE_SLACK = 1e-9
 
@@ -46,11 +50,12 @@ _COLLECTIVE = np.kron(SIGMA_MINUS, np.eye(2)) + np.kron(np.eye(2), SIGMA_MINUS)
 
 def _check_angle(name: str, x, hi: float, hi_text: str) -> None:
     """Raise unless the angle ``x``, or every entry of an array of angles,
-    lies in [0, hi] (within _ANGLE_SLACK)."""
+    lies in [0, hi] (within _ANGLE_SLACK), naming the entry farthest out."""
     ok = (x >= 0.0) & (x <= hi + _ANGLE_SLACK)
     if not np.asarray(ok).all():
         bad = np.asarray(x, dtype=float)[~np.asarray(ok)]
-        raise ValueError(f"{name} must lie in [0, {hi_text}], got {bad.flat[0].item()!r}")
+        worst = bad[np.argmax(np.maximum(-bad, bad - hi))]
+        raise ValueError(f"{name} must lie in [0, {hi_text}], got {worst.item()!r}")
 
 
 def _check_rate(name: str, x, positive: bool = False) -> None:
@@ -188,16 +193,9 @@ def qubit_gate_time_bound(p: QubitParams, g: GateParams):
 
 def bell_state(label: str) -> np.ndarray:
     """One of the four maximally entangled two-qubit states."""
-    s = 1.0 / _SQ2
-    vectors = {
-        "phi-plus": np.array([s, 0, 0, s], dtype=complex),
-        "phi-minus": np.array([s, 0, 0, -s], dtype=complex),
-        "psi-plus": np.array([0, s, s, 0], dtype=complex),
-        "psi-minus": np.array([0, -s, s, 0], dtype=complex),
-    }
-    if label not in vectors:
+    if label not in _BELL:
         raise ValueError(f"label must be one of {BELL_LABELS}, got {label!r}")
-    return vectors[label]
+    return np.array(_BELL[label], dtype=complex) * (1.0 / _SQ2)
 
 
 def collective_decay(gamma) -> np.ndarray:

@@ -4,11 +4,11 @@ harness that validates the time bound against direct simulation.
 The sweeps take each axis by name, as a ``GridAxis`` (a checked linspace),
 evaluate whole grids as arrays and, like ``verify_bound``, return column
 dicts: column name -> 1-D array, in file column order, one entry per output
-row.  A grid of systems is one stacked ``SystemSpec``, whose
-coefficients come from one ``qsl.generic_coefficients`` call.  The one
-simulation check is ``check_bound``, which ``verify_bound`` runs on its
-random systems one stack per block; its radius, like ``bound``'s, comes
-from ``qsl.radius_from_fidelity``.
+row.  A grid of systems is one stacked ``SystemSpec``, whose coefficients
+come from one ``qsl.generic_coefficients`` call (``bell_sweep``: one per
+Bell state).  The one simulation check is ``check_bound``, which
+``verify_bound`` runs on its random systems one stack per block; its
+radius, like ``bound``'s, comes from ``qsl.radius_from_fidelity``.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
 by ``format_rows``, which yields it in blocks of ``_BLOCK_ROWS`` rows, each
 one %-format of the per-row template over that block's cells; ``write_rows``
@@ -41,10 +41,17 @@ from .models import (
     qutrit_gate_time_bound,
 )
 
-DEFAULT_HORIZONS = (0.3, 0.5, 0.8)
-DEFAULT_SWEEP_POINTS = 200
-DEFAULT_MAP_POINTS = 100
 MARGIN_TOL = 1e-4  # numerical slack on T >= T*
+#: 8-byte entries per ``verify_bound`` block (4 MB), d^2 + 8 per trial and sample.
+STACK_ENTRIES = 2 ** 19
+
+
+def violated(margin):
+    """Whether the margin T - T* undercuts the bound by more than MARGIN_TOL,
+    NaN included: a bool for a float, a bool array for an array."""
+    holds = np.asarray(margin) >= -MARGIN_TOL
+    return ~holds if holds.ndim else not holds
+
 
 #: Rows per block of ``format_rows``: the text, and the cells it formats,
 #: exist one block at a time, whatever the table's length.
@@ -239,7 +246,7 @@ def check_bound(spec: SystemSpec, T: float, dt: float = dynamics.DEFAULT_DT):
     Returns the trajectory and the record theta_T (the final angle), lambda
     (``qsl.radius_from_fidelity`` of its cosine), t_star, margin (= T -
     t_star) and rate_excess (the largest ``theta_rate_check`` value): floats
-    for one system, arrays of shape (B,) for a stack.  The bound holds where margin >= -MARGIN_TOL.
+    for one system, arrays of shape (B,) for a stack; ``violated(margin)`` is the verdict.
     """
     coeffs = qsl.generic_coefficients(spec)
     traj = integrate(spec, T, dt)
@@ -264,7 +271,7 @@ def verify_bound(
     Returns the verify file's columns trial, seed, dim and T, then the
     ``check_bound`` record theta_T, lambda, t_star, margin and rate_excess;
     one row per trial, dim-major.  Each dim's trials go in blocks of about
-    ``dynamics.STACK_ENTRIES`` entries, which bounds memory: a block is one
+    ``STACK_ENTRIES`` entries, which bounds memory: a block is one
     stacked draw and one ``check_bound``.  The block size does not change
     any result.
     """
@@ -284,7 +291,7 @@ def verify_bound(
         # per trial and sample: d^2 state coordinates and about 8 entries of
         # (B, n) arrays (the angle, the rate/fidelity pair, the health
         # screen's trace error and verdicts, the rate check's temporaries)
-        block = max(1, dynamics.STACK_ENTRIES // (samples * (dim * dim + 8)))
+        block = max(1, STACK_ENTRIES // (samples * (dim * dim + 8)))
         for start in range(0, n_trials, block):
             spec = draw_random_system(seed, dim, range(start, min(start + block, n_trials)))
             blocks.append(check_bound(spec, T, dt)[1])

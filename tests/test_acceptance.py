@@ -8,6 +8,7 @@ is a float artifact of representing an exact zero, not a disagreement
 between the formulas.
 """
 
+import hashlib
 import math
 import time
 
@@ -29,19 +30,29 @@ def centered(n: int, stop: float) -> np.ndarray:
     return (np.arange(n) + 0.5) * (stop / n)
 
 
-def test_acceptance_1_bound_validity():
+#: sha256 of the default ``verify`` CSV (seed 42, 500 trials per dim in
+#: {2, 3, 4}, T = 0.5, dt = 1e-3).
+DEFAULT_VERIFY_SHA256 = "d726ae2b29f6eff9edeef525e823c8232309405f3b97a5bb12c5f4be05a05194"
+
+
+def test_acceptance_1_bound_validity(tmp_path):
     """500 seeded random systems per dim in {2, 3, 4} at T = 0.5, dt = 1e-3:
-    no record may undercut the bound by more than 1e-4."""
+    no record may undercut the bound by more than 1e-4, and the columns,
+    written as ``verify`` writes them, keep their bytes."""
     t0 = time.time()
     cols = reachset.verify_bound(seed=42, n_trials=500, dims=(2, 3, 4), T=0.5, dt=1e-3)
     elapsed = time.time() - t0
     margin = cols["margin"]
-    bad = int(np.sum(margin < -reachset.MARGIN_TOL))
+    bad = int(np.sum(reachset.violated(margin)))
+    cols.pop("rate_excess")
+    path = tmp_path / "verify.csv"
+    reachset.write_rows(cols, path, "csv", comment=reachset.VERIFY_CSV_COMMENT)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     _report(
         1, "bound validity",
-        margin.size == 1500 and not bad,
+        margin.size == 1500 and not bad and digest == DEFAULT_VERIFY_SHA256,
         f"1500 trials, {bad} violations, min margin {margin.min():.6g}, "
-        f"{elapsed:.1f} s (target < 60 s)",
+        f"CSV sha256 {digest[:12]}…, {elapsed:.1f} s (target < 60 s)",
     )
 
 

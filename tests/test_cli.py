@@ -542,6 +542,22 @@ def test_axis_error_names_its_flags(tmp_path, capsys, flags, argv):
     assert err.startswith(f"error: {flags}: axis ")
 
 
+#: An axis end outside its angle's domain: the error gives the value typed,
+#: not the first grid point past the domain.  The line, then the argv.
+BAD_ANGLE_AXIS_ARGV = [
+    ("theta must lie in [0, pi], got 4.0", ["sweep-lambda", "--theta-max", "4"]),
+    ("alpha must lie in [0, 2pi], got 7.0", ["gate-map", "--alpha-max", "7"]),
+    ("beta must lie in [0, pi], got -0.5", ["gate-map", "--beta-min", "-0.5"]),
+]
+
+
+@pytest.mark.parametrize("message,argv", BAD_ANGLE_AXIS_ARGV,
+                         ids=[" ".join(argv) for _, argv in BAD_ANGLE_AXIS_ARGV])
+def test_angle_axis_error_gives_the_value_typed(tmp_path, capsys, message, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == f"error: {message}\n"
+
+
 #: Flags a gate model has no use for (it is a closed system, the gate sets
 #: lambda, and the qutrit state is fixed): the flag, then the argv.
 GATE_FLAG_ARGV = [
@@ -765,6 +781,12 @@ class TestConfigFile:
         assert run(["bound", "--config", str(cfg)]) == 2
         assert "frequency" in capsys.readouterr().err
 
+    def test_first_unknown_key_in_file_order_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = qubit\nzeta = 1\nlambda = 0.5\nalpha_ = 2\n")
+        err = _assert_config_error(tmp_path, capsys, ["bound", "--config", str(cfg)])
+        assert err == "error: unknown config key 'zeta' for command 'bound'\n"
+
     def test_malformed_line_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
@@ -772,3 +794,43 @@ class TestConfigFile:
 
     def test_missing_file_is_config_error(self, capsys):
         assert run(["bound", "--config", "/nonexistent/run.cfg"]) == 2
+
+
+#: One valid value, other than the default, for each option name; a
+#: (command, name) entry overrides the name's entry for that command.
+NON_DEFAULT = {
+    "model": "bell", ("bound", "model"): "qubit", ("gate-map", "model"): "qutrit",
+    "theta": "0.3", "phi": "0.2", "gamma": "0.5", "omega": "2", "u_max": "2",
+    "alpha": "0.5", "beta": "0.25pi", "lambda": "0.5", "target_theta": "0.3",
+    "state": "psi-plus", "format": "json", "out": "x.csv", "T": "0.25", "dt": "0.01",
+    "theta_min": "0.1", "theta_max": "1", "points": "7", "horizons": "0.1,0.2",
+    "alpha_min": "0.1", "alpha_max": "3", "beta_min": "0.1", "beta_max": "2",
+    "gamma_min": "0.1", "gamma_max": "3", "seed": "7", "trials": "3", "dims": "2,5",
+}
+
+OPTION_FLAGS = [(command, row[0]) for command, rows in cli._OPTIONS.items() for row in rows]
+
+
+@pytest.mark.parametrize("command,flag", OPTION_FLAGS, ids=[" ".join(c) for c in OPTION_FLAGS])
+def test_flag_and_config_key_resolve_alike(tmp_path, command, flag):
+    """``--flag v`` and the config line ``name = v`` give the same config, or
+    the same error where the option does not apply to the default model."""
+    name = flag[2:].replace("-", "_")
+    value = NON_DEFAULT.get((command, name), NON_DEFAULT[name])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+
+    def resolve(*argv):
+        try:
+            return cli.resolve_config(cli.build_parser().parse_args([command, *argv]))
+        except ValueError as exc:
+            return str(exc)
+
+    by_flag, by_key, default = resolve(flag, value), resolve("--config", str(cfg)), resolve()
+    assert by_flag == by_key
+    if (command, flag) == ("simulate", "--state"):
+        assert by_flag == "--state does not apply to --model qubit"
+    else:
+        assert by_flag[name] != default[name]
+        assert {k: v for k, v in by_flag.items() if k != name} == \
+            {k: v for k, v in default.items() if k != name}

@@ -574,7 +574,7 @@ class TestIntegrateMany:
         # gives blocks of three, two and one trials at d = 2, 3 and 4
         args = dict(seed=17, n_trials=5, dims=(2, 3, 4), T=0.2, dt=1e-3)
         whole = reachset.verify_bound(**args)
-        monkeypatch.setattr(dynamics, "STACK_ENTRIES", entries)
+        monkeypatch.setattr(reachset, "STACK_ENTRIES", entries)
         blocked = reachset.verify_bound(**args)
         assert list(blocked) == list(whole)
         for name in whole:

@@ -90,6 +90,16 @@ class TestQubitState:
         with pytest.raises(ValueError, match="u_max"):
             QubitParams(theta=0.1, u_max=-0.5)
 
+    @pytest.mark.parametrize("angles,got", [
+        ([0.1, 3.2, 4.0, 3.5], "4.0"),
+        ([-1.0, 3.15, 0.5], "-1.0"),
+        ([-1e-20, math.pi + 5e-10, 0.2], "-1e-20"),
+        ([3.2, math.nan, -9.0], "nan"),
+    ])
+    def test_angle_error_gives_the_entry_farthest_outside(self, angles, got):
+        with pytest.raises(ValueError, match=rf"theta must lie in \[0, pi\], got {got}$"):
+            QubitParams(theta=np.array(angles))
+
     @pytest.mark.parametrize("name", ["omega", "gamma", "u_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rates_must_be_finite(self, name, value):

@@ -244,6 +244,18 @@ class TestVerifyBound:
         assert (cols["margin"] >= -reachset.MARGIN_TOL).all()
         assert (cols["rate_excess"] <= 1e-4).all()
 
+    def test_violated_is_the_one_verdict(self):
+        edge = -MARGIN_TOL
+        assert reachset.violated(np.nextafter(edge, -1.0)) is True
+        for margin in (edge, 0.0, 1.0, math.inf):
+            assert reachset.violated(margin) is False
+        assert reachset.violated(math.nan) is True
+        assert reachset.violated(np.float64(-1.0)) is True
+        margins = np.array([edge, np.nextafter(edge, -1.0), math.nan, -math.inf, 2.0])
+        verdict = reachset.violated(margins)
+        assert verdict.dtype == bool
+        assert verdict.tolist() == [False, True, True, True, False]
+
     def test_records_are_reproducible(self):
         a = verify_bound(seed=7, n_trials=3, dims=(2,), T=0.3, dt=1e-3)
         b = verify_bound(seed=7, n_trials=3, dims=(2,), T=0.3, dt=1e-3)
