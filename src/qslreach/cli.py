@@ -318,7 +318,7 @@ def cmd_gate_map(cfg: dict) -> int:
 
 def cmd_bell_sweep(cfg: dict) -> int:
     if cfg["gamma_min"] <= 0:
-        raise ValueError("gamma-min must be > 0")
+        raise ValueError(f"--gamma-min must be > 0, got {cfg['gamma_min']!r}")
     cols = reachset.bell_sweep(_axis(cfg, "gamma"), cfg["T"])
     reachset.write_rows(cols, _out(cfg), cfg["format"])
     return EXIT_OK

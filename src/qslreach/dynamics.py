@@ -53,9 +53,17 @@ POSITIVITY_TOL = 1e-8
 #: Default integration step (units of 1/Omega with hbar = 1).
 DEFAULT_DT = 1e-3
 
+#: Bytes of one chunk of a grid's working arrays, whatever the grid's size:
+#: a temporary of this size stays in cache and under glibc's 128 KB mmap
+#: threshold, so its pages are reused, not faulted in afresh.  The health
+#: screen, ``qsl._coefficients`` and ``reachset.format_rows`` size their
+#: chunks by it.
+CHUNK_BYTES = 2 ** 16
+
 #: States per pass of the health screen in ``_check_states``: its dozen or
-#: so temporaries of this length stay in cache, whatever the stack size.
-_SCREEN_MATRICES = 4096
+#: so temporaries of this length, complex ones included, stay in cache,
+#: whatever the stack size.
+_SCREEN_MATRICES = CHUNK_BYTES // 16
 
 
 class IntegrationError(RuntimeError):
@@ -243,7 +251,7 @@ def _sample_times(T: float, dt: float) -> tuple[np.ndarray, int]:
     if not 0 < T < math.inf:
         raise ValueError(f"T must be finite and > 0, got {T!r}")
     if not 0 < dt <= T:
-        raise ValueError("dt must satisfy 0 < dt <= T")
+        raise ValueError(f"dt must satisfy 0 < dt <= T, got dt = {dt!r} and T = {T!r}")
     steps = T / dt + 1e-9
     if steps == math.inf:
         raise ValueError(f"T / dt overflows: T = {T!r} and dt = {dt!r} give too many steps")

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import SystemSpec
 
 #: Coefficients below this are treated as exactly degenerate; the limits of
@@ -102,8 +103,27 @@ def _coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
     The Frobenius norm is taken of that sum, never of an inner-product
     expansion of it, which would cancel to about sqrt(eps) A near an
     eigenstate and hide A = 0 from DEGENERACY_EPS.
+
+    A stack is evaluated in chunks of members, each (chunk, d, d) complex
+    temporary within ``dynamics.CHUNK_BYTES``: stacked fields are sliced and
+    shared ones passed whole.  A member's arithmetic does not depend on its
+    chunk, so neither do its bits; a stack of one chunk is one call.
     """
     psi = np.asarray(psi, dtype=complex)
+    n, d = psi.shape
+    step = max(1, dynamics.CHUNK_BYTES // (16 * d * d))
+    if n <= step:
+        return _chunk_coefficients(psi, h, ops)
+    a, e = np.empty(n), np.empty(n)
+    for i in range(0, n, step):
+        s = slice(i, i + step)
+        a[s], e[s] = _chunk_coefficients(psi[s], h if h.ndim == 2 else h[s],
+                                         [m if m.ndim == 2 else m[s] for m in ops])
+    return a, e
+
+
+def _chunk_coefficients(psi, h, ops) -> tuple[np.ndarray, np.ndarray]:
+    """``_coefficients`` of the (n, d) complex ``psi`` in one pass."""
     col = psi[:, :, None]
     a = 1j * (h @ col)
     e = np.zeros(psi.shape[0])
@@ -132,11 +152,15 @@ def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
     separately and the control one is weighted by u_max.  For a pure state
     and Hermitian h each commutator term is sqrt(2) ||i[h, rho0]||_F =
     2 sqrt(<h^2> - <h>^2).
+
+    Each ``_coefficients`` call works on the stack in chunks of members, so
+    beyond the (B,) results its working memory does not grow with B.
     """
     psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # QslCoefficients names the overflow
         if spec.has_control:
-            a_noise, e = _coefficients(psi, np.zeros_like(spec.h_drift), spec.lindblad_ops)
+            zero = np.zeros((spec.dim, spec.dim), complex)
+            a_noise, e = _coefficients(psi, zero, spec.lindblad_ops)
             a = (_coefficients(psi, spec.h_drift)[0]
                  + spec.u_max * _coefficients(psi, spec.h_control)[0] + a_noise)
         else:

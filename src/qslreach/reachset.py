@@ -10,11 +10,15 @@ Bell state).  The one simulation check is ``check_bound``, which
 ``verify_bound`` runs on its random systems one stack per block; its
 radius, like ``bound``'s, comes from ``qsl.radius_from_fidelity``.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
-by ``format_rows``, which yields it in blocks of ``_BLOCK_ROWS`` rows, each
-one %-format of the per-row template over that block's cells; ``write_rows``
-writes each block as it is made, so no whole-table text is held.  A
-constant column is literal text in the template, and a column that repeats
-its cells has each distinct value rendered once and looked up per row.
+by ``format_rows``, which yields it in blocks of about
+``dynamics.CHUNK_BYTES`` of text (``_block_rows``), each one %-format of
+the per-row template over that block's cells; ``write_rows`` writes each
+block as it is made, so no whole-table text is held.  A constant column is
+literal text in the template, and a column that repeats its cells has each
+distinct value rendered once and looked up per row, through codes of the
+narrowest unsigned type that holds them.  Coefficient stacks are likewise
+evaluated a chunk of members at a time (``qsl._coefficients``), so a
+grid's transient memory grows with the chunk, not with the grid.
 ``format_record`` renders one record with the same cell specs.
 Rows are always in grid/trial order, so output files are byte-identical for
 identical configuration and seed.
@@ -53,11 +57,6 @@ def violated(margin):
     return ~holds if holds.ndim else not holds
 
 
-#: Rows per block of ``format_rows``: the text, and the cells it formats,
-#: exist one block at a time, whatever the table's length.
-_BLOCK_ROWS = 4096
-
-
 @dataclass(frozen=True)
 class GridAxis:
     start: float
@@ -80,9 +79,9 @@ def _horizons(horizons) -> tuple[float, ...]:
     if not hs:
         raise ValueError("at least one horizon is required")
     if not all(0 < h < math.inf for h in hs):
-        raise ValueError("horizons must be finite and positive")
+        raise ValueError(f"horizons must be finite and positive, got {','.join(map(repr, hs))}")
     if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("horizons must be strictly increasing")
+        raise ValueError(f"horizons must be strictly increasing, got {','.join(map(repr, hs))}")
     return hs
 
 
@@ -325,10 +324,13 @@ def _cells(column, fmt: str):
     function: it is neither sorted nor substituted per row.  Otherwise each
     distinct cell is rendered once when at most half the rows are distinct:
     floats are keyed by their bit pattern, so -0.0 and every NaN keep their
-    own text, and the rendered strings are looked up per row.  A
-    mostly-distinct column is formatted in place, which is cheaper than the
-    lookup.  The strings of a list or tuple column are taken as given:
-    numpy's unicode dtype would drop their trailing NULs."""
+    own text.  One sort finds the distinct cells and a binary search each
+    row's code, kept in the narrowest unsigned type that holds it (a byte
+    per row for at most 256 distinct cells), through which the rendered
+    strings are looked up per row.  A mostly-distinct column is formatted in
+    place, which is cheaper than the lookup.  The strings of a list or tuple
+    column are taken as given: numpy's unicode dtype would drop their
+    trailing NULs."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
         tokens = {v: v if fmt == "csv" else json.dumps(v) for v in set(column)}
@@ -351,24 +353,27 @@ def _cells(column, fmt: str):
 
     keys = arr.view(np.int64) if floats else arr
     if (keys == keys[0]).all():
-        uniq, inverse = keys[:1], None
+        uniq, codes = keys[:1], None
     else:
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq = np.sort(keys)
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
         if 2 * len(uniq) > len(arr):
             return spec, lambda i, j: values(arr[i:j])
+        codes = np.searchsorted(uniq, keys).astype(np.min_scalar_type(len(uniq) - 1))
     cells = values(uniq.view(arr.dtype))
     strings = (((spec + "\n") * len(cells) % tuple(cells)).split("\n") if floats
                else list(map(str, cells)))
-    if inverse is None:
+    if codes is None:
         return strings[0].replace("%", "%%"), None
     strings = np.array(strings, dtype=object)
-    return "%s", lambda i, j: strings[inverse[i:j]].tolist()
+    return "%s", lambda i, j: strings[codes[i:j]].tolist()
 
 
 def format_rows(columns: dict, fmt: str, indent: str = ""):
     """The rows of a column dict as text, yielded in blocks of
-    ``_BLOCK_ROWS`` rows: each block is one %-format of the per-row template
-    repeated once per row, over only that block's cells from ``_cells`` (a
+    ``_block_rows`` rows, about ``dynamics.CHUNK_BYTES`` of text each: each
+    block is one %-format of the per-row template repeated once per row,
+    over only that block's cells from ``_cells`` (a
     constant column is literal template text, a repetitive one arrives as
     strings rendered once per distinct value).  CSV: one line per row, no
     header.  JSON: the list json.dumps(rows, indent=2) writes, without a
@@ -391,13 +396,23 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
     else:
         record = f"{indent}  " + _object_template(columns, specs, indent + "  ")
         head, row, last = "[\n", record + ",\n", record + f"\n{indent}]"
+    step = _block_rows(row, len(cells))
 
     def blocks():
-        for i in range(0, n, _BLOCK_ROWS):
-            j = min(i + _BLOCK_ROWS, n)
+        for i in range(0, n, step):
+            j = min(i + step, n)
             template = (head if i == 0 else "") + row * (j - i - 1) + (last if j == n else row)
             yield template % tuple(chain.from_iterable(zip(*(c(i, j) for c in cells))))
     return blocks()
+
+
+def _block_rows(row: str, cells: int) -> int:
+    """Rows per block of ``format_rows`` for the row template ``row`` with
+    ``cells`` cells substituted per row: about ``dynamics.CHUNK_BYTES`` of
+    text, counting 16 bytes of text per cell beyond the template.  A block's
+    text, its template and its encoded copy then each stay under glibc's
+    128 KB mmap threshold, whatever the table's length."""
+    return max(1, dynamics.CHUNK_BYTES // (len(row) + 16 * cells))
 
 
 def _object_template(names, specs, indent: str) -> str:

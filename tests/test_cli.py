@@ -500,8 +500,9 @@ def test_unlisted_choice_fails_before_any_work(tmp_path, capsys, monkeypatch, fl
     assert err.endswith(f"got {argv[argv.index(flag) + 1]!r}\n")
 
 
-#: Values their option's parser cannot read, and an out-of-range --lambda
-#: (--target-theta's range is in test_qsl): the error line, then the argv.
+#: Values their option's parser cannot read, and out-of-range values, which
+#: give the value read (--target-theta's range is in test_qsl): the error
+#: line, then the argv.
 BAD_VALUE_ARGV = [
     ("--trials: invalid literal for int() with base 10: '1.5'", ["verify", "--trials", "1.5"]),
     ("--dims: invalid literal for int() with base 10: 'x'", ["verify", "--dims", "2,x"]),
@@ -509,6 +510,16 @@ BAD_VALUE_ARGV = [
      ["bound", "--model", "qubit", "--theta", "abcpi", "--lambda", "0.5"]),
     ("--horizons: could not convert string to float: 'a'", ["sweep-lambda", "--horizons", "a"]),
     ("--lambda must lie in [0, 1], got 2.0", ["bound", "--model", "qubit", "--lambda", "2"]),
+    ("--gamma-min must be > 0, got 0.0", ["bell-sweep", "--gamma-min", "0"]),
+    ("--gamma-min must be > 0, got -1.0", ["bell-sweep", "--gamma-min", "-1"]),
+    ("dt must satisfy 0 < dt <= T, got dt = 0.0 and T = 1.0", ["simulate", "--dt", "0"]),
+    ("dt must satisfy 0 < dt <= T, got dt = 2.0 and T = 1.0",
+     ["simulate", "--T", "1", "--dt", "2"]),
+    ("dt must satisfy 0 < dt <= T, got dt = 0.0 and T = 0.5", ["verify", "--dt", "0"]),
+    ("horizons must be strictly increasing, got 0.5,0.3",
+     ["sweep-lambda", "--horizons", "0.5,0.3"]),
+    ("horizons must be finite and positive, got 0.5,-0.3",
+     ["gate-map", "--horizons", "0.5,-0.3"]),
 ]
 
 

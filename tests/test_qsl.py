@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qslreach import cli, qsl
+from qslreach import cli, dynamics, qsl
 from qslreach.dynamics import SystemSpec, integrate
 from qslreach.models import (
     PAULI_X,
@@ -410,6 +411,92 @@ class TestStackedCoefficients:
                 assert isinstance(single.speed, float)
                 assert stack.speed[i] == single.speed
                 assert stack.noise[i] == single.noise
+
+
+def _in_chunks(spec, members):
+    """``generic_coefficients(spec)`` in chunks of ``members`` members; None
+    keeps the default chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if members is not None:
+            mp.setattr(dynamics, "CHUNK_BYTES", members * 16 * spec.dim ** 2)
+        return qsl.generic_coefficients(spec)
+
+
+class TestCoefficientChunks:
+    """``_coefficients`` takes a stack a chunk of members at a time; the
+    chunk size moves no bit."""
+
+    @staticmethod
+    def _assert_chunks_keep_bits(spec, speed, noise):
+        for members in (1, 7, None):
+            c = _in_chunks(spec, members)
+            assert np.array_equal(c.speed, speed) and np.array_equal(c.noise, noise)
+
+    def _assert_matches_one_chunk(self, spec):
+        whole = _in_chunks(spec, math.prod(spec.shape))
+        self._assert_chunks_keep_bits(spec, whole.speed, whole.noise)
+
+    def test_sweep_stack(self):
+        # shared h and M over 5000 states: five chunks by default
+        self._assert_matches_one_chunk(qubit_spec(QubitParams(
+            theta=np.linspace(0.0, math.pi / 2, 5000), omega=1.0, gamma=0.4)))
+
+    def test_bell_stack(self):
+        # one shared state, a stacked collective decay over 2000 rates
+        self._assert_matches_one_chunk(bell_spec("psi-plus", np.linspace(0.01, 2.0, 2000)))
+
+    def test_controlled_qubit(self):
+        # three _coefficients calls: dissipator, drift and control
+        theta, p = np.linspace(0.0, math.pi, 3000), dict(gamma=0.3, u_max=0.7)
+        spec = qubit_spec(QubitParams(theta=theta, **p), with_control=True)
+        self._assert_matches_one_chunk(spec)
+        c = _in_chunks(spec, 7)
+        for i in (0, 1234, 2999):
+            single = qsl.generic_coefficients(
+                qubit_spec(QubitParams(theta=theta[i], **p), with_control=True))
+            assert c.speed[i] == single.speed and c.noise[i] == single.noise
+
+    def test_random_stack_of_every_field(self):
+        # stacked and shared h, control, u_max and operators
+        rng = np.random.default_rng(29)
+        n, d = 300, 3
+        psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        hc = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        spec = SystemSpec(psi0=psi, h_drift=(x + np.swapaxes(x.conj(), -1, -2)) / 2,
+                          h_control=(hc + hc.conj().T) / 2, u_max=rng.uniform(0.0, 2.0, n),
+                          lindblad_ops=(rng.standard_normal((n, d, d)) + 0j, hc))
+        self._assert_matches_one_chunk(spec)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_verify_block(self, d):
+        # a random draw against its trials drawn one at a time
+        spec = draw_random_system(7, d, range(40))
+        singles = [qsl.generic_coefficients(draw_random_system(7, d, k)) for k in range(40)]
+        self._assert_chunks_keep_bits(spec, np.array([c.speed for c in singles]),
+                                      np.array([c.noise for c in singles]))
+
+    def test_verify_block_is_one_pass(self, monkeypatch):
+        # verify's largest block, 87 trials, is one chunk at d = 2 and at d = 4
+        calls = []
+        real = qsl._chunk_coefficients
+        monkeypatch.setattr(qsl, "_chunk_coefficients", lambda *a: calls.append(1) or real(*a))
+        qsl.generic_coefficients(draw_random_system(42, 2, range(87)))
+        qsl.generic_coefficients(draw_random_system(42, 4, range(87)))
+        assert len(calls) == 2
+
+    def test_sweep_stack_peaks_below_twice_its_states(self):
+        # beyond the (n,) results, the working memory is one chunk's
+        spec = qubit_spec(QubitParams(theta=np.linspace(0.0, math.pi / 2, 50_000),
+                                      omega=1.0, gamma=0.4))
+        tracemalloc.start()
+        try:
+            qsl.generic_coefficients(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * spec.psi0.nbytes
 
 
 class TestStateVectorRoute:

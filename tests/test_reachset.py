@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -497,6 +498,15 @@ def _tables(draw):
     return {name: column() for name in names}
 
 
+@contextlib.contextmanager
+def _blocks_of(rows):
+    """``format_rows`` in blocks of ``rows`` rows; None keeps the default rule."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(reachset, "_block_rows", lambda row, cells: rows)
+        yield
+
+
 class TestWriteRows:
     TABLE = {
         "label": ["phi-plus", 'a "quoted" one', "x"],
@@ -572,11 +582,10 @@ class TestWriteRows:
     @settings(max_examples=200, deadline=None)
     @given(table=_tables())
     def test_random_tables_match_reference_encoders(self, table):
-        # 1-40 rows in blocks of 1, 2, 3 and 4096 rows: the row counts fall on,
-        # and one either side of, whole blocks of 2 and 3 rows
-        for block_rows in (1, 2, 3, 4096):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(reachset, "_BLOCK_ROWS", block_rows)
+        # 1-40 rows in blocks of 1, 2 and 3 rows and of the default rule: the
+        # row counts fall on, and one either side of, whole blocks of 2 and 3
+        for block_rows in (1, 2, 3, None):
+            with _blocks_of(block_rows):
                 self._assert_matches_reference_encoders(table)
 
     @staticmethod
@@ -596,13 +605,28 @@ class TestWriteRows:
         nested = "".join(reachset.format_rows(table, "json", "  "))
         assert nested == json.dumps(safe, indent=2).replace("\n", "\n  ")
 
+    @staticmethod
+    def _mixed_table(n):
+        # distinct, repeating and constant columns
+        x = np.linspace(-1.0, 1.0, n)
+        return {"x": x.tolist(), "k": (np.arange(n) % 5).tolist(), "T": [0.5] * n,
+                "t": np.where(x > 0.9, math.inf, x).tolist(), "label": ["a%s"] * n}
+
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8191, 8192, 8193])
     def test_rows_around_whole_blocks_match_reference(self, n):
-        # the default block size: distinct, repeating and constant columns
-        x = np.linspace(-1.0, 1.0, n)
-        self._assert_matches_reference_encoders({
-            "x": x.tolist(), "k": (np.arange(n) % 5).tolist(), "T": [0.5] * n,
-            "t": np.where(x > 0.9, math.inf, x).tolist(), "label": ["a%s"] * n})
+        # tables of many blocks at the default rule
+        self._assert_matches_reference_encoders(self._mixed_table(n))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_around_default_blocks_match_reference(self, fmt, blocks, extra):
+        # the row counts fall on, and one either side of, whole blocks of the
+        # default rule, which gives this table hundreds of rows per block
+        first = next(reachset.format_rows(self._mixed_table(5000), fmt))
+        k = first.count("\n") if fmt == "csv" else first.count('"x": ')
+        assert 100 < k < 5000
+        self._assert_matches_reference_encoders(self._mixed_table(blocks * k + extra))
 
     @pytest.mark.parametrize("value", ["a%\x00b%", "%s\x00", "%%", math.nan, -0.0, 0.0,
                                        math.inf, -math.inf, 7, -2 ** 63, True, False], ids=repr)
@@ -610,17 +634,18 @@ class TestWriteRows:
     def test_constant_columns_match_reference(self, value, n):
         # a constant column sits in the row template as literal text; so does
         # every column of the second table
-        for block_rows in (1, 2, 3, 4096):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(reachset, "_BLOCK_ROWS", block_rows)
+        for block_rows in (1, 2, 3, None):
+            with _blocks_of(block_rows):
                 self._assert_matches_reference_encoders(
                     {"c": [value] * n, "y": [0.25 * i for i in range(n)]})
                 self._assert_matches_reference_encoders(
                     {"c%": [value] * n, "s%d": ["%d"] * n, "e": [1.5] * n})
 
     def test_json_gate_map_peaks_below_its_file_size(self, tmp_path):
-        # the rows are formatted and written a block at a time: no whole-table
-        # text, template or cell list is ever held
+        # the rows are formatted and written a block at a time, each block's
+        # text under the mmap threshold, and the lookup codes take a byte per
+        # row: no whole-table text, template or cell list is ever held, and
+        # the 22,500-row map is written in less than its columns' own bytes
         cols = reachset.gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
                                        GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
         path = tmp_path / "map.json"
@@ -631,6 +656,7 @@ class TestWriteRows:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+        assert peak < sum(col.nbytes for col in cols.values())
 
     def test_signed_zeros_keep_their_sign(self):
         column = {"x": [-0.0, 0.0, 0.0, -0.0] * 5}
