@@ -112,8 +112,6 @@ def _coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
     psi = np.asarray(psi, dtype=complex)
     n, d = psi.shape
     step = max(1, dynamics.CHUNK_BYTES // (16 * d * d))
-    if n <= step:
-        return _chunk_coefficients(psi, h, ops)
     a, e = np.empty(n), np.empty(n)
     for i in range(0, n, step):
         s = slice(i, i + step)

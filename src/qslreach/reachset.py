@@ -324,10 +324,9 @@ def _cells(column, fmt: str):
     function: it is neither sorted nor substituted per row.  Otherwise each
     distinct cell is rendered once when at most half the rows are distinct:
     floats are keyed by their bit pattern, so -0.0 and every NaN keep their
-    own text.  One sort finds the distinct cells and a binary search each
-    row's code, kept in the narrowest unsigned type that holds it (a byte
-    per row for at most 256 distinct cells), through which the rendered
-    strings are looked up per row.  A mostly-distinct column is formatted in
+    own text, and the rendered strings are looked up per row through codes
+    of the narrowest unsigned type that holds them (a byte per row for at
+    most 256 distinct cells).  A mostly-distinct column is formatted in
     place, which is cheaper than the lookup.  The strings of a list or tuple
     column are taken as given: numpy's unicode dtype would drop their
     trailing NULs."""
@@ -355,11 +354,10 @@ def _cells(column, fmt: str):
     if (keys == keys[0]).all():
         uniq, codes = keys[:1], None
     else:
-        uniq = np.sort(keys)
-        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+        uniq, inverse = np.unique(keys, return_inverse=True)
         if 2 * len(uniq) > len(arr):
             return spec, lambda i, j: values(arr[i:j])
-        codes = np.searchsorted(uniq, keys).astype(np.min_scalar_type(len(uniq) - 1))
+        codes = inverse.astype(np.min_scalar_type(len(uniq) - 1))
     cells = values(uniq.view(arr.dtype))
     strings = (((spec + "\n") * len(cells) % tuple(cells)).split("\n") if floats
                else list(map(str, cells)))

@@ -612,17 +612,13 @@ class TestWriteRows:
         return {"x": x.tolist(), "k": (np.arange(n) % 5).tolist(), "T": [0.5] * n,
                 "t": np.where(x > 0.9, math.inf, x).tolist(), "label": ["a%s"] * n}
 
-    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8191, 8192, 8193])
-    def test_rows_around_whole_blocks_match_reference(self, n):
-        # tables of many blocks at the default rule
-        self._assert_matches_reference_encoders(self._mixed_table(n))
-
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2, 8])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_around_default_blocks_match_reference(self, fmt, blocks, extra):
         # the row counts fall on, and one either side of, whole blocks of the
-        # default rule, which gives this table hundreds of rows per block
+        # default rule, which gives this table hundreds of rows per block; 8
+        # blocks make a table of many
         first = next(reachset.format_rows(self._mixed_table(5000), fmt))
         k = first.count("\n") if fmt == "csv" else first.count('"x": ')
         assert 100 < k < 5000
