@@ -19,7 +19,7 @@ from .models import (
     bell_state,
     collective_decay,
     gate_fidelity,
-    qubit_gate_radius,
+    qubit_gate_fidelity,
     qubit_gate_time_bound,
     qubit_spec,
     qubit_state,

@@ -15,7 +15,8 @@ option the chosen model has no use for (``_UNUSED``) set to anything but
 its default.  An angle outside its domain exits 2 naming the parameter
 (not the flag) and the value typed.
 
-Exit codes: 0 ok, 2 invalid configuration, 3 integration failure,
+Exit codes: 0 ok, 2 invalid configuration (one too large for memory
+included: one "error:" line, no traceback), 3 integration failure,
 4 bound violation (verify only).
 """
 
@@ -368,8 +369,8 @@ def main(argv=None) -> int:
     except dynamics.IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a config too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

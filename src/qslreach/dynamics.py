@@ -1,4 +1,4 @@
-"""Markovian master-equation integration and the relative-purity angle.
+"""Markovian master-equation integration and the fidelity to the initial state.
 
 The density matrix evolves under
 
@@ -15,9 +15,12 @@ d^2 x d^2 matrix G, built by applying ``lindblad`` to the basis (the
 coherence-vector form of Alicki and Lendi, Quantum Dynamical Semigroups
 and Applications, Lecture Notes in Physics 286, 1987).  The distance of
 the evolved state from the initial one is tracked through the fidelity
-F_t = <psi_0| rho_t |psi_0> and the relative-purity angle
+F_t = <psi_0| rho_t |psi_0>, clipped into [0, 1], which gives the radius
+lambda_t = sqrt(1 - F_t) of ``qsl`` and the relative-purity angle
 
-    Theta_t = arccos(F_t),   0 <= Theta_t <= pi/2.
+    Theta_t = arccos(F_t),   0 <= Theta_t <= pi/2,
+
+formed only where a file prints it.
 
 Trajectories produced here are the ground truth that every speed-limit
 bound in this package is validated against, so states are *checked*
@@ -144,11 +147,13 @@ def _operator(name: str, m, dim: int, hermitian: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of the master equation from t = 0 to t = T.  For a
-    stack of B systems every field but ``times`` leads with the stack axis."""
+    stack of B systems every field but ``times`` leads with the stack axis.
+    The stored per-sample quantity is the fidelity; the angle Theta_t is
+    formed from it on each access to ``thetas``."""
 
     times: np.ndarray            # (n,) increasing, times[0] = 0
     coords: np.ndarray           # ([B,] n, dim^2) real coordinates of rho_t
-    thetas: np.ndarray           # ([B,] n) relative-purity angles, 0 at t = 0
+    fidelities: np.ndarray       # ([B,] n) <psi0| rho_t |psi0> in [0, 1], 1 at t = 0
     fidelity_rates: np.ndarray   # ([B,] n) exact dF/dt = <psi0| L(rho_t) |psi0>
     trace_errors: np.ndarray     # ([B,] n) |tr rho_t - 1|, from the health check
 
@@ -159,9 +164,10 @@ class Trajectory:
         return _from_coords(self.coords)
 
     @property
-    def fidelities(self) -> np.ndarray:
-        """<psi0| rho_t |psi0> = cos(Theta_t) per sample."""
-        return np.cos(self.thetas)
+    def thetas(self) -> np.ndarray:
+        """The relative-purity angles arccos(F_t), formed from
+        ``fidelities`` on each access; 0 at t = 0."""
+        return np.arccos(self.fidelities)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The trajectory file's columns: t, theta, fidelity, trace_err."""
@@ -401,9 +407,12 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     product with its own propagator.  These are the RK4 iterates up to
     roundoff, computed in about 2 log2(n) products instead of n.  The basis
     is orthonormal, so F_t = x_0 . x_t and ``fidelity_rates`` = x_0 . G x_t,
-    the exact dF/dt of the sampled states under this u.  The returned
-    ``Trajectory`` keeps the coordinates and forms the density matrices
-    only when ``states`` is read; they are Hermitian by construction.  The
+    the exact dF/dt of the sampled states under this u: one product, whose
+    (rate, fidelity) pairs the two fields view.  F_t is clipped into [0, 1]
+    in place and is exactly 1 at t = 0.  The returned ``Trajectory`` keeps
+    the coordinates and forms the density matrices only when ``states`` is
+    read, and the angles only when ``thetas`` is; the states are Hermitian
+    by construction.  The
     states of the stack are checked together (``_check_states``); a
     failure names the first unhealthy system in stack order and its
     earliest bad sample, and overflow of an unstable step raises no numpy
@@ -435,12 +444,12 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
             last = _rk4_propagator(gen, T - n_full * dt).transpose(0, 2, 1)
             np.matmul(x[:, n_full:n], last, out=x[:, n:])
         rates, fids = np.moveaxis(np.matmul(x, probes), -1, 0)
-        thetas = np.arccos(np.clip(fids, 0.0, 1.0))
-        thetas[:, 0] = 0.0
+        np.clip(fids, 0.0, 1.0, out=fids)
+        fids[:, 0] = 1.0
         trace_err = _check_states(times, x)
     if not spec.shape:
-        x, thetas, rates, trace_err = x[0], thetas[0], rates[0], trace_err[0]
-    return Trajectory(times, x, thetas, rates, trace_err)
+        x, fids, rates, trace_err = x[0], fids[0], rates[0], trace_err[0]
+    return Trajectory(times, x, fids, rates, trace_err)
 
 
 def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
@@ -448,7 +457,7 @@ def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
 
         -dF/dt - (A lambda_t + E),   lambda_t = sqrt(1 - F_t),
 
-    with F_t = cos Theta_t, dF/dt = ``traj.fidelity_rates``, A =
+    with F_t = ``traj.fidelities``, dF/dt = ``traj.fidelity_rates``, A =
     ``coeffs.speed`` and E = ``coeffs.noise``; a stacked trajectory (B, n)
     is checked against coefficients of shape (B,).  This is the
     differential bound dTheta/dt <= (A lambda + E) / sin Theta multiplied by
@@ -456,6 +465,6 @@ def theta_rate_check(traj: Trajectory, coeffs) -> np.ndarray:
     E - tr(X (rho_t - rho_0)) with X = L^dag(rho_0), sqrt(2) ||X||_F <= A
     and ||rho_t - rho_0||_F <= sqrt(2) lambda_t.
     """
-    lam = np.sqrt(np.maximum(1.0 - traj.fidelities, 0.0))
+    lam = np.sqrt(1.0 - traj.fidelities)
     a, e = (np.asarray(c)[..., None] for c in (coeffs.speed, coeffs.noise))
     return -traj.fidelity_rates - (a * lam + e)

@@ -4,8 +4,11 @@ Conventions follow the Bloch parametrization with |0> the excited state and
 |1> the ground state, so the energy-decay operator is sigma_- = |1><0|.
 Each model's ``SystemSpec`` comes from ``qubit_spec``, ``bell_spec`` or
 ``qutrit_spec``, and its coefficients from ``qsl.generic_coefficients``;
-the gate families also have closed forms that cross-check it and return
-through ``qsl.qsl_time``, so every gate bound takes its one inf/0 rule.
+the gate families also have closed forms that cross-check it.  Each gate
+bound is ``qsl.qsl_time`` at ``qsl.radius_from_fidelity`` of a closed-form
+fidelity (``qubit_gate_fidelity``, ``qutrit_gate_fidelity``), so every gate
+bound takes the one resolution rule of the radius and the one inf/0 rule
+of the time.
 Angles in ``QubitParams.theta`` and ``GateParams`` and the qubit and Bell
 decay rates may be arrays: ``qubit_state`` gives a stack of states,
 ``qubit_spec`` and ``bell_spec`` a stacked ``SystemSpec``,
@@ -158,24 +161,22 @@ def gate_fidelity(psi0: np.ndarray, gate: np.ndarray):
     return qsl._scalar(np.minimum(np.float_power(np.hypot(amp.real, amp.imag), 2.0), 1.0))
 
 
-def qubit_gate_radius(theta: float, g: GateParams):
-    """Closed form of sqrt(1 - fidelity) for the su2 gate family at phi = 0:
+def qubit_gate_fidelity(theta: float, g: GateParams):
+    """Closed-form cos(Theta_T) for the su2 gate family from the state of
+    angle theta at phi = 0:
 
-    sqrt(1 - cos^2(a/2) cos^2(b/2) - sin^2(a/2) cos^2(2 th + b/2)),
-
-    zeroed below qsl.RADIUS_RESOLUTION as by ``qsl.radius_from_fidelity``.
+    cos^2(a/2) cos^2(b/2) + sin^2(a/2) cos^2(2 th + b/2).
     """
     ca, sa = np.cos(g.alpha / 2), np.sin(g.alpha / 2)
-    cb = np.cos(g.beta / 2)
-    cmix = np.cos(2 * theta + g.beta / 2)
-    lam = np.sqrt(np.maximum(1.0 - ca * ca * cb * cb - sa * sa * cmix * cmix, 0.0))
-    return qsl._scalar(np.where(lam < qsl.RADIUS_RESOLUTION, 0.0, lam))
+    cb, cmix = np.cos(g.beta / 2), np.cos(2 * theta + g.beta / 2)
+    return qsl._scalar(np.minimum(ca * ca * cb * cb + sa * sa * cmix * cmix, 1.0))
 
 
 def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     """Minimum time to implement G(alpha, beta) with drift omega sigma_x and
     control |u| <= u_max, from the initial angle theta: ``qsl.qsl_time`` at
-    the closed-form radius ``qubit_gate_radius``, E = 0 and
+    lambda = ``qsl.radius_from_fidelity(qubit_gate_fidelity(theta, g))``,
+    E = 0 and
 
         A' = 2 (omega |cos 2th| + u_max |sin 2th|),
 
@@ -188,7 +189,8 @@ def qubit_gate_time_bound(p: QubitParams, g: GateParams):
     with np.errstate(over="ignore"):  # QslCoefficients names the overflow
         speed = 2.0 * (p.omega * np.abs(np.cos(2 * p.theta))
                        + p.u_max * np.abs(np.sin(2 * p.theta)))
-    return qsl.qsl_time(qsl.QslCoefficients(speed, 0.0), qubit_gate_radius(p.theta, g))
+    return qsl.qsl_time(qsl.QslCoefficients(speed, 0.0),
+                        qsl.radius_from_fidelity(qubit_gate_fidelity(p.theta, g)))
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -259,8 +261,9 @@ def qutrit_gate_fidelity(g: GateParams):
 
 def qutrit_gate_time_bound(omega: float, u_max: float, g: GateParams):
     """Minimum time to implement the qutrit rotation G(alpha, beta):
-    ``qsl.qsl_time`` at lambda = sqrt(1 - cos Theta_T), E = 0 and
-    A' = 2 (omega + u_max), so T* = 2 lambda / A'.
+    ``qsl.qsl_time`` at lambda = ``qsl.radius_from_fidelity`` of
+    ``qutrit_gate_fidelity``, E = 0 and A' = 2 (omega + u_max), so T* =
+    2 lambda / A'.
     """
     _check_rate("omega", omega, positive=True)
     _check_rate("u_max", u_max)

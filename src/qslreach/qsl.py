@@ -2,9 +2,10 @@
 
 Distances from the initial state are measured by the radius
 
-    lambda = sqrt(1 - cos Theta_T),   0 <= lambda <= 1,
+    lambda = sqrt(1 - F_T) = sqrt(1 - cos Theta_T),   0 <= lambda <= 1,
 
-and the minimum time needed to reach radius lambda is bounded by
+with F_T the fidelity of the final state to the initial one, and the
+minimum time needed to reach radius lambda is bounded by
 
     T >= T* = 2 lambda / A + (2 E / A^2) ln(E / (E + A lambda)),
 
@@ -36,7 +37,8 @@ and time budget.  ``generic_coefficients`` is the one route from a
 ``SystemSpec`` to (A or A', E): floats for one system, arrays for a stack.
 It and ``qsl_time``, ``del_campo_time`` and ``max_reachable_radius`` work on
 whole stacks of systems or coefficients at once.  ``radius_from_fidelity``
-is the one map from a fidelity, or the cos Theta_T of an angle, to lambda.
+is the one map from a fidelity to lambda: a simulated F_T, a gate's
+closed-form fidelity or the cos Theta_T of a target angle.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .dynamics import SystemSpec
 DEGENERACY_EPS = 1e-14
 
 #: Radii below this are indistinguishable from zero, and ``radius_from_fidelity``
-#: reports them as 0: a simulated angle carries integrator roundoff and a
+#: reports them as 0: a simulated fidelity carries integrator roundoff and a
 #: gate fidelity the roundoff of cos terms, so an unmoved state can come back
 #: with lambda ~ 1e-8 of pure noise (fatal where A = 0, which maps any
 #: nonzero radius to an infinite bound).
@@ -260,7 +262,9 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
 
 def radius_from_fidelity(fidelity):
     """lambda = sqrt(1 - f), the fidelity clamped into [0, 1] and radii below
-    RADIUS_RESOLUTION zeroed, for a gate's fidelity or the cos Theta_T of a
-    simulated angle; takes arrays, and gives a float for a scalar."""
+    RADIUS_RESOLUTION zeroed, for a simulated F_T (``check_bound``), a
+    closed-form gate fidelity (both gate bounds) or the cos of a target
+    angle; the one reader of RADIUS_RESOLUTION.  Takes arrays, and gives a
+    float for a scalar."""
     lam = np.sqrt(1.0 - np.minimum(np.maximum(fidelity, 0.0), 1.0))
     return _scalar(np.where(lam < RADIUS_RESOLUTION, 0.0, lam))

@@ -8,7 +8,8 @@ row.  A grid of systems is one stacked ``SystemSpec``, whose coefficients
 come from one ``qsl.generic_coefficients`` call (``bell_sweep``: one per
 Bell state).  The one simulation check is ``check_bound``, which
 ``verify_bound`` runs on its random systems one stack per block; its
-radius, like ``bound``'s, comes from ``qsl.radius_from_fidelity``.
+radius, like ``bound``'s and the gate bounds', comes from
+``qsl.radius_from_fidelity`` of a fidelity.
 ``write_rows`` writes such a dict as CSV or JSON.  Every table is rendered
 by ``format_rows``, which yields it in blocks of about
 ``dynamics.CHUNK_BYTES`` of text (``_block_rows``), each one %-format of
@@ -242,15 +243,18 @@ def _norms(a: np.ndarray) -> np.ndarray:
 def check_bound(spec: SystemSpec, T: float, dt: float = dynamics.DEFAULT_DT):
     """Integrate ``spec`` to ``T`` and hold the simulation against the bound.
 
-    Returns the trajectory and the record theta_T (the final angle), lambda
-    (``qsl.radius_from_fidelity`` of its cosine), t_star, margin (= T -
-    t_star) and rate_excess (the largest ``theta_rate_check`` value): floats
-    for one system, arrays of shape (B,) for a stack; ``violated(margin)`` is the verdict.
+    Returns the trajectory and the record theta_T (arccos of the final
+    fidelity F_T, the last ``traj.thetas`` entry), lambda
+    (``qsl.radius_from_fidelity`` of F_T), t_star, margin (= T - t_star) and
+    rate_excess (the largest ``theta_rate_check`` value): floats for one
+    system, arrays of shape (B,) for a stack; ``violated(margin)`` is the
+    verdict.
     """
     coeffs = qsl.generic_coefficients(spec)
     traj = integrate(spec, T, dt)
-    theta_t = qsl._scalar(traj.thetas[..., -1].copy())  # a view keeps every angle alive
-    lam = qsl.radius_from_fidelity(np.cos(theta_t))
+    fid_t = traj.fidelities[..., -1]
+    theta_t = qsl._scalar(np.arccos(fid_t))
+    lam = qsl.radius_from_fidelity(fid_t)
     t_star = qsl.qsl_time(coeffs, lam)
     rate_excess = qsl._scalar(theta_rate_check(traj, coeffs).max(axis=-1))
     return traj, {"theta_T": theta_t, "lambda": lam, "t_star": t_star,
@@ -288,8 +292,8 @@ def verify_bound(
     blocks = []
     for dim in dims:
         # per trial and sample: d^2 state coordinates and about 8 entries of
-        # (B, n) arrays (the angle, the rate/fidelity pair, the health
-        # screen's trace error and verdicts, the rate check's temporaries)
+        # (B, n) arrays (the rate/fidelity pair, the health screen's trace
+        # error and verdicts, the rate check's radius and temporaries)
         block = max(1, STACK_ENTRIES // (samples * (dim * dim + 8)))
         for start in range(0, n_trials, block):
             spec = draw_random_system(seed, dim, range(start, min(start + block, n_trials)))

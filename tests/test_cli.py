@@ -216,11 +216,26 @@ class TestSimulateCommand:
         cols = traj.columns()
         rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
         theta_t = float(traj.thetas[-1])
-        lam = qsl.radius_from_fidelity(np.cos(theta_t))
+        lam = qsl.radius_from_fidelity(traj.fidelities[-1])
         t_star = qsl.qsl_time(qsl.generic_coefficients(spec), lam)
         payload = {"trajectory": rows, "summary": {
             "theta_T": theta_t, "lambda": lam, "t_star": t_star, "margin": 0.05 - t_star}}
         assert text == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("model_args", [["--model", "qubit", "--theta", "0.7"],
+                                            ["--model", "bell", "--state", "psi-plus"]],
+                             ids=["qubit", "bell"])
+    def test_json_summary_reads_the_last_row(self, tmp_path, model_args):
+        # theta_T is the last row's theta and lambda the radius of its
+        # fidelity, bit for bit
+        path = tmp_path / "traj.json"
+        assert run(["simulate", *model_args, "--T", "0.3", "--format", "json",
+                    "--out", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        last, summary = payload["trajectory"][-1], payload["summary"]
+        assert last["t"] == 0.3 and last["theta"] > 0.0
+        assert summary["theta_T"] == last["theta"]
+        assert summary["lambda"] == qsl.radius_from_fidelity(last["fidelity"])
 
     def test_json_to_stdout_is_one_document(self, capsys):
         assert run(["simulate", "--T", "0.002", "--format", "json", "--out", "-"]) == 0
@@ -451,6 +466,25 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
 def test_zero_trials_is_config_error(tmp_path, capsys):
     err = _assert_config_error(tmp_path, capsys, ["verify", "--trials", "0"])
     assert err == "error: trials must be >= 1, got 0\n"
+
+
+#: What numpy's MemoryError says for ``simulate --T 1e9``'s sample times.
+NUMPY_OOM = ("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) "
+             "and data type int64")
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError(NUMPY_OOM), NUMPY_OOM),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, exc, message):
+    # a command that cannot allocate its arrays: one error line, no traceback;
+    # the patched command allocates nothing
+    def too_large(cfg):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "simulate", too_large)
+    err = _assert_config_error(tmp_path, capsys, ["simulate", "--T", "1e9"])
+    assert err == f"error: {message}\n"
 
 
 #: Steps far too large for the system: the health check names the first

@@ -397,6 +397,21 @@ class TestIntegrate:
         traj = integrate(spec, T=1.2, dt=1e-3)
         assert_allclose(np.cos(traj.thetas), np.cos(traj.times) ** 2, atol=1e-8)
 
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(psi0=KET0, h_drift=ZERO2),             # unmoved: F = 1 throughout
+        SystemSpec(psi0=PLUS, h_drift=PAULI_Z),           # F = cos^2 t reaches 0
+        qubit_spec(QubitParams(theta=0.0, gamma=1.0)),
+        draw_random_system(11, 3, range(4)),
+    ], ids=["static", "rotation", "decay", "stack"])
+    def test_stored_fidelities_and_angles(self, spec):
+        # F is 1 exactly at t = 0 and lies in [0, 1]; the angle is its arccos
+        traj = integrate(spec, T=math.pi / 2, dt=1e-2)
+        assert np.all(traj.fidelities[..., 0] == 1.0)
+        assert np.all((traj.fidelities >= 0.0) & (traj.fidelities <= 1.0))
+        assert np.array_equal(traj.thetas, np.arccos(traj.fidelities))
+        assert np.all(traj.thetas[..., 0] == 0.0)
+        assert np.array_equal(traj.columns()["fidelity"], traj.fidelities)
+
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(4)
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -490,11 +505,11 @@ class TestIntegrateMany:
     """``integrate`` of a stack of many systems: every member equals the run
     of that system alone, bit for bit."""
 
-    FIELDS = ("states", "thetas", "fidelity_rates", "trace_errors")
+    FIELDS = ("states", "fidelities", "thetas", "fidelity_rates", "trace_errors")
 
     def assert_members_equal_single_runs(self, stack, singles, T, dt, u=0.0):
         many = integrate(stack, T, dt, u)
-        assert many.thetas.shape == (len(singles), len(many.times))
+        assert many.fidelities.shape == (len(singles), len(many.times))
         for i, spec in enumerate(singles):
             single = integrate(spec, T, dt, u)
             assert np.array_equal(many.times, single.times)
@@ -546,7 +561,7 @@ class TestIntegrateMany:
         # the stored column is |tr rho - 1| of the returned states, bit for bit
         stack, singles = self.draws(5, 3, 3)
         for traj in (integrate(stack, 0.2, 1e-3), integrate(singles[0], 0.2, 1e-3)):
-            assert traj.trace_errors.shape == traj.thetas.shape
+            assert traj.trace_errors.shape == traj.fidelities.shape
             ref = np.abs(np.einsum("...ii->...", traj.states) - 1.0)
             assert np.array_equal(traj.trace_errors, ref)
 

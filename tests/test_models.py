@@ -19,7 +19,7 @@ from qslreach.models import (
     bell_state,
     collective_decay,
     gate_fidelity,
-    qubit_gate_radius,
+    qubit_gate_fidelity,
     qubit_gate_time_bound,
     qubit_spec,
     qubit_state,
@@ -307,8 +307,9 @@ class TestQubitGateBound:
                 assert_allclose(got, 1.0 / u_max, atol=1e-9)
 
     def test_radius_matches_fidelity_route(self):
-        # closed-form radius equals sqrt(1 - |<psi0|G|psi0>|^2); cell-centered
-        # grid keeps both routes away from the cancellation-dominated zeros
+        # the radius of the closed-form fidelity equals sqrt(1 - |<psi0|G|psi0>|^2);
+        # the cell-centered grid keeps both routes away from the
+        # cancellation-dominated zeros
         alphas = (np.arange(20) + 0.5) * (2 * math.pi / 20)
         betas = (np.arange(20) + 0.5) * (math.pi / 20)
         thetas = (np.arange(5) + 0.5) * (math.pi / 5)
@@ -317,7 +318,8 @@ class TestQubitGateBound:
         psi0 = qubit_state(QubitParams(theta=thetas))[:, None, :]
         lam = qsl.radius_from_fidelity(gate_fidelity(psi0, su2_gate(g)))
         assert lam.shape == (5, 400)
-        assert np.abs(qubit_gate_radius(thetas[:, None], g) - lam).max() <= 1e-10
+        closed = qsl.radius_from_fidelity(qubit_gate_fidelity(thetas[:, None], g))
+        assert np.abs(closed - lam).max() <= 1e-10
 
     def test_matches_generic_pipeline(self):
         rng = np.random.default_rng(3)

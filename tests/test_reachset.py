@@ -200,7 +200,7 @@ class TestVerifyBound:
         # the degenerate trial: nothing moves, so lambda = 0 and t_star = 0
         spec = qubit_spec(QubitParams(theta=0.0, omega=1.0))  # |0> eigenstate, no decay
         traj = integrate(spec, T=0.4, dt=1e-3)
-        lam = qsl.radius_from_fidelity(math.cos(traj.thetas[-1]))
+        lam = qsl.radius_from_fidelity(traj.fidelities[-1])
         assert lam == 0.0
         assert qsl.qsl_time(qsl.generic_coefficients(spec), lam) == 0.0
 
@@ -209,7 +209,7 @@ class TestVerifyBound:
         traj = integrate(spec, T=1.0, dt=1e-3)
         theta_t = float(traj.thetas[-1])
         assert_allclose(theta_t, math.acos(math.exp(-1.0)), atol=1e-6)
-        lam = qsl.radius_from_fidelity(math.cos(theta_t))
+        lam = qsl.radius_from_fidelity(traj.fidelities[-1])
         assert_allclose(lam, math.sqrt(1 - math.exp(-1.0)), atol=1e-6)
         t_star = qsl.qsl_time(qsl.generic_coefficients(spec), lam)
         assert t_star <= 1.0
@@ -270,7 +270,7 @@ class TestVerifyBound:
             spec = draw_random_system(3, int(dim), int(k))
             traj = integrate(spec, T=0.3, dt=1e-3)
             coeffs = qsl.generic_coefficients(spec)
-            lam = qsl.radius_from_fidelity(np.cos(float(traj.thetas[-1])))
+            lam = qsl.radius_from_fidelity(traj.fidelities[-1])
             t_star = qsl.qsl_time(coeffs, lam)
             assert cols["theta_T"][i] == traj.thetas[-1]
             assert cols["lambda"][i] == lam
@@ -369,6 +369,7 @@ class TestCheckBound:
         assert list(rec) == ["theta_T", "lambda", "t_star", "margin", "rate_excess"]
         assert all(type(v) is float for v in rec.values())
         assert rec["theta_T"] == traj.thetas[-1]
+        assert rec["lambda"] == qsl.radius_from_fidelity(traj.fidelities[-1])
         assert_allclose(rec["lambda"], math.sqrt(1 - math.exp(-1.0)), atol=1e-6)
         assert rec["margin"] == 1.0 - rec["t_star"] >= -MARGIN_TOL
         assert rec["rate_excess"] <= 1e-12
