@@ -17,14 +17,18 @@ its default.  An angle outside its domain exits 2 naming the parameter
 
 Exit codes: 0 ok, 2 invalid configuration (one too large for memory
 included: one "error:" line, no traceback), 3 integration failure,
-4 bound violation (verify only).
+4 bound violation (verify only), 141 (128 + SIGPIPE) output pipe closed by
+its reader: nothing more is written, to stdout or stderr.  No signal
+disposition is changed, so ``main`` can run in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from itertools import chain
 
@@ -34,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_VIOLATION = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def parse_angle(text: str) -> float:
@@ -365,7 +370,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](resolve_config(args))
+        code = _COMMANDS[args.command](resolve_config(args))
+        sys.stdout.flush()  # a reader gone before the last buffered bytes fails here
+        return code
+    except BrokenPipeError:
+        # the reader went away: say nothing (stderr may be the same pipe), and
+        # point a stdout that has a descriptor at devnull, so that the
+        # interpreter's final flush of what is still buffered stays quiet
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
     except dynamics.IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION

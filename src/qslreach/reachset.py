@@ -4,7 +4,9 @@ harness that validates the time bound against direct simulation.
 The sweeps take each axis by name, as a ``GridAxis`` (a checked linspace),
 evaluate whole grids as arrays and, like ``verify_bound``, return column
 dicts: column name -> 1-D array, in file column order, one entry per output
-row.  A grid of systems is one stacked ``SystemSpec``, whose coefficients
+row.  Each column is built at its final width: a constant column is a
+read-only zero-stride view of its one value (``np.broadcast_to``), so it
+owns no row, and a reach flag is one byte per row (uint8 0/1).  A grid of systems is one stacked ``SystemSpec``, whose coefficients
 come from one ``qsl.generic_coefficients`` call (``bell_sweep``: one per
 Bell state).  The one simulation check is ``check_bound``, which
 ``verify_bound`` runs on its random systems one stack per block; its
@@ -92,7 +94,8 @@ def sweep_reachable_radius(theta: GridAxis, horizons, gamma: float, omega: float
     Coefficients come from the generic pipeline for the driven, decaying
     qubit, one stacked spec over the theta axis; for gamma = 0 the result
     reduces to min(1, omega |sin 2th| T).  Columns theta, gamma, omega, T,
-    lambda_max; one row per (theta, T), theta-major.
+    lambda_max; one row per (theta, T), theta-major.  gamma and omega are
+    read-only zero-stride views of their one value.
     """
     hs = np.array(_horizons(horizons))
     p = QubitParams(theta=theta.values(), omega=omega, gamma=gamma)
@@ -101,8 +104,8 @@ def sweep_reachable_radius(theta: GridAxis, horizons, gamma: float, omega: float
     n = lam.size
     return {
         "theta": np.repeat(p.theta, hs.size),
-        "gamma": np.full(n, gamma),
-        "omega": np.full(n, omega),
+        "gamma": np.broadcast_to(gamma, n),
+        "omega": np.broadcast_to(omega, n),
         "T": np.tile(hs, p.theta.size),
         "lambda_max": lam.ravel(),
     }
@@ -121,8 +124,14 @@ def gate_reach_map(
 
     ``model`` is "qubit" (su2 rotations, initial angle theta) or "qutrit"
     (so3 rotations from [1, 0, 1]/sqrt(2); theta is reported as pi).
-    Columns model, theta, alpha, beta, t_star and reach_T1, reach_T2, ...
-    (1 where t_star <= T for each horizon); one row per gate, alpha-major.
+    Columns model, theta, alpha, beta, t_star and reach_T1, reach_T2, ...;
+    one row per gate, alpha-major.  model and theta are read-only
+    zero-stride views of their one value.  reach_Ti is uint8, 1 where
+    t_star <= T_i: the comparison on the computed float, so an exact tie is
+    decided by the last bit of t_star.  At theta = 0 the cells at beta =
+    pi/3 are such ties at T = 0.5 (the frontier |sin(beta/2)| = omega T):
+    their t_star lies within two ulps of 0.5, on either side, as alpha
+    and the grid's rounding of pi/3 vary.
     """
     if model not in ("qubit", "qutrit"):
         raise ValueError(f"model must be 'qubit' or 'qutrit', got {model!r}")
@@ -135,10 +144,10 @@ def gate_reach_map(
         t_star = qutrit_gate_time_bound(omega, u_max, g)
         theta = math.pi
     n = t_star.size
-    cols = {"model": np.full(n, model), "theta": np.full(n, theta),
+    cols = {"model": np.broadcast_to(model, n), "theta": np.broadcast_to(theta, n),
             "alpha": g.alpha, "beta": g.beta, "t_star": t_star}
     for i, T in enumerate(horizons, start=1):
-        cols[f"reach_T{i}"] = (t_star <= T).astype(int)
+        cols[f"reach_T{i}"] = (t_star <= T).view(np.uint8)
     return cols
 
 
@@ -146,7 +155,8 @@ def bell_sweep(gamma_axis: GridAxis, T: float) -> dict:
     """Largest reachable radius per Bell state versus decay rate gamma.
 
     Columns state, gamma, T, lambda_max; one row per (state, gamma),
-    state-major in BELL_LABELS order.
+    state-major in BELL_LABELS order.  T is a read-only zero-stride view of
+    its one value.
     """
     if not 0 < T < math.inf:
         raise ValueError(f"T must be finite and > 0, got {T!r}")
@@ -157,7 +167,7 @@ def bell_sweep(gamma_axis: GridAxis, T: float) -> dict:
     return {
         "state": np.repeat(BELL_LABELS, gammas.size),
         "gamma": np.tile(gammas, len(BELL_LABELS)),
-        "T": np.full(coeffs.speed.size, float(T)),
+        "T": np.broadcast_to(float(T), coeffs.speed.size),
         "lambda_max": qsl.max_reachable_radius(coeffs, T),
     }
 
@@ -271,7 +281,8 @@ def verify_bound(
     """Integrate ``n_trials`` random systems per dimension and check that the
     simulated evolution respects T >= T*(lambda).
 
-    Returns the verify file's columns trial, seed, dim and T, then the
+    Returns the verify file's columns trial, seed, dim and T (seed and T
+    read-only zero-stride views of their one value), then the
     ``check_bound`` record theta_T, lambda, t_star, margin and rate_excess;
     one row per trial, dim-major.  Each dim's trials go in blocks of about
     ``STACK_ENTRIES`` entries, which bounds memory: a block is one
@@ -301,9 +312,9 @@ def verify_bound(
     n = n_trials * len(dims)
     return {
         "trial": np.tile(np.arange(n_trials), len(dims)),
-        "seed": np.full(n, seed),
+        "seed": np.broadcast_to(seed, n),
         "dim": np.repeat(dims, n_trials),
-        "T": np.full(n, T),
+        "T": np.broadcast_to(T, n),
         **{k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]},
     }
 

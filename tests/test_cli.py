@@ -1,6 +1,11 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +490,47 @@ def test_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, exc,
     monkeypatch.setitem(cli._COMMANDS, "simulate", too_large)
     err = _assert_config_error(tmp_path, capsys, ["simulate", "--T", "1e9"])
     assert err == f"error: {message}\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails, and it has no file
+    descriptor to point at devnull."""
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate-map", "--points", "150", "--format", "json", "--out", "-"],
+    ["bound", "--model", "qubit", "--lambda", "0.5"],
+    ["verify", "--trials", "2", "--out", "-"],
+], ids=["gate-map", "bound", "verify"])
+def test_closed_stdout_pipe_exits_141_in_process(capsys, monkeypatch, argv):
+    # a reader that went away is not an invalid configuration: exit 141, the
+    # code of a writer killed by SIGPIPE, and nothing on stderr
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(argv) == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate-map", "--points", "150", "--format", "json", "--out", "-"],
+    ["bound", "--model", "qubit", "--lambda", "0.5"],
+], ids=["gate-map", "bound"])
+def test_closed_stdout_pipe_exits_141(argv):
+    # the read end is closed before the child writes: a large table fails
+    # mid-write, a one-record report at the flush after the command; neither
+    # may print a traceback or an "Exception ignored" line at exit.  The
+    # child's stdout is block-buffered, as it is by default on a pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "qslreach.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 #: Steps far too large for the system: the health check names the first

@@ -150,6 +150,80 @@ class TestGateReachMap:
             gate_reach_map("qudit", *self._grid(3))
 
 
+def _owned_bytes(cols) -> int:
+    """The bytes a column dict owns: each base buffer once, a zero-stride
+    view (a constant column) as 0."""
+    bases = {}
+    for col in cols.values():
+        if col.strides != (0,):
+            while isinstance(col.base, np.ndarray):
+                col = col.base
+            bases[id(col)] = col.nbytes
+    return sum(bases.values())
+
+
+#: Each grid table function on a small grid, with its constant columns and their value.
+_GRID_TABLES = {
+    "sweep": (lambda: sweep_reachable_radius(GridAxis(0.0, 1.0, 4), (0.3, 0.5),
+                                             gamma=0.4, omega=1.2),
+              {"gamma": 0.4, "omega": 1.2}),
+    "gate-qubit": (lambda: gate_reach_map("qubit", GridAxis(0.0, 1.0, 4),
+                                          GridAxis(0.0, 1.0, 3), (0.3, 0.5), theta=0.2),
+                   {"model": "qubit", "theta": 0.2}),
+    "gate-qutrit": (lambda: gate_reach_map("qutrit", GridAxis(0.0, 1.0, 4),
+                                           GridAxis(0.0, 1.0, 3), (0.3, 0.5)),
+                    {"model": "qutrit", "theta": math.pi}),
+    "bell": (lambda: bell_sweep(GridAxis(0.1, 1.0, 3), T=0.5), {"T": 0.5}),
+    "verify": (lambda: verify_bound(seed=7, n_trials=2, dims=(2, 3), T=0.05, dt=1e-2),
+               {"seed": 7, "T": 0.05}),
+}
+
+
+class TestColumnForms:
+    """Each grid column is built at its final width: a constant column is a
+    read-only zero-stride view of its one value, a reach flag is one byte per
+    row, and no other column is a zero-stride view."""
+
+    @pytest.mark.parametrize("name", list(_GRID_TABLES))
+    def test_constant_columns_are_read_only_zero_stride_views(self, name):
+        build, constants = _GRID_TABLES[name]
+        cols = build()
+        assert {k for k, col in cols.items() if col.strides == (0,)} == set(constants)
+        for k, value in constants.items():
+            assert not cols[k].flags.writeable, k
+            assert cols[k].tolist() == [value] * len(cols[k]), k
+
+    @pytest.mark.parametrize("model,theta,points", [
+        ("qubit", 0.0, 4), ("qubit", 0.0, 100), ("qubit", 0.7, 9), ("qutrit", 0.0, 9),
+    ])
+    def test_reach_flags_are_bytes_of_t_star_le_T(self, model, theta, points):
+        # at theta = 0 and T = 0.5 the beta = pi/3 column is a tie: T* lies
+        # within two ulps of 0.5, on either side as alpha and the axis'
+        # rounding of pi/3 vary (4 points hold pi/3 exactly, the default 100
+        # hold it one ulp high), and the flag is the comparison on that float
+        horizons = (0.3, 0.5, 0.8)
+        cols = gate_reach_map(model, GridAxis(0.0, 2 * math.pi, points),
+                              GridAxis(0.0, math.pi, points), horizons, theta=theta)
+        t_star = cols["t_star"]
+        for i, T in enumerate(horizons, start=1):
+            flags = cols[f"reach_T{i}"]
+            assert flags.dtype == np.uint8
+            assert set(flags.tolist()) <= {0, 1}
+            assert np.array_equal(flags.view(bool), t_star <= T)
+        if model == "qubit" and theta == 0.0:
+            ties = np.abs(t_star - 0.5) <= 2 * np.spacing(0.5)
+            assert np.unique(cols["beta"][ties]).tolist() == [cols["beta"][points // 3]]
+            assert ties.sum() == points
+
+    @pytest.mark.parametrize("model", ["qubit", "qutrit"])
+    def test_150_gate_map_columns_own_under_650_kb(self, model):
+        # alpha, beta and t_star own 8 bytes a row and the three flags one
+        # each: 22,500 x 27 bytes = 0.61 MB (1.80 MB with full-width copies)
+        cols = gate_reach_map(model, GridAxis(0.0, 2 * math.pi, 150),
+                              GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
+        assert _owned_bytes(cols) == 150 * 150 * (3 * 8 + 3) <= 650_000
+
+
 class TestBellSweep:
     def test_dark_state_stays_at_origin(self):
         cols = bell_sweep(GridAxis(0.1, 2.0, 9), T=0.5)
@@ -591,7 +665,9 @@ class TestWriteRows:
 
     @staticmethod
     def _assert_matches_reference_encoders(table):
-        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        # the reference encoders take an array column's cells as Python values
+        cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in table.values()]
+        rows = [dict(zip(table, row)) for row in zip(*cells)]
         csv_out, json_out = io.StringIO(), io.StringIO()
         reachset.write_rows(table, csv_out, "csv")
         reachset.write_rows(table, json_out, "json")
@@ -607,42 +683,54 @@ class TestWriteRows:
         assert nested == json.dumps(safe, indent=2).replace("\n", "\n  ")
 
     @staticmethod
-    def _mixed_table(n):
-        # distinct, repeating and constant columns
+    def _mixed_table(n, form):
+        # distinct, repeating, constant and 0/1 flag columns, as lists or in
+        # the forms the grid functions return: zero-stride views for the
+        # constants, and flags of one byte (one varying, one all 1)
         x = np.linspace(-1.0, 1.0, n)
-        return {"x": x.tolist(), "k": (np.arange(n) % 5).tolist(), "T": [0.5] * n,
-                "t": np.where(x > 0.9, math.inf, x).tolist(), "label": ["a%s"] * n}
+        table = {"x": x, "k": np.arange(n) % 5, "T": np.broadcast_to(0.5, n),
+                 "t": np.where(x > 0.9, math.inf, x), "label": np.broadcast_to("a%s", n),
+                 "reach": (x <= 0.3).view(np.uint8), "all": (x <= 1.0).view(np.uint8)}
+        return {k: col.tolist() for k, col in table.items()} if form == "lists" else table
 
+    @pytest.mark.parametrize("form", ["lists", "arrays"])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     @pytest.mark.parametrize("blocks", [1, 2, 8])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rows_around_default_blocks_match_reference(self, fmt, blocks, extra):
+    def test_rows_around_default_blocks_match_reference(self, fmt, blocks, extra, form):
         # the row counts fall on, and one either side of, whole blocks of the
         # default rule, which gives this table hundreds of rows per block; 8
         # blocks make a table of many
-        first = next(reachset.format_rows(self._mixed_table(5000), fmt))
+        first = next(reachset.format_rows(self._mixed_table(5000, form), fmt))
         k = first.count("\n") if fmt == "csv" else first.count('"x": ')
         assert 100 < k < 5000
-        self._assert_matches_reference_encoders(self._mixed_table(blocks * k + extra))
+        self._assert_matches_reference_encoders(self._mixed_table(blocks * k + extra, form))
 
+    @pytest.mark.parametrize("form", ["list", "zero-stride"])
     @pytest.mark.parametrize("value", ["a%\x00b%", "%s\x00", "%%", math.nan, -0.0, 0.0,
                                        math.inf, -math.inf, 7, -2 ** 63, True, False], ids=repr)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-    def test_constant_columns_match_reference(self, value, n):
+    def test_constant_columns_match_reference(self, value, n, form):
         # a constant column sits in the row template as literal text; so does
-        # every column of the second table
+        # every column of the second table.  "zero-stride": the read-only
+        # np.broadcast_to view the grid functions return (numpy's unicode
+        # dtype drops a trailing NUL, and the reference sees the same cells)
+        def column(v):
+            return [v] * n if form == "list" else np.broadcast_to(v, n)
+
         for block_rows in (1, 2, 3, None):
             with _blocks_of(block_rows):
                 self._assert_matches_reference_encoders(
-                    {"c": [value] * n, "y": [0.25 * i for i in range(n)]})
+                    {"c": column(value), "y": [0.25 * i for i in range(n)]})
                 self._assert_matches_reference_encoders(
-                    {"c%": [value] * n, "s%d": ["%d"] * n, "e": [1.5] * n})
+                    {"c%": column(value), "s%d": column("%d"), "e": column(1.5)})
 
     def test_json_gate_map_peaks_below_its_file_size(self, tmp_path):
         # the rows are formatted and written a block at a time, each block's
         # text under the mmap threshold, and the lookup codes take a byte per
         # row: no whole-table text, template or cell list is ever held, and
-        # the 22,500-row map is written in less than its columns' own bytes
+        # the 22,500-row map is written in less than its columns' bytes
+        # counted at full length (nbytes counts a zero-stride view's every row)
         cols = reachset.gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
                                        GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
         path = tmp_path / "map.json"
