@@ -16,10 +16,12 @@ radius, like ``bound``'s and the gate bounds', comes from
 by ``format_rows``, which yields it in blocks of about
 ``dynamics.CHUNK_BYTES`` of text (``_block_rows``), each one %-format of
 the per-row template over that block's cells; ``write_rows`` writes each
-block as it is made, so no whole-table text is held.  A constant column is
-literal text in the template, and a column that repeats its cells has each
-distinct value rendered once and looked up per row, through codes of the
-narrowest unsigned type that holds them.  Coefficient stacks are likewise
+block as it is made, so no whole-table text is held.  A column that
+repeats its cells has each distinct value rendered once (``_cells``), and
+a run of adjacent such columns is one template cell, each combination of
+its members rendered once with the text between them and looked up per row
+through one byte of code; a run of one combination, such as constant
+columns, is literal template text.  Coefficient stacks are likewise
 evaluated a chunk of members at a time (``qsl._coefficients``), so a
 grid's transient memory grows with the chunk, not with the grid.
 ``format_record`` renders one record with the same cell specs.
@@ -328,29 +330,30 @@ VERIFY_CSV_COMMENT = (
 
 
 def _cells(column, fmt: str):
-    """One column as a %-spec and a function of (i, j) that gives the Python
-    values the spec formats for rows i:j.  CSV: floats at 9 significant
-    digits (+inf as "inf"), everything else verbatim.  JSON: the tokens
-    json.dumps writes (str of a float is its repr), except that non-finite
-    floats become strings ("inf").
+    """One column's cells, as ``(strings, codes)`` when each distinct cell is
+    rendered once and looked up per row: the text of each level and each
+    row's level, a byte per row for at most 256 levels; or as ``(spec,
+    values)`` for a column formatted in place: a %-spec and a function of
+    (i, j) that gives the Python values the spec formats for rows i:j.  CSV:
+    floats at 9 significant digits (+inf as "inf"), everything else
+    verbatim.  JSON: the tokens json.dumps writes (str of a float is its
+    repr), except that non-finite floats become strings ("inf").
 
-    A column whose cells are all equal (floats: bit patterns) is rendered
-    once and returned as literal template text, "%" escaped, with no value
-    function: it is neither sorted nor substituted per row.  Otherwise each
-    distinct cell is rendered once when at most half the rows are distinct:
-    floats are keyed by their bit pattern, so -0.0 and every NaN keep their
-    own text, and the rendered strings are looked up per row through codes
-    of the narrowest unsigned type that holds them (a byte per row for at
-    most 256 distinct cells).  A mostly-distinct column is formatted in
-    place, which is cheaper than the lookup.  The strings of a list or tuple
-    column are taken as given: numpy's unicode dtype would drop their
-    trailing NULs."""
+    An integer or bool column spanning fewer than 256 values has the levels
+    min..max and codes value - min, in one pass with no sort.  Any other
+    column is looked up when at most half its rows are distinct (one level
+    when all are equal, a zero-stride view included, else np.unique's
+    inverse, narrowed), and formatted in place otherwise, which is cheaper
+    than the lookup.  Floats are keyed by their bit pattern, so -0.0 and
+    every NaN keep their own text.  The strings of a list or tuple column
+    are taken as given, each distinct one a level: numpy's unicode dtype
+    would drop their trailing NULs."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
-        tokens = {v: v if fmt == "csv" else json.dumps(v) for v in set(column)}
-        if len(tokens) == 1:
-            return tokens[column[0]].replace("%", "%%"), None
-        return "%s", lambda i, j: [tokens[v] for v in column[i:j]]
+        index = {v: k for k, v in enumerate(dict.fromkeys(column))}
+        codes = np.fromiter(map(index.get, column), np.intp, len(column))
+        strings = [v if fmt == "csv" else json.dumps(v) for v in index]
+        return strings, codes.astype(np.min_scalar_type(len(strings) - 1))
     floats = arr.dtype.kind == "f"
     if floats:
         arr = arr.astype(np.float64, copy=False)
@@ -365,35 +368,40 @@ def _cells(column, fmt: str):
             out = [json.dumps(v) for v in out]
         return out
 
-    keys = arr.view(np.int64) if floats else arr
-    if (keys == keys[0]).all():
-        uniq, codes = keys[:1], None
+    keys = arr.view(np.int64 if floats else np.uint8 if arr.dtype.kind == "b" else arr.dtype)
+    if arr.dtype.kind in "iub" and (span := int(keys.max()) - int(lo := keys.min()) + 1) < 256:
+        uniq, codes = lo + np.arange(span, dtype=keys.dtype), (keys - lo).astype(np.uint8, copy=False)
+    elif not keys.strides[0] or (keys == keys[0]).all():
+        uniq, codes = keys[:1], np.zeros(len(keys), np.uint8)
     else:
         uniq, inverse = np.unique(keys, return_inverse=True)
         if 2 * len(uniq) > len(arr):
             return spec, lambda i, j: values(arr[i:j])
         codes = inverse.astype(np.min_scalar_type(len(uniq) - 1))
     cells = values(uniq.view(arr.dtype))
-    strings = (((spec + "\n") * len(cells) % tuple(cells)).split("\n") if floats
-               else list(map(str, cells)))
-    if codes is None:
-        return strings[0].replace("%", "%%"), None
-    strings = np.array(strings, dtype=object)
-    return "%s", lambda i, j: strings[codes[i:j]].tolist()
+    if floats:
+        return ((spec + "\n") * len(cells) % tuple(cells)).split("\n")[:-1], codes
+    return list(map(str, cells)), codes
 
 
 def format_rows(columns: dict, fmt: str, indent: str = ""):
     """The rows of a column dict as text, yielded in blocks of
     ``_block_rows`` rows, about ``dynamics.CHUNK_BYTES`` of text each: each
     block is one %-format of the per-row template repeated once per row,
-    over only that block's cells from ``_cells`` (a
-    constant column is literal template text, a repetitive one arrives as
-    strings rendered once per distinct value).  CSV: one line per row, no
-    header.  JSON: the list json.dumps(rows, indent=2) writes, without a
-    final newline; ``indent`` prefixes every line but the first, to nest it
-    in an object.  The bytes do not depend on the block size.  The format
-    and the columns (non-empty, of one length) are checked, and the cells
-    prepared, before the first block is asked for."""
+    over only that block's cells.  CSV: one line per row, no header.  JSON:
+    the list json.dumps(rows, indent=2) writes, without a final newline;
+    ``indent`` prefixes every line but the first, to nest it in an object.
+
+    Each run of adjacent looked-up columns (``_cells``) is one template
+    cell, while the product of their level counts stays at most
+    min(256, rows // 2): its strings are every combination of the members'
+    strings, with the literal text between them (CSV commas; JSON keys and
+    indentation), and its code per row is the mixed-radix combination of
+    theirs, one byte.  A run of one level, such as constant columns, is
+    literal template text, "%" escaped.  The bytes do not depend on the
+    runs or the block size.  The format and the columns (non-empty, of one
+    length) are checked, and the cells prepared, before the first block is
+    asked for."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     n = len(next(iter(columns.values()))) if columns else 0
@@ -401,39 +409,68 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
         raise ValueError("no rows to write")
     if any(len(col) != n for col in columns.values()):
         raise ValueError("columns must all have the same length")
-    specs, cells = zip(*(_cells(col, fmt) for col in columns.values()))
-    cells = [c for c in cells if c is not None]
+    leads, end = _frame(columns, fmt, indent + "  ")
+    runs = []  # [text before the cell, its strings or %-spec, its codes or value function]
+    for lead, (cell, per_row) in zip(leads, (_cells(col, fmt) for col in columns.values())):
+        prev = runs[-1][1] if runs else None
+        if isinstance(cell, list) and isinstance(prev, list) and \
+                len(prev) * len(cell) <= min(256, n // 2):
+            runs[-1][2] = per_row if len(prev) == 1 else runs[-1][2] * len(cell) + per_row
+            runs[-1][1] = [a + lead + b for a in prev for b in cell]
+        else:
+            runs.append([lead, cell, per_row])
+    template, cells, width = "", [], 0
+    for lead, cell, per_row in runs:
+        if isinstance(cell, str):
+            template += lead.replace("%", "%%") + cell
+            cells.append(per_row)
+            width += 16
+        elif len(cell) == 1:
+            template += (lead + cell[0]).replace("%", "%%")
+        else:
+            template += lead.replace("%", "%%") + "%s"
+            strings = np.array(cell, dtype=object)
+            cells.append(lambda i, j, s=strings, c=per_row: s[c[i:j]].tolist())
+            width += max(map(len, cell))
+    template += end.replace("%", "%%")
     if fmt == "csv":
-        head, row = "", ",".join(specs) + "\n"
-        last = row
+        head, row, last = "", template, template
     else:
-        record = f"{indent}  " + _object_template(columns, specs, indent + "  ")
+        record = f"{indent}  " + template
         head, row, last = "[\n", record + ",\n", record + f"\n{indent}]"
-    step = _block_rows(row, len(cells))
+    step = _block_rows(row, width)
 
     def blocks():
         for i in range(0, n, step):
             j = min(i + step, n)
-            template = (head if i == 0 else "") + row * (j - i - 1) + (last if j == n else row)
-            yield template % tuple(chain.from_iterable(zip(*(c(i, j) for c in cells))))
+            text = (head if i == 0 else "") + row * (j - i - 1) + (last if j == n else row)
+            yield text % tuple(chain.from_iterable(zip(*(c(i, j) for c in cells))))
     return blocks()
 
 
-def _block_rows(row: str, cells: int) -> int:
+def _block_rows(row: str, width: int) -> int:
     """Rows per block of ``format_rows`` for the row template ``row`` with
-    ``cells`` cells substituted per row: about ``dynamics.CHUNK_BYTES`` of
-    text, counting 16 bytes of text per cell beyond the template.  A block's
-    text, its template and its encoded copy then each stay under glibc's
-    128 KB mmap threshold, whatever the table's length."""
-    return max(1, dynamics.CHUNK_BYTES // (len(row) + 16 * cells))
+    ``width`` bytes of text substituted per row: about
+    ``dynamics.CHUNK_BYTES`` of text, counting 16 bytes for a cell formatted
+    in place and the longest string of a looked-up one.  A block's text, its
+    template and its encoded copy then each stay under glibc's 128 KB mmap
+    threshold, whatever the table's length."""
+    return max(1, dynamics.CHUNK_BYTES // (len(row) + width))
 
 
-def _object_template(names, specs, indent: str) -> str:
-    """The %-template of one object as json.dumps(..., indent=2) lays it out;
-    ``indent`` prefixes every line but the first."""
-    fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: {s}"
-                        for k, s in zip(names, specs))
-    return f"{{\n{fields}\n{indent}}}"
+def _frame(names, fmt: str, indent: str = ""):
+    """The literal text before each cell of one record and after its last.
+    "csv": cells joined by commas, one line; "json": the object
+    json.dumps(..., indent=2) writes, ``indent`` prefixing every line but
+    the first; "text": one "name = value" line per entry."""
+    if fmt == "csv":
+        first, sep, keys, end = "", ",", [""] * len(names), "\n"
+    elif fmt == "text":
+        first, sep, keys, end = "", "\n", [f"{k} = " for k in names], ""
+    else:
+        first, sep, end = "{\n", ",\n", f"\n{indent}}}"
+        keys = [f"{indent}  {json.dumps(k)}: " for k in names]
+    return [(sep if i else first) + k for i, k in enumerate(keys)], end
 
 
 def format_record(record: dict, fmt: str, indent: str = "") -> str:
@@ -442,10 +479,9 @@ def format_record(record: dict, fmt: str, indent: str = "") -> str:
     one "name = value" line per entry, cells as in CSV.  No final newline."""
     if fmt not in ("text", "json"):
         raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
-    specs = [_cells([v], "csv" if fmt == "text" else fmt)[0] for v in record.values()]
-    template = (_object_template(record, specs, indent) if fmt == "json" else
-                "\n".join(f"{k.replace('%', '%%')} = {s}" for k, s in zip(record, specs)))
-    return template % ()
+    leads, end = _frame(record, fmt, indent)
+    cells = (_cells([v], "csv" if fmt == "text" else fmt)[0][0] for v in record.values())
+    return "".join(map(str.__add__, leads, cells)) + end
 
 
 def write_text(pieces, out) -> None:

@@ -70,7 +70,7 @@ def test_output_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch,
                                                   block_rows):
     # the writers stream their rows in blocks; 51 trajectory samples or 24
     # verify rows span many blocks of these sizes, and end mid-block for some
-    monkeypatch.setattr(reachset, "_block_rows", lambda row, cells: block_rows)
+    monkeypatch.setattr(reachset, "_block_rows", lambda row, width: block_rows)
     out = tmp_path / name
     assert cli.main(GOLDEN[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()

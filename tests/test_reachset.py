@@ -573,12 +573,58 @@ def _tables(draw):
     return {name: column() for name in names}
 
 
+_REPEATING_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, -2.5, 1e300])
+
+
+@st.composite
+def _fused_tables(draw):
+    """A column dict of 1-80 rows whose 1-7 columns take, in random order,
+    the forms that runs of looked-up columns are made of: constants (lists
+    and zero-stride views), small-range integers, one-byte flags, floats
+    repeating -0.0, NaN and +-inf, lists of strings with "%" and trailing
+    NULs from a pool, and mostly-distinct floats."""
+    n = draw(st.integers(1, 80))
+
+    def pool(cells, size=3):
+        return draw(st.lists(st.sampled_from(draw(st.lists(cells, min_size=1, max_size=size))),
+                             min_size=n, max_size=n))
+
+    def column(kind):
+        if kind == "constant":
+            value = draw(draw(st.sampled_from(_CELLS)))
+            return [value] * n if draw(st.booleans()) else np.broadcast_to(value, n)
+        if kind == "integers":
+            low = draw(st.integers(-2 ** 63, 2 ** 63 - 300))
+            return np.array(pool(st.integers(low, low + 299), 5), dtype=np.int64)
+        if kind == "flags":
+            return np.array(pool(st.integers(0, 1), 2), dtype=np.uint8)
+        if kind == "floats":
+            return np.array(pool(_REPEATING_FLOATS, 4))
+        if kind == "strings":
+            return pool(_TEXT)
+        return np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+
+    kinds = draw(st.lists(st.sampled_from(["constant", "integers", "flags", "floats", "strings",
+                                           "distinct"]), min_size=1, max_size=7))
+    names = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    return {name: column(kind) for name, kind in zip(names, kinds)}
+
+
+def _template_cells(columns, fmt):
+    """The number of cells substituted per row of ``format_rows``' template."""
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reachset, "_block_rows", lambda row, width: rows.append(row) or 1)
+        next(reachset.format_rows(columns, fmt))
+    return rows[0].replace("%%", "").count("%")
+
+
 @contextlib.contextmanager
 def _blocks_of(rows):
     """``format_rows`` in blocks of ``rows`` rows; None keeps the default rule."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(reachset, "_block_rows", lambda row, cells: rows)
+            mp.setattr(reachset, "_block_rows", lambda row, width: rows)
         yield
 
 
@@ -760,6 +806,67 @@ class TestWriteRows:
     def test_one_value_repeated_matches_reference(self):
         self._assert_matches_reference_encoders(
             {"theta": [0.3] * 10 ** 4, "n": [7] * 10 ** 4, "label": ["x"] * 10 ** 4})
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_fused_tables())
+    def test_fused_runs_match_reference_encoders(self, table):
+        # adjacent looked-up columns share one template cell, whose strings
+        # hold the commas, keys and indentation between them
+        for block_rows in (1, 2, 3, None):
+            with _blocks_of(block_rows):
+                self._assert_matches_reference_encoders(table)
+
+    @pytest.mark.parametrize("n, levels, cells", [
+        (24, (3, 4), 1), (22, (3, 4), 2),  # product 12 at and one past n // 2
+        (600, (2, 128), 1), (600, (2, 129), 2),  # product 256 and 258 under a cap of 256
+        (600, (1, 2, 128, 1), 1), (600, (2, 2, 2, 2, 2, 2, 2, 2, 2), 2)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_runs_grow_up_to_their_level_cap(self, fmt, n, levels, cells):
+        # alternating float and integer columns with the given level counts,
+        # then one mostly-distinct column formatted in place
+        i = np.arange(n)
+        table = {}
+        for k, count in enumerate(levels):
+            code = i // math.prod(levels[k + 1:]) % count
+            table[f"c{k}"] = code * 0.25 - 1.0 if k % 2 else code - 2 ** 62
+        table["x"] = np.linspace(-1.0, 1.0, n)
+        assert _template_cells(table, fmt) == cells + 1
+        for block_rows in (1, 7, None):
+            with _blocks_of(block_rows):
+                self._assert_matches_reference_encoders(table)
+
+    def test_flag_codes_are_the_flags_in_one_byte_per_row(self):
+        # a uint8 flag's codes are value - min in one pass: no sort and no
+        # 8-byte-per-row temporary
+        flags = (np.random.default_rng(5).random(22500) < 0.3).view(np.uint8)
+        tracemalloc.start()
+        try:
+            strings, codes = reachset._cells(flags, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * flags.size
+        assert strings == ["0", "1"]
+        assert codes.dtype == np.uint8 and np.array_equal(codes, flags)
+
+    @pytest.mark.parametrize("builder, cells", [
+        # model, theta and alpha; beta; t_star; and the three flags, each of which varies
+        (lambda: gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
+                                GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.7), theta=0.3, u_max=0.9),
+         4),
+        # trial and seed; dim and T (5 x 3 levels exceed 15 // 2); five floats
+        (lambda: verify_bound(0, 5), 7),
+        # theta (5000 levels); gamma, omega and T; lambda_max
+        (lambda: sweep_reachable_radius(GridAxis(0.0, math.pi / 2, 5000), (0.3, 0.5, 0.8), 0.4), 3),
+        # state; gamma (1250 levels) with T literal after it; lambda_max
+        (lambda: bell_sweep(GridAxis(0.01, 1.6, 1250), 0.5), 3),
+    ], ids=["gate_reach_map", "verify_bound", "sweep_reachable_radius", "bell_sweep"])
+    def test_builders_template_cells(self, builder, cells):
+        cols = builder()
+        flags = [col for name, col in cols.items() if name.startswith("reach_T")]
+        assert all(0 < col.sum() < col.size for col in flags)
+        for fmt in ("csv", "json"):
+            assert _template_cells(cols, fmt) == cells
 
 
 class TestFormatRecord:
