@@ -276,12 +276,14 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     One pass, _SCREEN_MATRICES states at a time, reads each chunk
     coordinate-major: the diagonal as a (d, m) real copy and the lower
-    triangle as a (d(d-1)/2, m) complex copy of rho_ij = (x_re + i x_im) /
-    sqrt(2), so every entry is one contiguous array over the chunk.  It
-    keeps three residuals per state: whether every coordinate is finite,
-    the trace error (the sum of the diagonal coordinates) and the
-    ``_positive_pivots`` verdict.  The coordinates describe a Hermitian
-    matrix exactly, so there is no Hermiticity check.
+    triangle as a (d(d-1)/2, m) complex copy of the coordinates x_re + i
+    x_im = sqrt(2) rho_ij, so every entry is one contiguous array over the
+    chunk.  It keeps two residuals per state: the trace error (the sum of
+    the diagonal coordinates) and the ``_positive_pivots`` verdict.  A
+    non-finite coordinate fails one of them (a NaN trace error, or a
+    non-finite pivot), so finiteness is taken only of a system that fails.
+    The coordinates describe a Hermitian matrix exactly, so there is no
+    Hermiticity check.
 
     A system whose residuals fail is judged from its rows, in stack order:
     the cheap checks (non-finite, trace) on every sample, and positivity on
@@ -294,19 +296,17 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     b, n, d2 = x.shape
     dim = math.isqrt(d2)
     flat = x.reshape(-1, d2)
-    trace_err, finite, pivots = np.empty(b * n), np.empty(b * n, bool), np.empty(b * n, bool)
+    trace_err, pivots = np.empty(b * n), np.empty(b * n, bool)
     for start in range(0, len(flat), _SCREEN_MATRICES):
         chunk = slice(start, start + _SCREEN_MATRICES)
         diag = np.ascontiguousarray(flat[chunk, :dim].T)
-        low = flat[chunk, dim:].view(complex).T.copy()  # a copy even of one state
-        np.divide(low.view(float), _SQRT2, out=low.view(float))
-        np.logical_and(np.isfinite(diag).all(axis=0), np.isfinite(low).all(axis=0),
-                       out=finite[chunk])
+        low = np.ascontiguousarray(flat[chunk, dim:].view(complex).T)
         np.abs(diag.sum(axis=0) - 1.0, out=trace_err[chunk])
         pivots[chunk] = _positive_pivots(diag, low)
-    trace_err, finite, pivots = (a.reshape(b, n) for a in (trace_err, finite, pivots))
-    for k in np.flatnonzero(~(finite & (trace_err <= TRACE_TOL) & pivots).all(axis=1)):
-        cheap = ~finite[k] | (trace_err[k] > TRACE_TOL)
+    trace_err, pivots = trace_err.reshape(b, n), pivots.reshape(b, n)
+    for k in np.flatnonzero(~((trace_err <= TRACE_TOL) & pivots).all(axis=1)):
+        finite = np.isfinite(x[k]).all(axis=1)
+        cheap = ~finite | (trace_err[k] > TRACE_TOL)
         head = int(np.argmax(cheap)) if cheap.any() else n
         suspect = np.flatnonzero(~pivots[k, :head])
         resid = -np.linalg.eigvalsh(_from_coords(x[k, suspect])).min(axis=1)
@@ -315,7 +315,7 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
             i, name, worst, tol = suspect[bad][0], "positivity", resid.max(), POSITIVITY_TOL
         elif head == n:
             continue
-        elif not finite[k, head]:
+        elif not finite[head]:
             i, name, worst, tol = head, "non-finite", np.inf, 0.0
         else:
             i, name, worst, tol = head, "trace", np.nanmax(trace_err[k]), TRACE_TOL
@@ -328,20 +328,23 @@ def _check_states(times: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _positive_pivots(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Per state of a chunk given by its diagonal rho_ii (d, m) and its
-    lower triangle rho_ij (d(d-1)/2, m) in ``_pairs`` order, whether every
-    pivot of the LDL^H factorization of rho + (POSITIVITY_TOL / 2) I is > 0.
+    lower-triangle coordinates sqrt(2) rho_ij (d(d-1)/2, m) in ``_pairs``
+    order, whether every pivot of the LDL^H factorization of sqrt(2) (rho +
+    (POSITIVITY_TOL / 2) I) is > 0: the diagonal is scaled to the
+    coordinates' sqrt(2), which scales every pivot by sqrt(2) and keeps its
+    sign.
 
     The factorization is unrolled over the lower triangle (LAPACK's 'L'),
-    outer-product form, each entry one array over the chunk.  This is the
-    success test of Cholesky, which is backward stable (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), so True proves lambda_min >=
-    -POSITIVITY_TOL / 2 - O(1e-15), inside the tolerance; False (a nan
-    pivot included) proves nothing."""
+    outer-product form, each entry one array over the chunk; the inputs are
+    not written.  This is the success test of Cholesky, which is backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    10), so True proves lambda_min >= -POSITIVITY_TOL / 2 - O(1e-15),
+    inside the tolerance; False (a nan pivot included) proves nothing."""
     dim = len(diag)
     low = dict(zip(_pairs(dim), low))
-    pivots = [diag[i] + 0.5 * POSITIVITY_TOL for i in range(dim)]
     positive = np.ones(diag.shape[1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pivots = list(_SQRT2 * (diag + 0.5 * POSITIVITY_TOL))
         for k in range(dim):
             positive &= pivots[k] > 0.0
             col = {i: low[i, k].conj() for i in range(k + 1, dim)}

@@ -254,9 +254,18 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
         lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
     # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is
-    # well conditioned, so the radius is never overstated.
-    for _ in range(3):
-        lam = np.where(qsl_time(coeffs, lam) > T, np.nextafter(lam, 0.0), lam)
+    # well conditioned, so the radius is never overstated.  After the first
+    # pass only the entries the previous one moved are checked again: the
+    # ops are elementwise, so an entry's bits do not depend on the others.
+    over = qsl_time(coeffs, lam) > T
+    lam = np.where(over, np.nextafter(lam, 0.0), lam)
+    flat, idx = lam.reshape(-1), np.flatnonzero(over)
+    a, e, t = (np.broadcast_to(x, lam.shape).flat[idx] for x in (coeffs.speed, coeffs.noise, T))
+    for _ in range(2):
+        sub = flat[idx]
+        over = qsl_time(QslCoefficients(a, e), sub) > t
+        flat[idx] = np.where(over, np.nextafter(sub, 0.0), sub)
+        idx, a, e, t = idx[over], a[over], e[over], t[over]
     return _scalar(lam)
 
 

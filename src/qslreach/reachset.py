@@ -17,8 +17,10 @@ by ``format_rows``, which yields it in blocks of about
 ``dynamics.CHUNK_BYTES`` of text (``_block_rows``), each one %-format of
 the per-row template over that block's cells; ``write_rows`` writes each
 block as it is made, so no whole-table text is held.  A column that
-repeats its cells has each distinct value rendered once (``_cells``), and
-a run of adjacent such columns is one template cell, each combination of
+repeats its cells has each distinct value rendered once (``_cells``): a
+JSON float column when at most 80% of its rows are distinct, since its
+repr is the dearest cell to render, any other column at most half.
+A run of adjacent such columns is one template cell, each combination of
 its members rendered once with the text between them and looked up per row
 through one byte of code; a run of one combination, such as constant
 columns, is literal template text.  Coefficient stacks are likewise
@@ -329,6 +331,18 @@ VERIFY_CSV_COMMENT = (
 )
 
 
+#: The largest share of a float column's rows that may be distinct for it to
+#: be looked up, per format; every other column is looked up at half.  A
+#: JSON float's repr costs about three times CSV's "%.9g", so rendering each
+#: distinct value once pays further there.
+_FLOAT_LOOKUP_SHARE = {"csv": 0.5, "json": 0.8}
+
+
+def _runs(keys: np.ndarray) -> int:
+    """The number of runs of equal adjacent entries of ``keys``."""
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def _cells(column, fmt: str):
     """One column's cells, as ``(strings, codes)`` when each distinct cell is
     rendered once and looked up per row: the text of each level and each
@@ -341,13 +355,18 @@ def _cells(column, fmt: str):
 
     An integer or bool column spanning fewer than 256 values has the levels
     min..max and codes value - min, in one pass with no sort.  Any other
-    column is looked up when at most half its rows are distinct (one level
-    when all are equal, a zero-stride view included, else np.unique's
-    inverse, narrowed), and formatted in place otherwise, which is cheaper
-    than the lookup.  Floats are keyed by their bit pattern, so -0.0 and
-    every NaN keep their own text.  The strings of a list or tuple column
-    are taken as given, each distinct one a level: numpy's unicode dtype
-    would drop their trailing NULs."""
+    column is looked up when at most a share of its rows are distinct:
+    ``_FLOAT_LOOKUP_SHARE[fmt]`` for floats (JSON 80%, CSV 50%), half for
+    the rest.  A column of one run, a zero-stride view included, is one
+    level.  A column with no more runs of equal adjacent rows than the
+    share allows (a sweep's theta repeats each value per horizon) goes
+    straight to np.unique; any other is sorted first, and formatted in
+    place when its sorted runs, its distinct values, exceed the share.  A
+    looked-up column's codes are np.unique's inverse, narrowed.  Floats
+    are keyed by their bit pattern, so -0.0 and every NaN keep their own
+    text.  The strings of a list or tuple column are taken as given, each
+    distinct one a level: numpy's unicode dtype would drop their trailing
+    NULs."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
         index = {v: k for k, v in enumerate(dict.fromkeys(column))}
@@ -369,14 +388,15 @@ def _cells(column, fmt: str):
         return out
 
     keys = arr.view(np.int64 if floats else np.uint8 if arr.dtype.kind == "b" else arr.dtype)
+    limit = len(arr) * (_FLOAT_LOOKUP_SHARE[fmt] if floats else 0.5)
     if arr.dtype.kind in "iub" and (span := int(keys.max()) - int(lo := keys.min()) + 1) < 256:
         uniq, codes = lo + np.arange(span, dtype=keys.dtype), (keys - lo).astype(np.uint8, copy=False)
-    elif not keys.strides[0] or (keys == keys[0]).all():
+    elif not keys.strides[0] or (runs := _runs(keys)) == 1:
         uniq, codes = keys[:1], np.zeros(len(keys), np.uint8)
+    elif runs > limit and _runs(np.sort(keys)) > limit:
+        return spec, lambda i, j: values(arr[i:j])
     else:
         uniq, inverse = np.unique(keys, return_inverse=True)
-        if 2 * len(uniq) > len(arr):
-            return spec, lambda i, j: values(arr[i:j])
         codes = inverse.astype(np.min_scalar_type(len(uniq) - 1))
     cells = values(uniq.view(arr.dtype))
     if floats:
@@ -441,10 +461,14 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
     step = _block_rows(row, width)
 
     def blocks():
+        args = [None] * (min(step, n) * len(cells))  # each row's cells, in template order
         for i in range(0, n, step):
             j = min(i + step, n)
             text = (head if i == 0 else "") + row * (j - i - 1) + (last if j == n else row)
-            yield text % tuple(chain.from_iterable(zip(*(c(i, j) for c in cells))))
+            del args[(j - i) * len(cells):]
+            for k, c in enumerate(cells):
+                args[k::len(cells)] = c(i, j)
+            yield text % tuple(args)
     return blocks()
 
 

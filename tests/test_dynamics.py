@@ -831,16 +831,24 @@ class TestStackFailureNaming:
         assert (err.check, err.time) == ("non-finite", self.TIMES[3])
         assert str(err).startswith("non-finite check failed at t = 0.3: worst residual inf")
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_finiteness_screen_flags_on_its_own(self, monkeypatch, value):
-        # with a pivot screen that passes everything, the explicit isfinite
-        # alone still sends an off-diagonal fault to the exact checks
-        monkeypatch.setattr(dynamics, "_positive_pivots",
-                            lambda diag, low: np.ones(diag.shape[1], dtype=bool))
-        x = self.healthy()
-        x[1, 2, 7] = value                               # Re rho_21 only
-        err = self.check(x)
-        assert (err.check, err.time) == ("non-finite", self.TIMES[2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_every_non_finite_coordinate_fails_the_screen(self, dim):
+        # finiteness is taken only of a system that fails the trace or pivot
+        # screen, so a non-finite coordinate must fail one of them: one such
+        # coordinate anywhere, or two of them, is named, never passed
+        rng = np.random.default_rng(dim)
+        state = dynamics._to_coords(hermitian_stack(rng, np.arange(1.0, dim + 1) * 2 / (dim * dim + dim), 1))
+        values = (np.inf, -np.inf, np.nan)
+        faults = [((c,), (v,)) for c in range(dim * dim) for v in values]
+        faults += [((c, c2), (v, v2)) for c in range(dim * dim) for c2 in range(c + 1, dim * dim)
+                   for v in values for v2 in values]
+        for coords, vals in faults:
+            x = np.repeat(state[None], 2, axis=1)
+            x[0, 1, list(coords)] = vals
+            # integrate screens under this errstate: inf - inf is a NaN trace
+            with pytest.raises(IntegrationError) as err, np.errstate(invalid="ignore"):
+                dynamics._check_states(self.TIMES[:2], x)
+            assert (err.value.check, err.value.time) == ("non-finite", self.TIMES[1]), (coords, vals)
 
     def test_later_system_is_named_when_earlier_ones_are_healthy(self):
         x = self.healthy()

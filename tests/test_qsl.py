@@ -356,6 +356,28 @@ class TestClosedFormInversion:
         assert isinstance(qsl.max_reachable_radius(coeffs(1.0, 1.0), 0.3), float)
         assert isinstance(qsl.qsl_time(coeffs(1.0, 1.0), 0.3), float)
 
+    @pytest.mark.parametrize("grid", ["flat", "horizons"])
+    def test_rechecks_of_moved_entries_match_the_full_grid_loop(self, monkeypatch, grid):
+        # after the first ulp re-check of the whole grid only the entries the
+        # previous pass moved are checked again; the result must equal three
+        # passes over the whole grid, bit for bit, through the inf/0 limits
+        a, e, T = self._draw(n=3000, seed=37)
+        a[::7], e[::5], T[::11], e[::13], T[::17] = 0.0, 0.0, 0.0, 1e-15, 1e308
+        if grid == "horizons":
+            a, e, T = a[:1000, None], e[:1000, None], np.array([0.0, 0.3, 2.0])
+        c = qsl.QslCoefficients(a, e)
+        seen, qsl_time = [], qsl.qsl_time
+        monkeypatch.setattr(qsl, "qsl_time", lambda c, lam: seen.append(lam) or qsl_time(c, lam))
+        lam = qsl.max_reachable_radius(c, T)
+        monkeypatch.undo()
+        ref = seen[0]
+        for _ in range(3):
+            ref = np.where(qsl.qsl_time(c, ref) > T, np.nextafter(ref, 0.0), ref)
+        assert lam.shape == ref.shape == seen[0].shape
+        assert np.array_equal(lam.view(np.int64), ref.view(np.int64))
+        assert 0 < np.count_nonzero(ref != seen[0]) and len(seen) == 3
+        assert seen[0].size > seen[1].size > seen[2].size
+
     def test_broadcasts_over_horizons(self):
         c = qsl.QslCoefficients(np.array([[1.0], [2.0]]), np.array([[0.5], [0.1]]))
         lam = qsl.max_reachable_radius(c, np.array([0.1, 0.2, 0.3]))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -582,7 +583,7 @@ def _fused_tables(draw):
     the forms that runs of looked-up columns are made of: constants (lists
     and zero-stride views), small-range integers, one-byte flags, floats
     repeating -0.0, NaN and +-inf, lists of strings with "%" and trailing
-    NULs from a pool, and mostly-distinct floats."""
+    NULs from a pool, floats 50-90% distinct, and mostly-distinct floats."""
     n = draw(st.integers(1, 80))
 
     def pool(cells, size=3):
@@ -602,10 +603,18 @@ def _fused_tables(draw):
             return np.array(pool(_REPEATING_FLOATS, 4))
         if kind == "strings":
             return pool(_TEXT)
+        if kind == "share":
+            # 50-90% of the rows distinct by bit pattern: either side of the
+            # lookup shares of both formats (CSV 50%, JSON 80%)
+            k = max(1, round(n * draw(st.floats(0.5, 0.9))))
+            levels = draw(st.lists(st.floats(), min_size=k, max_size=k,
+                                   unique_by=lambda v: struct.pack("<d", v)))
+            rows = levels + draw(st.lists(st.sampled_from(levels), min_size=n - k, max_size=n - k))
+            return np.array(draw(st.permutations(rows)))
         return np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
 
     kinds = draw(st.lists(st.sampled_from(["constant", "integers", "flags", "floats", "strings",
-                                           "distinct"]), min_size=1, max_size=7))
+                                           "share", "distinct"]), min_size=1, max_size=7))
     names = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
     return {name: column(kind) for name, kind in zip(names, kinds)}
 
@@ -788,6 +797,64 @@ class TestWriteRows:
             tracemalloc.stop()
         assert peak < path.stat().st_size
         assert peak < sum(col.nbytes for col in cols.values())
+
+    def test_json_map_of_distinct_t_star_peaks_under_2_5_mb(self, tmp_path):
+        # t_star here is about 58% distinct, so its JSON cells are looked up:
+        # the peak holds its ~13,000 level strings (about 2 MB), not a
+        # whole-table text
+        cols = reachset.gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
+                                       GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8),
+                                       theta=0.3, u_max=0.9)
+        assert isinstance(reachset._cells(cols["t_star"], "json")[0], list)
+        tracemalloc.start()
+        try:
+            reachset.write_rows(cols, tmp_path / "map.json", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+    @pytest.mark.parametrize("fmt, distinct, looked_up", [
+        ("json", 600, True), ("csv", 600, False), ("json", 850, False),
+        ("json", 800, True), ("json", 801, False), ("csv", 500, True), ("csv", 501, False)])
+    @pytest.mark.parametrize("order", ["shuffled", "repeated"])
+    def test_float_lookup_share_is_set_by_the_format(self, fmt, distinct, looked_up, order):
+        # 1000 rows: a JSON float column is looked up when at most 80% of its
+        # rows are distinct, a CSV one at most half.  "repeated": each level's
+        # rows adjacent, so its runs are its levels
+        levels = np.linspace(-1.0, 1.0, distinct)
+        col = np.concatenate([levels, levels[:1000 - distinct]])
+        col = np.random.default_rng(distinct).permutation(col) if order == "shuffled" else np.sort(col)
+        cell, per_row = reachset._cells(col, fmt)
+        assert isinstance(cell, list) == looked_up
+        if looked_up:
+            text = [repr(v) if fmt == "json" else f"{v:.9g}" for v in col.tolist()]
+            assert len(cell) == distinct and [cell[k] for k in per_row] == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["integers", "strings"])
+    def test_non_float_columns_are_looked_up_at_half(self, fmt, kind):
+        # integers spanning more than 256 values, and numpy strings, keep the
+        # rule of half whatever the format: 600 of 1000 rows distinct are
+        # formatted in place, 500 looked up
+        levels = np.arange(600) * 1000 if kind == "integers" else np.array([f"s{i}" for i in range(600)])
+        assert isinstance(reachset._cells(np.concatenate([levels, levels[:400]]), fmt)[0], str)
+        assert isinstance(reachset._cells(np.concatenate([levels[:500]] * 2), fmt)[0], list)
+
+    @pytest.mark.parametrize("column, sorts", [
+        (np.repeat(np.linspace(0.0, 1.0, 5000), 3), 0),  # a sweep's theta: each value 3 times
+        (np.repeat(np.linspace(0.0, 1.0, 150), 150), 0),  # a gate map's alpha
+        (np.tile(np.linspace(0.0, 1.0, 150), 150), 1),  # its beta: sorted first
+        (np.linspace(0.0, 1.0, 15000), 1)])  # distinct: sorted, then formatted in place
+    def test_repeat_structured_columns_are_not_sorted(self, monkeypatch, column, sorts):
+        # a column with no more runs of adjacent equal rows than the share
+        # allows goes straight to np.unique; only the rest pay the sort that
+        # counts their distinct values
+        calls, sort = [], np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(a.size) or sort(a, *args, **kw))
+        for fmt in ("csv", "json"):
+            reachset._cells(column, fmt)
+        assert len(calls) == 2 * sorts
 
     def test_signed_zeros_keep_their_sign(self):
         column = {"x": [-0.0, 0.0, 0.0, -0.0] * 5}
