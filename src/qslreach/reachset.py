@@ -19,7 +19,9 @@ the per-row template over that block's cells; ``write_rows`` writes each
 block as it is made, so no whole-table text is held.  A column that
 repeats its cells has each distinct value rendered once (``_cells``): a
 JSON float column when at most 80% of its rows are distinct, since its
-repr is the dearest cell to render, any other column at most half.
+repr is the dearest cell to render, any other column at most half.  At
+most one np.sort per column both counts its distinct values and gives
+them, and np.searchsorted gives each row's code among them.
 A run of adjacent such columns is one template cell, each combination of
 its members rendered once with the text between them and looked up per row
 through one byte of code; a run of one combination, such as constant
@@ -338,11 +340,6 @@ VERIFY_CSV_COMMENT = (
 _FLOAT_LOOKUP_SHARE = {"csv": 0.5, "json": 0.8}
 
 
-def _runs(keys: np.ndarray) -> int:
-    """The number of runs of equal adjacent entries of ``keys``."""
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
 def _cells(column, fmt: str):
     """One column's cells, as ``(strings, codes)`` when each distinct cell is
     rendered once and looked up per row: the text of each level and each
@@ -353,26 +350,21 @@ def _cells(column, fmt: str):
     verbatim.  JSON: the tokens json.dumps writes (str of a float is its
     repr), except that non-finite floats become strings ("inf").
 
-    An integer or bool column spanning fewer than 256 values has the levels
-    min..max and codes value - min, in one pass with no sort.  Any other
-    column is looked up when at most a share of its rows are distinct:
-    ``_FLOAT_LOOKUP_SHARE[fmt]`` for floats (JSON 80%, CSV 50%), half for
-    the rest.  A column of one run, a zero-stride view included, is one
-    level.  A column with no more runs of equal adjacent rows than the
-    share allows (a sweep's theta repeats each value per horizon) goes
-    straight to np.unique; any other is sorted first, and formatted in
-    place when its sorted runs, its distinct values, exceed the share.  A
-    looked-up column's codes are np.unique's inverse, narrowed.  Floats
-    are keyed by their bit pattern, so -0.0 and every NaN keep their own
-    text.  The strings of a list or tuple column are taken as given, each
-    distinct one a level: numpy's unicode dtype would drop their trailing
-    NULs."""
+    Each cell is keyed: a float by its bit pattern, so -0.0 and every NaN
+    keep their own text; a list or tuple of strings as an object array of
+    the strings as given, since numpy's unicode dtype would drop their
+    trailing NULs.  An integer or bool column spanning fewer than 256 values
+    has the levels min..max and codes value - min, in one pass with no
+    sort.  A zero-stride view is one level.  Any other column is sorted
+    once by np.sort, and its distinct keys are counted from the adjacent
+    differences: it is formatted in place when they exceed a share of its
+    rows, ``_FLOAT_LOOKUP_SHARE[fmt]`` for floats (JSON 80%, CSV 50%) and
+    half for the rest, and one distinct key is always looked up.  A
+    looked-up column takes the distinct sorted keys as its levels and
+    np.searchsorted of its keys among them, narrowed, as its codes."""
     arr = np.asarray(column)
     if arr.dtype.kind == "U" and isinstance(column, (list, tuple)):
-        index = {v: k for k, v in enumerate(dict.fromkeys(column))}
-        codes = np.fromiter(map(index.get, column), np.intp, len(column))
-        strings = [v if fmt == "csv" else json.dumps(v) for v in index]
-        return strings, codes.astype(np.min_scalar_type(len(strings) - 1))
+        arr = np.array(column, dtype=object)
     floats = arr.dtype.kind == "f"
     if floats:
         arr = arr.astype(np.float64, copy=False)
@@ -388,17 +380,20 @@ def _cells(column, fmt: str):
         return out
 
     keys = arr.view(np.int64 if floats else np.uint8 if arr.dtype.kind == "b" else arr.dtype)
-    limit = len(arr) * (_FLOAT_LOOKUP_SHARE[fmt] if floats else 0.5)
+    limit = max(1, len(keys) * (_FLOAT_LOOKUP_SHARE[fmt] if floats else 0.5))
     if arr.dtype.kind in "iub" and (span := int(keys.max()) - int(lo := keys.min()) + 1) < 256:
-        uniq, codes = lo + np.arange(span, dtype=keys.dtype), (keys - lo).astype(np.uint8, copy=False)
-    elif not keys.strides[0] or (runs := _runs(keys)) == 1:
-        uniq, codes = keys[:1], np.zeros(len(keys), np.uint8)
-    elif runs > limit and _runs(np.sort(keys)) > limit:
-        return spec, lambda i, j: values(arr[i:j])
+        levels = lo + np.arange(span, dtype=keys.dtype)
+        codes = (keys - lo).astype(np.uint8, copy=False)
+    elif not keys.strides[0]:
+        levels, codes = keys[:1], np.zeros(len(keys), np.uint8)
     else:
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        codes = inverse.astype(np.min_scalar_type(len(uniq) - 1))
-    cells = values(uniq.view(arr.dtype))
+        levels = np.sort(keys)
+        first = np.concatenate(([True], levels[1:] != levels[:-1]))
+        if np.count_nonzero(first) > limit:
+            return spec, lambda i, j: values(arr[i:j])
+        levels = levels[first]
+        codes = np.searchsorted(levels, keys).astype(np.min_scalar_type(len(levels) - 1))
+    cells = values(levels.view(arr.dtype))
     if floats:
         return ((spec + "\n") * len(cells) % tuple(cells)).split("\n")[:-1], codes
     return list(map(str, cells)), codes
@@ -419,9 +414,9 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
     indentation), and its code per row is the mixed-radix combination of
     theirs, one byte.  A run of one level, such as constant columns, is
     literal template text, "%" escaped.  The bytes do not depend on the
-    runs or the block size.  The format and the columns (non-empty, of one
-    length) are checked, and the cells prepared, before the first block is
-    asked for."""
+    runs or the block size.  The format and the columns (non-empty, 1-D, of
+    one length, and a list of only strings or only numbers) are checked,
+    and the cells prepared, before the first block is asked for."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     n = len(next(iter(columns.values()))) if columns else 0
@@ -429,6 +424,13 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
         raise ValueError("no rows to write")
     if any(len(col) != n for col in columns.values()):
         raise ValueError("columns must all have the same length")
+    for name, col in columns.items():
+        if np.ndim(col) != 1:
+            raise ValueError(f"column {name!r} must be 1-D, got shape {np.shape(col)}")
+        if isinstance(col, (list, tuple)) and not (
+                all(isinstance(v, str) for v in col)
+                or all(isinstance(v, (int, float, np.number, np.bool_)) for v in col)):
+            raise ValueError(f"column {name!r} must hold only strings or only numbers")
     leads, end = _frame(columns, fmt, indent + "  ")
     runs = []  # [text before the cell, its strings or %-spec, its codes or value function]
     for lead, (cell, per_row) in zip(leads, (_cells(col, fmt) for col in columns.values())):

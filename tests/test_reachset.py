@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import reference
@@ -619,6 +619,53 @@ def _fused_tables(draw):
     return {name: column(kind) for name, kind in zip(names, kinds)}
 
 
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# NaNs of either sign with any payload, and the other floats whose text the
+# writer must keep apart by bit pattern
+_KEYED_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, math.inf, -math.inf]),
+    st.builds(lambda sign, payload: _float_of_bits(sign << 63 | 0x7FF << 52 | payload),
+              st.integers(0, 1), st.integers(1, 2 ** 52 - 1)))
+
+
+@st.composite
+def _looked_up_columns(draw):
+    """A column whose distinct values are at most half its rows, so that
+    ``_cells`` looks it up, with the keys it sorts: floats (by bit pattern),
+    integers spanning at least 256 values, numpy strings, or a list of
+    strings holding NUL and "%" (as an object array).  It has 1-300 levels,
+    each at least once, in shuffled rows."""
+    kind = draw(st.sampled_from(["floats", "integers", "numpy strings", "string list"]))
+    if kind == "floats":
+        levels = draw(st.lists(_KEYED_FLOATS, min_size=1, max_size=300,
+                               unique_by=lambda v: struct.pack("<d", v)))
+    elif kind == "integers":
+        low = draw(st.integers(-2 ** 63, 2 ** 62))
+        levels = [low, low + 300] + draw(st.lists(st.integers(low, low + 2 ** 62 - 1), max_size=298))
+    else:
+        levels = draw(st.lists(_TEXT, min_size=1, max_size=300, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picks = rng.permutation(np.concatenate([np.arange(len(levels)),
+                                            rng.integers(0, len(levels), len(levels))]))
+    rows = [levels[k] for k in picks]
+    if kind == "string list":
+        return rows, np.array(rows, dtype=object)
+    column = np.array(rows)
+    return column, column.view(np.int64) if kind == "floats" else column
+
+
+def _reference_cell(value, fmt):
+    """One cell as the writer renders it, from its Python value."""
+    if isinstance(value, float):
+        if fmt == "csv":
+            return f"{value:.9g}"
+        return repr(value) if math.isfinite(value) else f'"{value}"'
+    return str(value) if fmt == "csv" else json.dumps(value)
+
+
 def _template_cells(columns, fmt):
     """The number of cells substituted per row of ``format_rows``' template."""
     rows = []
@@ -780,23 +827,36 @@ class TestWriteRows:
                 self._assert_matches_reference_encoders(
                     {"c%": column(value), "s%d": column("%d"), "e": column(1.5)})
 
+    @staticmethod
+    def _write_peak(cols, path, fmt):
+        """The traced peak of writing ``cols`` to ``path``, in bytes."""
+        tracemalloc.start()
+        try:
+            reachset.write_rows(cols, path, fmt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_json_gate_map_peaks_below_its_file_size(self, tmp_path):
         # the rows are formatted and written a block at a time, each block's
-        # text under the mmap threshold, and the lookup codes take a byte per
-        # row: no whole-table text, template or cell list is ever held, and
-        # the 22,500-row map is written in less than its columns' bytes
-        # counted at full length (nbytes counts a zero-stride view's every row)
+        # text under the mmap threshold, and each column is sorted once, its
+        # lookup codes narrowed to a byte per row: no whole-table text,
+        # template or cell list, and no permutation or inverse of np.unique,
+        # is held, so the 22,500-row map is written in less than its columns
+        # own
         cols = reachset.gate_reach_map("qubit", GridAxis(0.0, 2 * math.pi, 150),
                                        GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
         path = tmp_path / "map.json"
-        tracemalloc.start()
-        try:
-            reachset.write_rows(cols, path, "json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._write_peak(cols, path, "json")
         assert peak < path.stat().st_size
-        assert peak < sum(col.nbytes for col in cols.values())
+        # alpha, beta and t_star (8 bytes a row) and the three one-byte reach
+        # flags own 0.608 MB; model and theta own none
+        assert peak < _owned_bytes(cols)
+
+    def test_qutrit_csv_gate_map_peaks_below_its_columns(self, tmp_path):
+        cols = reachset.gate_reach_map("qutrit", GridAxis(0.0, 2 * math.pi, 150),
+                                       GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8))
+        assert self._write_peak(cols, tmp_path / "map.csv", "csv") < _owned_bytes(cols)
 
     def test_json_map_of_distinct_t_star_peaks_under_2_5_mb(self, tmp_path):
         # t_star here is about 58% distinct, so its JSON cells are looked up:
@@ -806,13 +866,7 @@ class TestWriteRows:
                                        GridAxis(0.0, math.pi, 150), (0.3, 0.5, 0.8),
                                        theta=0.3, u_max=0.9)
         assert isinstance(reachset._cells(cols["t_star"], "json")[0], list)
-        tracemalloc.start()
-        try:
-            reachset.write_rows(cols, tmp_path / "map.json", "json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5e6
+        assert self._write_peak(cols, tmp_path / "map.json", "json") < 2.5e6
 
     @pytest.mark.parametrize("fmt, distinct, looked_up", [
         ("json", 600, True), ("csv", 600, False), ("json", 850, False),
@@ -841,20 +895,59 @@ class TestWriteRows:
         assert isinstance(reachset._cells(np.concatenate([levels, levels[:400]]), fmt)[0], str)
         assert isinstance(reachset._cells(np.concatenate([levels[:500]] * 2), fmt)[0], list)
 
-    @pytest.mark.parametrize("column, sorts", [
-        (np.repeat(np.linspace(0.0, 1.0, 5000), 3), 0),  # a sweep's theta: each value 3 times
-        (np.repeat(np.linspace(0.0, 1.0, 150), 150), 0),  # a gate map's alpha
-        (np.tile(np.linspace(0.0, 1.0, 150), 150), 1),  # its beta: sorted first
-        (np.linspace(0.0, 1.0, 15000), 1)])  # distinct: sorted, then formatted in place
-    def test_repeat_structured_columns_are_not_sorted(self, monkeypatch, column, sorts):
-        # a column with no more runs of adjacent equal rows than the share
-        # allows goes straight to np.unique; only the rest pay the sort that
-        # counts their distinct values
+    @pytest.mark.parametrize("column", [
+        np.repeat(np.linspace(0.0, 1.0, 5000), 3),  # a sweep's theta: each value 3 times
+        np.repeat(np.linspace(0.0, 1.0, 150), 150),  # a gate map's alpha
+        np.tile(np.linspace(0.0, 1.0, 150), 150),  # its beta
+        np.linspace(0.0, 1.0, 15000)],  # distinct: formatted in place
+        ids=["sweep_theta", "map_alpha", "map_beta", "distinct"])
+    def test_each_column_is_sorted_once(self, monkeypatch, column):
+        # the one sort both counts the distinct values and gives the levels
+        # that np.searchsorted codes against; np.unique is never called
         calls, sort = [], np.sort
         monkeypatch.setattr(np, "sort", lambda a, *args, **kw: calls.append(a.size) or sort(a, *args, **kw))
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: pytest.fail("np.unique was called"))
         for fmt in ("csv", "json"):
             reachset._cells(column, fmt)
-        assert len(calls) == 2 * sorts
+            assert calls == [column.size]
+            calls.clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_looked_up_columns())
+    @example(case=(np.repeat(np.arange(300) * 1000, 2),) * 2)  # 300 levels: 16-bit codes
+    def test_looked_up_levels_and_codes_are_np_unique(self, case):
+        # the distinct sorted keys and each row's index among them, as
+        # np.unique gives them, whatever the order of the rows
+        column, keys = case
+        levels, inverse = np.unique(keys, return_inverse=True)
+        cells = levels.view(getattr(column, "dtype", object))  # floats: keyed by their bits
+        for fmt in ("csv", "json"):
+            strings, codes = reachset._cells(column, fmt)
+            assert isinstance(strings, list)
+            assert strings == [_reference_cell(v, fmt) for v in cells.tolist()]
+            assert codes.dtype == np.min_scalar_type(len(levels) - 1)
+            assert np.array_equal(codes, inverse)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", [np.zeros((3, 2)), [[0.0, 1.0]] * 3, np.zeros((3, 1), int)],
+                             ids=["array", "list", "column_vector"])
+    def test_columns_that_are_not_1d_are_rejected(self, tmp_path, fmt, column):
+        # a (3, 2) column would write [0.0, 0.0] as one JSON cell, and fail
+        # in CSV with a TypeError; no file is created
+        with pytest.raises(ValueError, match=r"column 'x' must be 1-D, got shape \(3, [12]\)"):
+            reachset.write_rows({"n": [1, 2, 3], "x": column}, tmp_path / f"t.{fmt}", fmt)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", [["a", 1, "a"], ("a", None, "b"), [1.5, "a", "a"],
+                                        [None] * 3, [None, 1.0, 2.0]], ids=repr)
+    def test_lists_of_mixed_or_unordered_cells_are_rejected(self, tmp_path, fmt, column):
+        # the sort that finds a column's levels would raise its own TypeError
+        # for these, and ["a", 1, "a"] failed on the cell width in CSV and
+        # wrote the raw tokens in JSON
+        with pytest.raises(ValueError, match="column 's' must hold only strings or only numbers"):
+            reachset.write_rows({"s": column}, tmp_path / f"t.{fmt}", fmt)
+        assert not list(tmp_path.iterdir())
 
     def test_signed_zeros_keep_their_sign(self):
         column = {"x": [-0.0, 0.0, 0.0, -0.0] * 5}
