@@ -59,7 +59,7 @@ DEFAULT_DT = 1e-3
 #: Bytes of one chunk of a grid's working arrays, whatever the grid's size:
 #: a temporary of this size stays in cache and under glibc's 128 KB mmap
 #: threshold, so its pages are reused, not faulted in afresh.  The health
-#: screen, ``qsl._coefficients`` and ``reachset.format_rows`` size their
+#: screen, ``qsl._adjoint_stacks`` and ``reachset.format_rows`` size their
 #: chunks by it.
 CHUNK_BYTES = 2 ** 16
 

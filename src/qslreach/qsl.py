@@ -15,19 +15,25 @@ generators:
     A = sqrt(2) || i [H, rho_0] + sum_k D^dag[M_k] rho_0 ||_F,
     E = sum_k ( ||M_k psi_0||^2 - |<psi_0| M_k |psi_0>|^2 ).
 
-The operator inside A is the adjoint generator L^dag applied to rho_0,
-term by term in A'.  For a pure rho_0 it is formed from state vectors
-alone, as a psi_0^dag + psi_0 a^dag + sum_k b_k b_k^dag with
-a = i H psi_0 - (1/2) sum_k M_k^dag M_k psi_0 and b_k = M_k^dag psi_0;
-``dynamics.lindblad(..., adjoint=True)`` is the dense reference it is
-tested against.
+Both are read off one operator, X_0 = L^dag(rho_0), the adjoint generator
+applied to rho_0: A = sqrt(2) ||X_0||_F, and E comes from the same M_k psi_0
+that form it.  Under a control u(t) with |u(t)| <= u_max the operator is
+L_u^dag(rho_0) = X_h + u X_c + X_n, with
 
-For a bounded control |u(t)| <= u_max the triangle inequality gives the
-controlled variant
+    X_h = i[H_drift, rho_0],  X_c = i[H_control, rho_0],
+    X_n = sum_k D^dag[M_k] rho_0,
 
-    A' = sqrt(2) ( ||i[H_drift, rho_0]||_F
-                   + u_max ||i[H_control, rho_0]||_F
-                   + ||sum_k D^dag[M_k] rho_0||_F ).
+and the triangle inequality gives the controlled variant
+
+    A' = sqrt(2) ( ||X_h||_F + u_max ||X_c||_F + ||X_n||_F ).
+
+``_adjoint_stacks`` is the one place these operators are formed: (X_0,) or
+(X_h, X_c, X_n) for every member of a stack, a chunk of members at a time,
+with E.  For a pure rho_0 each is formed from state vectors alone, as
+a psi_0^dag + psi_0 a^dag + sum_k b_k b_k^dag with a = i H psi_0 - (1/2)
+sum_k M_k^dag M_k psi_0 and b_k = M_k^dag psi_0 (H = 0 in X_n, no M_k in
+X_h and X_c); ``dynamics.lindblad(..., adjoint=True)`` is the dense
+reference they are tested against.
 
 Inverting T*(lambda) at a fixed horizon T yields the largest reachable
 radius in closed form (through the Lambert W branch W_{-1}); together with
@@ -89,82 +95,68 @@ def _scalar(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _coefficients(psi, h, ops=()) -> tuple[np.ndarray, np.ndarray]:
-    """A and E for a stack of pure states ``psi`` of shape (n, d).
+def _adjoint_stacks(spec: SystemSpec):
+    """The operator stacks behind A and A', with E, a chunk of members at a
+    time: yields each chunk's slice of the stack, its stacks of shape
+    (chunk, d, d) and its E of shape (chunk,).
 
-    ``h`` and each Lindblad operator are (d, d) or stacked (n, d, d).  With
-    rho_i = |psi_i><psi_i| returns the arrays, of shape (n,),
+    Uncontrolled, the one stack is X_0 = L^dag(rho_0); with a control
+    Hamiltonian it is the three terms that A' takes apart, (X_h, X_c, X_n):
+    i[H_drift, rho_0], i[H_control, rho_0] and sum_k D^dag[M_k] rho_0.
+    Each is formed from state vectors: with a = i h psi - (1/2) sum_k
+    M_k^dag (M_k psi) (h = 0 for X_n, no M_k for X_h and X_c) and b_k =
+    M_k^dag psi it is a psi^dag + psi a^dag + sum_k b_k b_k^dag, so each
+    operator costs three mat-vecs instead of d x d products, and its M_k
+    psi serves E = sum_k (||M_k psi||^2 - |<psi|M_k|psi>|^2), floored at 0.
+    A norm is to be taken of these sums, never of an inner-product expansion
+    of them, which would cancel to about sqrt(eps) A near an eigenstate and
+    hide A = 0 from DEGENERACY_EPS.
 
-        A_i = sqrt(2) ||lindblad(h, ops, rho_i, adjoint=True)||_F,
-        E_i = sum_k (||M_k psi_i||^2 - |<psi_i|M_k|psi_i>|^2),  floored at 0.
-
-    The adjoint generator is built from state vectors: with a = K^dag psi =
-    i h psi - (1/2) sum_k M_k^dag (M_k psi) and b_k = M_k^dag psi it is
-    a psi^dag + psi a^dag + sum_k b_k b_k^dag, so each operator costs three
-    mat-vecs instead of d x d products, and its M_k psi serves E as well.
-    The Frobenius norm is taken of that sum, never of an inner-product
-    expansion of it, which would cancel to about sqrt(eps) A near an
-    eigenstate and hide A = 0 from DEGENERACY_EPS.
-
-    A stack is evaluated in chunks of members, each (chunk, d, d) complex
-    temporary within ``dynamics.CHUNK_BYTES``: stacked fields are sliced and
-    shared ones passed whole.  A member's arithmetic does not depend on its
-    chunk, so neither do its bits; a stack of one chunk is one call.
+    The stacks of one chunk together stay within ``dynamics.CHUNK_BYTES``:
+    stacked fields are sliced and shared ones passed whole.  A member's
+    arithmetic does not depend on its chunk, so neither do its bits.
     """
-    psi = np.asarray(psi, dtype=complex)
-    n, d = psi.shape
-    step = max(1, dynamics.CHUNK_BYTES // (16 * d * d))
-    a, e = np.empty(n), np.empty(n)
-    for i in range(0, n, step):
-        s = slice(i, i + step)
-        a[s], e[s] = _chunk_coefficients(psi[s], h if h.ndim == 2 else h[s],
-                                         [m if m.ndim == 2 else m[s] for m in ops])
-    return a, e
-
-
-def _chunk_coefficients(psi, h, ops) -> tuple[np.ndarray, np.ndarray]:
-    """``_coefficients`` of the (n, d) complex ``psi`` in one pass."""
-    col = psi[:, :, None]
-    a = 1j * (h @ col)
-    e = np.zeros(psi.shape[0])
-    jumps = []
-    for m in ops:
-        md = np.swapaxes(m.conj(), -1, -2)
-        mpsi = m @ col
-        a = a - 0.5 * (md @ mpsi)
-        jumps.append(md @ col)
-        mpsi = mpsi[:, :, 0]
-        e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
-                 - np.abs(np.sum(psi.conj() * mpsi, axis=-1)) ** 2)
-    y = a * psi.conj()[:, None, :]
-    x = y + np.swapaxes(y.conj(), 1, 2)
-    for b in jumps:
-        x = x + b * np.swapaxes(b.conj(), 1, 2)
-    return math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1)), np.maximum(e, 0.0)
+    n, d = math.prod(spec.shape), spec.dim
+    psi = np.broadcast_to(spec.psi0, (n, d))
+    hams = (spec.h_drift, spec.h_control, None) if spec.has_control else (spec.h_drift,)
+    step = max(1, dynamics.CHUNK_BYTES // (16 * d * d * len(hams)))
+    for s in (slice(i, i + step) for i in range(0, n, step)):
+        p, ops = psi[s], [m if m.ndim == 2 else m[s] for m in spec.lindblad_ops]
+        col, e, jumps = p[:, :, None], np.zeros(len(p)), []
+        # a of each term; the dissipator's part joins the last one
+        vecs = [0 if h is None else 1j * ((h if h.ndim == 2 else h[s]) @ col) for h in hams]
+        for m in ops:
+            md, mpsi = dynamics._dagger(m), m @ col
+            vecs[-1] = vecs[-1] - 0.5 * (md @ mpsi)
+            jumps.append(md @ col)
+            mpsi = mpsi[:, :, 0]
+            e = e + (np.sum(mpsi.conj() * mpsi, axis=-1).real
+                     - np.abs(np.sum(p.conj() * mpsi, axis=-1)) ** 2)
+        xs = [y + dynamics._dagger(y) for y in (a * p.conj()[:, None, :] for a in vecs)]
+        for b in jumps:
+            xs[-1] = xs[-1] + b * dynamics._dagger(b)
+        yield s, tuple(xs), np.maximum(e, 0.0)
 
 
 def generic_coefficients(spec: SystemSpec) -> QslCoefficients:
     """A and E straight from the definitions, for one system (floats) or a
-    stack (arrays of shape (B,)).
+    stack (arrays of shape (B,)): A = sqrt(2) ||X_0||_F of the one stack of
+    ``_adjoint_stacks``.
 
     With a control Hamiltonian the speed is the triangle-inequality A' for
-    |u(t)| <= u_max: the drift, control and dissipator terms of A are taken
-    separately and the control one is weighted by u_max.  For a pure state
-    and Hermitian h each commutator term is sqrt(2) ||i[h, rho0]||_F =
-    2 sqrt(<h^2> - <h>^2).
-
-    Each ``_coefficients`` call works on the stack in chunks of members, so
-    beyond the (B,) results its working memory does not grow with B.
+    |u(t)| <= u_max, read off the three stacks: (A_h + u_max A_c) + A_n,
+    each A_k = sqrt(2) ||X_k||_F.  For a pure state and Hermitian h each
+    commutator term is sqrt(2) ||i[h, rho0]||_F = 2 sqrt(<h^2> - <h>^2).
+    The stacks come a chunk of members at a time, so beyond the (B,)
+    results the working memory does not grow with B.
     """
-    psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
+    n = math.prod(spec.shape)
+    a, e = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # QslCoefficients names the overflow
-        if spec.has_control:
-            zero = np.zeros((spec.dim, spec.dim), complex)
-            a_noise, e = _coefficients(psi, zero, spec.lindblad_ops)
-            a = (_coefficients(psi, spec.h_drift)[0]
-                 + spec.u_max * _coefficients(psi, spec.h_control)[0] + a_noise)
-        else:
-            a, e = _coefficients(psi, spec.h_drift, spec.lindblad_ops)
+        for s, xs, e_s in _adjoint_stacks(spec):
+            e[s] = e_s
+            a_h, *rest = (math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1)) for x in xs)
+            a[s] = (a_h + np.broadcast_to(spec.u_max, n)[s] * rest[0]) + rest[1] if rest else a_h
     return QslCoefficients(_scalar(a.reshape(spec.shape)), _scalar(e.reshape(spec.shape)))
 
 

@@ -26,7 +26,7 @@ A run of adjacent such columns is one template cell, each combination of
 its members rendered once with the text between them and looked up per row
 through one byte of code; a run of one combination, such as constant
 columns, is literal template text.  Coefficient stacks are likewise
-evaluated a chunk of members at a time (``qsl._coefficients``), so a
+evaluated a chunk of members at a time (``qsl._adjoint_stacks``), so a
 grid's transient memory grows with the chunk, not with the grid.
 ``format_record`` renders one record with the same cell specs.
 Rows are always in grid/trial order, so output files are byte-identical for
@@ -415,7 +415,9 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
     theirs, one byte.  A run of one level, such as constant columns, is
     literal template text, "%" escaped.  The bytes do not depend on the
     runs or the block size.  The format and the columns (non-empty, 1-D, of
-    one length, and a list of only strings or only numbers) are checked,
+    one length, and of only strings or only real numbers: a numpy dtype of
+    bool, integers, floats or unicode, or a list, tuple or object array
+    whose every item is a str or every item a real number) are checked,
     and the cells prepared, before the first block is asked for."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -427,10 +429,11 @@ def format_rows(columns: dict, fmt: str, indent: str = ""):
     for name, col in columns.items():
         if np.ndim(col) != 1:
             raise ValueError(f"column {name!r} must be 1-D, got shape {np.shape(col)}")
-        if isinstance(col, (list, tuple)) and not (
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind not in "biufUO" or kind == "O" and not (
                 all(isinstance(v, str) for v in col)
-                or all(isinstance(v, (int, float, np.number, np.bool_)) for v in col)):
-            raise ValueError(f"column {name!r} must hold only strings or only numbers")
+                or all(isinstance(v, (int, float, np.integer, np.floating, np.bool_)) for v in col)):
+            raise ValueError(f"column {name!r} must hold only strings or only real numbers")
     leads, end = _frame(columns, fmt, indent + "  ")
     runs = []  # [text before the cell, its strings or %-spec, its codes or value function]
     for lead, (cell, per_row) in zip(leads, (_cells(col, fmt) for col in columns.values())):

@@ -42,27 +42,33 @@ def draw_random_system(seed: int, dim: int, k: int):
     return psi / np.linalg.norm(psi), h, m
 
 
+def adjoint_operators(spec: SystemSpec) -> tuple[np.ndarray, ...]:
+    """The dense operator stacks (B, d, d) behind A of every member of
+    ``spec``, with rho = |psi><psi|: (lindblad(h, ops, rho, adjoint=True),),
+    or for a controlled spec the three terms that A' takes apart,
+    (i[H_drift, rho], i[H_control, rho], lindblad(0, ops, rho, adjoint=True)).
+    """
+    psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
+    rho = linalg.outer(psi)
+    if not spec.has_control:
+        return (lindblad(spec.h_drift, spec.lindblad_ops, rho, adjoint=True),)
+    return (1j * (spec.h_drift @ rho - rho @ spec.h_drift),
+            1j * (spec.h_control @ rho - rho @ spec.h_control),
+            lindblad(np.zeros_like(spec.h_drift), spec.lindblad_ops, rho, adjoint=True))
+
+
 def adjoint_coefficients(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """A (A' for a controlled spec) and E of every member of ``spec``, as
-    arrays of shape (B,), through the dense adjoint generator:
+    arrays of shape (B,), through the dense ``adjoint_operators``:
 
-    A = sqrt(2) ||lindblad(h, ops, |psi><psi|, adjoint=True)||_F, with the
-    drift, u_max times the control and the dissipator taken apart for A';
+    A = sqrt(2) ||X||_F of the one operator, or for A' the drift, u_max
+    times the control and the dissipator terms added;
     E = sum_k (||M_k psi||^2 - |<psi|M_k|psi>|^2) floored at 0, each M_k psi
     formed as one stacked ``m @ psi[:, :, None]``.
     """
     psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
-    rho = linalg.outer(psi)
-
-    def speed(h, ops=()):
-        return math.sqrt(2.0) * np.linalg.norm(lindblad(h, ops, rho, adjoint=True),
-                                               axis=(-2, -1))
-
-    if spec.has_control:
-        a = (speed(spec.h_drift) + spec.u_max * speed(spec.h_control)
-             + speed(np.zeros_like(spec.h_drift), spec.lindblad_ops))
-    else:
-        a = speed(spec.h_drift, spec.lindblad_ops)
+    speeds = [math.sqrt(2.0) * np.linalg.norm(x, axis=(-2, -1)) for x in adjoint_operators(spec)]
+    a = speeds[0] + spec.u_max * speeds[1] + speeds[2] if spec.has_control else speeds[0]
     e = np.zeros(psi.shape[0])
     for m in spec.lindblad_ops:
         mpsi = (m @ psi[:, :, None])[:, :, 0]

@@ -20,7 +20,7 @@ from qslreach.models import (
     qutrit_spec,
 )
 from qslreach.reachset import draw_random_system
-from reference import adjoint_coefficients
+from reference import adjoint_coefficients, adjoint_operators
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -106,6 +106,24 @@ class TestControlledSpeedCoefficient:
         spec = qubit_spec(p, with_control=True)
         drift_only = SystemSpec(psi0=spec.psi0, h_drift=spec.h_drift)
         assert_allclose(speed(spec), speed(drift_only), atol=1e-12)
+
+    def test_adds_its_terms_in_one_order(self):
+        # A' = (A_h + u_max A_c) + A_n bit for bit, each term the A of an
+        # uncontrolled spec: the drift alone, the control alone, and the
+        # Lindblad operators under H = 0
+        rng = np.random.default_rng(31)
+        n, d = 200, 3
+        psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        x = rng.standard_normal((2, n, d, d)) + 1j * rng.standard_normal((2, n, d, d))
+        h, hc = (x + np.swapaxes(x.conj(), -1, -2)) / 2
+        ops = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)),
+               rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        u_max = rng.uniform(0.0, 2.0, n)
+        a_h, a_c, a_n = (speed(SystemSpec(psi0=psi, h_drift=g, lindblad_ops=m))
+                         for g, m in ((h, ()), (hc, ()), (np.zeros((d, d)), ops)))
+        got = speed(SystemSpec(psi0=psi, h_drift=h, h_control=hc, u_max=u_max, lindblad_ops=ops))
+        assert np.array_equal(got, (a_h + u_max * a_c) + a_n)
 
     def test_variance_identity(self):
         # sqrt(2) ||i[h, rho0]||_F = 2 sqrt(<h^2> - <h>^2) for pure states
@@ -435,17 +453,25 @@ class TestStackedCoefficients:
                 assert stack.noise[i] == single.noise
 
 
+def _stacks(spec):
+    """The operator stacks of ``qsl._adjoint_stacks(spec)``, each joined
+    over the chunks into one (B, d, d) array."""
+    return [np.concatenate(x) for x in zip(*(xs for _, xs, _ in qsl._adjoint_stacks(spec)))]
+
+
 def _in_chunks(spec, members):
     """``generic_coefficients(spec)`` in chunks of ``members`` members; None
-    keeps the default chunks."""
+    keeps the default chunks.  A controlled spec has three (d, d) stacks
+    per member, an uncontrolled one a single stack."""
     with pytest.MonkeyPatch.context() as mp:
         if members is not None:
-            mp.setattr(dynamics, "CHUNK_BYTES", members * 16 * spec.dim ** 2)
+            stacks = 3 if spec.has_control else 1
+            mp.setattr(dynamics, "CHUNK_BYTES", members * 16 * spec.dim ** 2 * stacks)
         return qsl.generic_coefficients(spec)
 
 
 class TestCoefficientChunks:
-    """``_coefficients`` takes a stack a chunk of members at a time; the
+    """``_adjoint_stacks`` takes a stack a chunk of members at a time; the
     chunk size moves no bit."""
 
     @staticmethod
@@ -468,7 +494,7 @@ class TestCoefficientChunks:
         self._assert_matches_one_chunk(bell_spec("psi-plus", np.linspace(0.01, 2.0, 2000)))
 
     def test_controlled_qubit(self):
-        # three _coefficients calls: dissipator, drift and control
+        # three operator stacks per member: drift, control and dissipator
         theta, p = np.linspace(0.0, math.pi, 3000), dict(gamma=0.3, u_max=0.7)
         spec = qubit_spec(QubitParams(theta=theta, **p), with_control=True)
         self._assert_matches_one_chunk(spec)
@@ -500,25 +526,46 @@ class TestCoefficientChunks:
                                       np.array([c.noise for c in singles]))
 
     def test_verify_block_is_one_pass(self, monkeypatch):
-        # verify's largest block, 87 trials, is one chunk at d = 2 and at d = 4
-        calls = []
-        real = qsl._chunk_coefficients
-        monkeypatch.setattr(qsl, "_chunk_coefficients", lambda *a: calls.append(1) or real(*a))
+        # verify's largest block, 87 trials, is one chunk at d = 2 and at d = 4,
+        # and so is a controlled stack of 87 qubits with its three stacks
+        chunks = []
+        real = qsl._adjoint_stacks
+
+        def counted(spec):
+            for chunk in real(spec):
+                chunks.append(chunk[0])
+                yield chunk
+
+        monkeypatch.setattr(qsl, "_adjoint_stacks", counted)
         qsl.generic_coefficients(draw_random_system(42, 2, range(87)))
         qsl.generic_coefficients(draw_random_system(42, 4, range(87)))
-        assert len(calls) == 2
+        qsl.generic_coefficients(qubit_spec(QubitParams(
+            theta=np.linspace(0.0, math.pi, 87), gamma=0.3, u_max=0.7), with_control=True))
+        assert [s.indices(87) for s in chunks] == [(0, 87, 1)] * 3
+
+    @staticmethod
+    def _peak(spec):
+        """The tracemalloc peak of ``generic_coefficients(spec)``."""
+        tracemalloc.start()
+        try:
+            qsl.generic_coefficients(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_sweep_stack_peaks_below_twice_its_states(self):
         # beyond the (n,) results, the working memory is one chunk's
         spec = qubit_spec(QubitParams(theta=np.linspace(0.0, math.pi / 2, 50_000),
                                       omega=1.0, gamma=0.4))
-        tracemalloc.start()
-        try:
-            qsl.generic_coefficients(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * spec.psi0.nbytes
+        assert self._peak(spec) < 2 * spec.psi0.nbytes
+
+    def test_controlled_stack_peaks_below_its_states(self):
+        # three operator stacks per member in one chunk loop: the two (n,)
+        # results are half the states' bytes, and the working memory beyond
+        # them is one chunk's
+        spec = qubit_spec(QubitParams(theta=np.linspace(0.0, math.pi / 2, 50_000),
+                                      gamma=0.4, u_max=0.7), with_control=True)
+        assert self._peak(spec) < spec.psi0.nbytes
 
 
 class TestStateVectorRoute:
@@ -534,9 +581,10 @@ class TestStateVectorRoute:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
     def test_matches_the_adjoint_generator(self, d, control):
         # every mix of shared (d, d) and stacked (n, d, d) generators, with
-        # 0 to 3 Lindblad operators: A to 1e-14 relative, E bit for bit; a
-        # 1-level system cannot move, and both of its A are roundoff below
-        # the degeneracy threshold
+        # 0 to 3 Lindblad operators: each operator stack and A to 1e-14
+        # relative, E bit for bit; a 1-level system cannot move, and its
+        # operators and both of its A are roundoff below the degeneracy
+        # threshold
         rng = np.random.default_rng([29, d, control])
         n = 3
         psi = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -551,6 +599,15 @@ class TestStateVectorRoute:
                     **ctrl)
                 got = qsl.generic_coefficients(spec)
                 a, e = adjoint_coefficients(spec)
+                stacks, refs = _stacks(spec), adjoint_operators(spec)
+                assert [x.shape for x in stacks] == [x.shape for x in refs] == \
+                    [(n, d, d)] * (3 if control else 1)
+                for x, ref in zip(stacks, refs):
+                    err, size = (np.linalg.norm(y, axis=(-2, -1)) for y in (x - ref, ref))
+                    if d == 1:
+                        assert max(np.abs(x).max(), size.max()) < qsl.DEGENERACY_EPS
+                    else:
+                        assert (err <= 1e-14 * size).all()
                 if d == 1:
                     assert max(got.speed.max(), a.max()) < qsl.DEGENERACY_EPS
                 else:

@@ -939,13 +939,18 @@ class TestWriteRows:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("column", [["a", 1, "a"], ("a", None, "b"), [1.5, "a", "a"],
-                                        [None] * 3, [None, 1.0, 2.0]], ids=repr)
+    @pytest.mark.parametrize("column", [
+        ["a", 1, "a"], ("a", None, "b"), [1.5, "a", "a"], [None] * 3, [None, 1.0, 2.0],
+        [1j, 2.0, 1j], np.array([b"a", b"b", b"a"]), np.array([1 + 2j, 0j, 1 + 2j]),
+        np.array(["x", 1, "x"], dtype=object), np.array([None, 1.0, 2.0], dtype=object)],
+        ids=repr)
     def test_lists_of_mixed_or_unordered_cells_are_rejected(self, tmp_path, fmt, column):
         # the sort that finds a column's levels would raise its own TypeError
-        # for these, and ["a", 1, "a"] failed on the cell width in CSV and
-        # wrote the raw tokens in JSON
-        with pytest.raises(ValueError, match="column 's' must hold only strings or only numbers"):
+        # for the mixed ones, lists and object arrays alike, and ["a", 1, "a"]
+        # failed on the cell width in CSV and wrote the raw tokens in JSON;
+        # bytes and complex cells were written as b'a' and (1+2j) in CSV and
+        # raised a bare TypeError from json.dumps
+        with pytest.raises(ValueError, match="column 's' must hold only strings or only real numbers"):
             reachset.write_rows({"s": column}, tmp_path / f"t.{fmt}", fmt)
         assert not list(tmp_path.iterdir())
 
