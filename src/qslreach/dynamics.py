@@ -374,7 +374,8 @@ def _generator(spec: SystemSpec, u: float = 0.0) -> np.ndarray:
     control u as a real (B, d^2, d^2) matrix G on the coordinates of
     ``_to_coords``: column k holds the coordinates of L(B_k), with B_k the
     Hermitian basis matrix of coordinate k, so dx/dt = G x.  L is
-    ``lindblad``, applied to the d^2 basis matrices at once."""
+    ``lindblad``, applied to the d^2 basis matrices at once.  The result is
+    read-only: a zero-stride view of one G where H and every M_k are shared."""
     if spec.h_control is None:
         if u != 0.0:
             raise ValueError("control value supplied but spec has no control Hamiltonian")
@@ -383,14 +384,11 @@ def _generator(spec: SystemSpec, u: float = 0.0) -> np.ndarray:
         if np.any(abs(u) > spec.u_max + 1e-12):
             raise ValueError(f"|u| = {abs(u)} exceeds u_max = {spec.u_max}")
         ham = spec.h_drift + u * spec.h_control
-    b, dim = math.prod(spec.shape), spec.dim
-
-    def per_system(m):
-        """(b, 1, d, d): one matrix per system, broadcast over the basis."""
-        return np.broadcast_to(m, (b, dim, dim))[:, None]
-
-    gen = lindblad(per_system(ham), [per_system(m) for m in spec.lindblad_ops], _basis(dim))
-    return _to_coords(gen).transpose(0, 2, 1)
+    # each matrix gains an axis for the basis to broadcast along; where H and
+    # every M_k are shared, the one G is formed once and viewed B times
+    ops = [m[..., None, :, :] for m in spec.lindblad_ops]
+    gen = np.swapaxes(_to_coords(lindblad(ham[..., None, :, :], ops, _basis(spec.dim))), -1, -2)
+    return np.broadcast_to(gen, (math.prod(spec.shape),) + gen.shape[-2:])
 
 
 def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0) -> Trajectory:
@@ -419,20 +417,23 @@ def integrate(spec: SystemSpec, T: float, dt: float = DEFAULT_DT, u: float = 0.0
     states of the stack are checked together (``_check_states``); a
     failure names the first unhealthy system in stack order and its
     earliest bad sample, and overflow of an unstable step raises no numpy
-    warning.  Every member of a stack equals ``integrate`` of that system
-    alone, bit for bit.
+    warning.  A G with an entry that overflows a double (a rate or
+    frequency near 1e308) raises ValueError before any step.  Every member
+    of a stack equals ``integrate`` of that system alone, bit for bit.
     """
     times, n_full = _sample_times(T, dt)
     n = len(times) - 1
-    gen = _generator(spec, u)
-    b, d2 = gen.shape[:2]
-    x = np.empty((b, n + 1, d2))
-    x[:, 0] = _to_coords(linalg.outer(np.broadcast_to(spec.psi0, (b, spec.dim))))
-    # dF/dt = x_0 . G x_t and F = x_0 . x_t: two columns, multiplied into
-    # every sample by one product
-    probes = np.stack([np.matmul(x[:, :1], gen)[:, 0], x[:, 0]], axis=-1)
-    # unstable steps overflow; _check_states then names the first bad sample
+    # an overflowing G is rejected below, and unstable steps overflow too;
+    # _check_states then names the first bad sample
     with np.errstate(over="ignore", invalid="ignore"):
+        gen = _generator(spec, u)
+        if not np.isfinite(gen).all():
+            raise ValueError("generator G is not finite: a rate or frequency is too large")
+        x = np.empty((len(gen), n + 1, gen.shape[-1]))
+        x[:, 0] = _to_coords(linalg.outer(spec.psi0))
+        # dF/dt = x_0 . G x_t and F = x_0 . x_t: two columns, multiplied into
+        # every sample by one product
+        probes = np.stack([np.matmul(x[:, :1], gen)[:, 0], x[:, 0]], axis=-1)
         # samples are rows, x[:, i] = x[:, 0] (P^i)^T: with m samples
         # filled, the next m are x[:, :m] (P^m)^T, then P^2m = P^m P^m
         power = _rk4_propagator(gen, dt).transpose(0, 2, 1)

@@ -176,14 +176,24 @@ def qsl_time(coeffs: QslCoefficients, lam):
     analytically: lambda = 0 -> 0; E -> 0 gives 2 lambda / A; A -> 0 gives
     lambda^2 / E; A = E = 0 with lambda > 0 is unreachable (+inf).  The log
     term is evaluated as -E log1p(A lambda / E) to stay accurate for small
-    E.  Coefficients and ``lam`` broadcast; all-scalar input gives a float.
+    E.  Above A ~ 1.34e154, where A^2 overflows a double, the same bound is
+    evaluated as (2 / A)(lambda - (E / A) log1p(A lambda / E)), with the
+    log1p taken as log A + log lambda - log E where A lambda / E overflows
+    too; any finite coefficients give a finite T* and no numpy warning.
+    Coefficients and ``lam`` broadcast; all-scalar input gives a float.
     """
     a, e, a_ok, e_ok = _regular(coeffs)
     t = 2.0 * lam / a
     # each limit is evaluated only if some entry needs it: the closed-form
     # gate bounds pass E = 0 throughout, and most stacks have every A > 0
     if e_ok.any():
-        t = np.where(e_ok, t - (2.0 / (a * a)) * e * np.log1p(a * lam / e), t)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = a * lam / e
+            t = np.where(e_ok, t - (2.0 / (a * a)) * e * np.log1p(v), t)
+            big = e_ok & (a * a == np.inf)
+            if big.any():  # the same bound without A^2, log1p(v) from logs where v = inf
+                log_v = np.where(v < np.inf, np.log1p(v), np.log(a) + np.log(lam) - np.log(e))
+                t = np.where(big, 2.0 / a * (lam - e / a * log_v), t)
     if not a_ok.all():
         t = np.where(a_ok, t, np.where(e_ok, lam * lam / e, np.inf))
     return _scalar(np.where(lam > 0.0, t, 0.0))
@@ -246,18 +256,11 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
         lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
     # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is
-    # well conditioned, so the radius is never overstated.  After the first
-    # pass only the entries the previous one moved are checked again: the
-    # ops are elementwise, so an entry's bits do not depend on the others.
-    over = qsl_time(coeffs, lam) > T
-    lam = np.where(over, np.nextafter(lam, 0.0), lam)
-    flat, idx = lam.reshape(-1), np.flatnonzero(over)
-    a, e, t = (np.broadcast_to(x, lam.shape).flat[idx] for x in (coeffs.speed, coeffs.noise, T))
-    for _ in range(2):
-        sub = flat[idx]
-        over = qsl_time(QslCoefficients(a, e), sub) > t
-        flat[idx] = np.where(over, np.nextafter(sub, 0.0), sub)
-        idx, a, e, t = idx[over], a[over], e[over], t[over]
+    # well conditioned, so the radius is never overstated.  Each pass checks
+    # the whole grid: an entry that one pass leaves in place passes every
+    # later one too, so only the entries still over T move.
+    for _ in range(3):
+        lam = np.where(qsl_time(coeffs, lam) > T, np.nextafter(lam, 0.0), lam)
     return _scalar(lam)
 
 

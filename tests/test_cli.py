@@ -781,6 +781,48 @@ def test_overflowing_coefficient_is_config_error(tmp_path, capsys, argv):
     assert err == "error: coefficient A is not finite: a rate or frequency is too large\n"
 
 
+#: Frequencies so large that G overflows a double while A stays finite
+#: (theta = 0 is an eigenstate): in _to_coords, then in lindblad's add.
+#: Each once blamed the step size, exit 3, after numpy warnings.
+OVERFLOW_GENERATOR_ARGV = [
+    ["simulate", "--theta", "0", "--omega", "1e308", "--gamma", "1", "--T", "0.004",
+     "--dt", "0.001"],
+    ["simulate", "--theta", "0", "--omega", "1.7e308", "--gamma", "1e154", "--T", "0.004",
+     "--dt", "0.001"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_GENERATOR_ARGV, ids=" ".join)
+def test_overflowing_generator_is_config_error(tmp_path, capsys, argv):
+    err = _assert_config_error(tmp_path, capsys, argv)
+    assert err == "error: generator G is not finite: a rate or frequency is too large\n"
+
+
+def test_overflowing_step_of_a_finite_generator_exits_3(tmp_path, capsys):
+    # G is finite at omega = 1e200, but its RK4 step overflows: the health
+    # check names the first state, in one line and with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--theta", "0", "--omega", "1e200", "--gamma", "1", "--T", "0.004",
+                    "--dt", "0.001", "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "integration failure: non-finite check failed at t = 0.001: worst residual inf "
+        "exceeds tolerance 0 (step size too large for this system?)\n")
+
+
+def test_overflowing_a_squared_sweeps_without_warning(capsys):
+    # A^2 overflows above A ~ 1.34e154: the re-check of each radius
+    # evaluates T* without it, so the capped radii come with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep-lambda", "--omega", "1e154", "--gamma", "3", "--points", "4",
+                    "--horizons", "0.5", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "theta,gamma,omega,T,lambda_max"
+    assert rows[1:] == [f"{t},3,1e+154,0.5,1" for t in ("0", "0.523598776", "1.04719755",
+                                                         "1.57079633")]
+
+
 def test_overflowing_radius_argument_caps_at_one(capsys):
     # A is finite at theta = pi/4 but c = A^2 T / (2E) overflows; the radius
     # is the capped 1, not nan, and numpy warns of nothing

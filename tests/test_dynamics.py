@@ -17,6 +17,7 @@ from qslreach.models import (
     SPIN1_X,
     SPIN1_Z,
     QubitParams,
+    bell_spec,
     qubit_spec,
     qutrit_spec,
 )
@@ -337,6 +338,50 @@ class TestGenerator:
         gen = dynamics._generator(stack)
         for k in range(3):
             assert np.array_equal(gen[k], dynamics._generator(draw_random_system(4, 3, k))[0])
+
+    @staticmethod
+    def _member(spec, k):
+        """Member k of a stacked spec, as one system of its own."""
+        def pick(x, ndim):
+            return x[k] if np.ndim(x) > ndim else x
+        return SystemSpec(psi0=pick(spec.psi0, 1), h_drift=pick(spec.h_drift, 2),
+                          h_control=None if spec.h_control is None else pick(spec.h_control, 2),
+                          u_max=pick(spec.u_max, 0),
+                          lindblad_ops=tuple(pick(m, 2) for m in spec.lindblad_ops))
+
+    @pytest.mark.parametrize("stack", ["states", "decay-rates", "hamiltonians", "controlled"])
+    def test_members_of_shared_and_stacked_fields(self, stack):
+        # the shared fields are formed once and viewed B times; every member
+        # must still equal the generator of that system alone, bit for bit
+        rng, u = np.random.default_rng(32), 0.0
+        if stack == "states":  # shared H and M, stacked psi0: the sweep's shape
+            spec = qubit_spec(QubitParams(theta=np.linspace(0.0, math.pi, 5), gamma=0.4))
+        elif stack == "decay-rates":  # shared psi0 and H, stacked M: the Bell sweep's shape
+            spec = bell_spec("psi-plus", np.array([0.1, 0.5, 2.0, 7.0]))
+        elif stack == "hamiltonians":  # stacked H, shared M
+            hams = np.stack([random_hermitian(rng, 2) for _ in range(3)])
+            spec = SystemSpec(psi0=PLUS, h_drift=hams, lindblad_ops=(0.3 * SIGMA_MINUS,))
+        else:  # stacked psi0 and u_max, a shared control and decay, at u = -0.5
+            psi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            spec = SystemSpec(psi0=psi / np.linalg.norm(psi, axis=1, keepdims=True),
+                              h_drift=1.2 * SPIN1_X, h_control=SPIN1_Z,
+                              u_max=np.array([0.5, 0.8, 1.0]),
+                              lindblad_ops=(random_matrix(rng, 3),))
+            u = -0.5
+        gen = dynamics._generator(spec, u)
+        d2 = spec.dim ** 2
+        assert gen.shape == (spec.shape[0], d2, d2) and gen.dtype == np.float64
+        for k in range(spec.shape[0]):
+            single = dynamics._generator(self._member(spec, k), u)
+            assert single.shape == (1, d2, d2)
+            assert np.array_equal(gen[k], single[0]), k
+
+    def test_overflowing_generator_is_rejected(self):
+        # theta = 0 is an eigenstate, so A is finite, but G overflows: one
+        # ValueError before any step, and no numpy warning
+        spec = SystemSpec(psi0=KET0, h_drift=1e308 * PAULI_Z, lindblad_ops=(SIGMA_MINUS,))
+        with pytest.raises(ValueError, match="generator G is not finite"):
+            integrate(spec, T=0.004, dt=0.001)
 
     @pytest.mark.parametrize("dim", [1, 16])
     def test_edge_dimensions_integrate(self, dim):

@@ -193,6 +193,18 @@ class TestQslTime:
         c_zero = coeffs(1.5, 0.0)
         assert abs(qsl.qsl_time(c_small, 0.7) - qsl.qsl_time(c_zero, 0.7)) < 1e-10
 
+    @pytest.mark.parametrize("a,e,ref", [
+        (1e300, 1e-13, 9.999999999999999475e-301),   # A lambda / E overflows too
+        (2e154, 3.0, 4.9999999999999998153e-155),
+        (2e154, 1e150, 4.9953947798165115576e-155),  # the log term counts
+    ])
+    def test_overflowing_a_squared(self, a, e, ref):
+        # above A ~ 1.34e154, A^2 overflows; T* at lambda = 1/2 must still
+        # match its mpmath value (50 digits), scalar or array, with no warning
+        assert_allclose(qsl.qsl_time(coeffs(a, e), 0.5), ref, rtol=1e-12)
+        t = qsl.qsl_time(coeffs(np.array([a, 1.0]), np.array([e, 1.0])), np.array([0.5, 0.0]))
+        assert_allclose(t, [ref, 0.0], rtol=1e-12)
+
     @settings(deadline=None)
     @given(
         st.floats(1e-6, 10.0), st.floats(0.0, 10.0),
@@ -375,26 +387,31 @@ class TestClosedFormInversion:
         assert isinstance(qsl.qsl_time(coeffs(1.0, 1.0), 0.3), float)
 
     @pytest.mark.parametrize("grid", ["flat", "horizons"])
-    def test_rechecks_of_moved_entries_match_the_full_grid_loop(self, monkeypatch, grid):
-        # after the first ulp re-check of the whole grid only the entries the
-        # previous pass moved are checked again; the result must equal three
-        # passes over the whole grid, bit for bit, through the inf/0 limits
+    def test_ulp_passes_match_a_per_entry_reference(self, monkeypatch, grid):
+        # the closed-form root is stepped one ulp down while T* of it is over
+        # T, at most three times; the result must equal that rule applied to
+        # each entry on its own, with scalar qsl_time and math.nextafter, bit
+        # for bit, through the inf/0 limits
         a, e, T = self._draw(n=3000, seed=37)
         a[::7], e[::5], T[::11], e[::13], T[::17] = 0.0, 0.0, 0.0, 1e-15, 1e308
         if grid == "horizons":
             a, e, T = a[:1000, None], e[:1000, None], np.array([0.0, 0.3, 2.0])
-        c = qsl.QslCoefficients(a, e)
         seen, qsl_time = [], qsl.qsl_time
         monkeypatch.setattr(qsl, "qsl_time", lambda c, lam: seen.append(lam) or qsl_time(c, lam))
-        lam = qsl.max_reachable_radius(c, T)
+        lam = qsl.max_reachable_radius(qsl.QslCoefficients(a, e), T)
         monkeypatch.undo()
-        ref = seen[0]
-        for _ in range(3):
-            ref = np.where(qsl.qsl_time(c, ref) > T, np.nextafter(ref, 0.0), ref)
-        assert lam.shape == ref.shape == seen[0].shape
-        assert np.array_equal(lam.view(np.int64), ref.view(np.int64))
-        assert 0 < np.count_nonzero(ref != seen[0]) and len(seen) == 3
-        assert seen[0].size > seen[1].size > seen[2].size
+        ref, steps = [], []
+        entries = (y.ravel().tolist() for y in np.broadcast_arrays(a, e, T, seen[0]))
+        for ai, ei, ti, x in zip(*entries):
+            c, k = coeffs(ai, ei), 0
+            while k < 3 and qsl.qsl_time(c, x) > ti:
+                x, k = math.nextafter(x, 0.0), k + 1
+            ref.append(x)
+            steps.append(k)
+        assert lam.shape == seen[0].shape
+        assert np.array_equal(lam.ravel().view(np.int64), np.array(ref).view(np.int64))
+        # some roots are stepped, one of them by all three passes
+        assert sum(steps) > 0 and max(steps) == 3
 
     def test_broadcasts_over_horizons(self):
         c = qsl.QslCoefficients(np.array([[1.0], [2.0]]), np.array([[0.5], [0.1]]))
