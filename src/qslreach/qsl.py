@@ -224,7 +224,6 @@ def _log1p_root(c: np.ndarray) -> np.ndarray:
     c + log1p(c) above; two Halley steps then reach about 1e-15 relative.
     Below c = 1e-7 the series alone is exact to 1e-13 while the residual
     v - log1p(v) - c loses its digits to cancellation, so it is kept as is.
-    c = inf (an overflowed A^2 T / 2E) gives v = inf, not the NaN of the steps.
     """
     p = np.sqrt(2.0 * np.minimum(c, 2.0))
     series = p + p * p / 3.0 + p ** 3 / 36.0
@@ -233,7 +232,7 @@ def _log1p_root(c: np.ndarray) -> np.ndarray:
         for _ in range(2):
             f = v - np.log1p(v) - c
             v = v - 2.0 * f * (1.0 + 1.0 / v) / (2.0 - f / (v * v))
-    return np.where(c < 1e-7, series, np.where(c < np.inf, v, c))
+    return np.where(c < 1e-7, series, v)
 
 
 def max_reachable_radius(coeffs: QslCoefficients, T):
@@ -250,9 +249,12 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
     if not (np.isfinite(t) & (t >= 0)).all():
         raise ValueError(f"T must be finite and >= 0, got {T!r}")
     a, e, a_ok, e_ok = _regular(coeffs)
-    with np.errstate(over="ignore"):  # an overflow is inf, capped to 1 below
-        c = a * a * T / (2.0 * e)
-        lam = np.where(e_ok, e / a * _log1p_root(c), a * T / 2.0)
+    # where A^2 overflows, c is formed without it; where c overflows too, the
+    # radius is its large-c limit A T / 2 (capped to 1 below).  np.where
+    # evaluates both sides, so the unused side may overflow or read inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.where(a * a < np.inf, a * a * T / (2.0 * e), a * T / 2.0 * (a / e))
+        lam = np.where(e_ok & (c < np.inf), e / a * _log1p_root(c), a * T / 2.0)
         lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
     # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is

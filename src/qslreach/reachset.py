@@ -189,61 +189,52 @@ def draw_random_system(seed: int, dim: int, trial) -> SystemSpec:
     sequence of trials gives one stacked spec, whose members equal the
     single draws bit for bit.
 
-    The loop over trials only makes the rng calls, each trial filling one
-    row of a (B, 4d^2 + 2d + 2) array: standard_normal(2d^2) is the stream
-    of two (d, d) calls, and 2 * random() is the double uniform(0, 2)
-    returns.  H, M, psi0 and their scaling are then formed over the whole
-    stack by the elementwise operations of a per-trial draw, and each norm
-    is the sqrt of the two ddot sums np.linalg.norm takes of one member
-    (``_norms``).  Since h_00 = Re x_00 exactly, only a trial whose first
-    normal is 0 needs its H norm in the loop, to decide the stream: a
-    nonzero standard normal exceeds 1e-17 in magnitude, so its square does
-    not underflow.
+    The loop over trials only makes the rng calls, in stream order, each
+    into its named per-trial slot: x and y hold the real and imaginary
+    parts of X (H is formed from it) and M as (B, 2, d, d), z those of the
+    state as (B, 2, d), and strength the (H, M) pair as (B, 2).
+    standard_normal(x[b].shape, out=x[b]) is the stream of two (d, d)
+    calls, and 2 * random() is the double uniform(0, 2) returns.  H, M,
+    psi0 and their scaling are then formed over the whole stack by the
+    elementwise operations of a per-trial draw, and each norm is the sqrt
+    of the two ddot sums np.linalg.norm takes of one member (``_norms``).
+    A zero H keeps its strength of 1 and divides by a norm of 1, so
+    H / 1 * 1 keeps its zero entries.  Since h_00 = Re x_00 exactly, only a
+    trial whose first normal is 0 needs its H norm in the loop, to decide
+    the stream: a nonzero standard normal exceeds 1e-17 in magnitude, so
+    its square does not underflow.
     """
     single = np.ndim(trial) == 0
     trials = [trial] if single else list(trial)
     if not trials:
         raise ValueError("a draw needs at least one trial")
-    n = dim * dim
-    s_h, s_m = 2 * n, 4 * n + 1  # the strength columns
-    raw = np.empty((len(trials), 4 * n + 2 * dim + 2))
-    zero_h = []
+    size = len(trials)
+    x, y = np.empty((size, 2, dim, dim)), np.empty((size, 2, dim, dim))
+    z, strength = np.empty((size, 2, dim)), np.ones((size, 2))
     for b, k in enumerate(trials):
-        rng, row = np.random.default_rng([seed, dim, k]), raw[b]
-        rng.standard_normal(2 * n, out=row[:s_h])
-        if row[0] == 0.0 and not _norms(_hermitian(row[None], dim))[0] > 0:
-            zero_h.append(b)  # no strength drawn: H / 1 * 1 keeps its +0 entries
-            row[s_h] = 1.0
-        else:
-            row[s_h] = 2.0 * rng.random()
-        rng.standard_normal(2 * n, out=row[s_h + 1:s_m])
-        row[s_m] = 2.0 * rng.random()
-        rng.standard_normal(2 * dim, out=row[s_m + 1:])
-    h = _hermitian(raw, dim)
+        rng = np.random.default_rng([seed, dim, k])
+        rng.standard_normal(x[b].shape, out=x[b])
+        if x[b, 0, 0, 0] != 0.0 or _norms(_hermitian(x[b:b + 1]))[0] > 0:
+            strength[b, 0] = 2.0 * rng.random()
+        rng.standard_normal(y[b].shape, out=y[b])
+        strength[b, 1] = 2.0 * rng.random()
+        rng.standard_normal(z[b].shape, out=z[b])
+    h = _hermitian(x)
     h_norm = _norms(h)
-    h_norm[zero_h] = 1.0
-    h = h / h_norm[:, None, None] * raw[:, s_h, None, None]
-    y = _complex_columns(raw, s_h + 1, (dim, dim))
-    m = y / _norms(y)[:, None, None] * raw[:, s_m, None, None]
-    psi = _complex_columns(raw, s_m + 1, (dim,))
+    h = h / np.where(h_norm > 0, h_norm, 1.0)[:, None, None] * strength[:, 0, None, None]
+    m = y[:, 0] + 1j * y[:, 1]
+    m = m / _norms(m)[:, None, None] * strength[:, 1, None, None]
+    psi = z[:, 0] + 1j * z[:, 1]
     psi = psi / _norms(psi)[:, None]
     if single:
         psi, h, m = psi[0], h[0], m[0]
     return SystemSpec(psi0=psi, h_drift=h, lindblad_ops=(m,))
 
 
-def _complex_columns(raw: np.ndarray, start: int, shape: tuple) -> np.ndarray:
-    """re + 1j * im per row of ``raw`` as a (B, *shape) stack: re from the
-    ``prod(shape)`` columns at ``start``, im from the next as many."""
-    size = math.prod(shape)
-    part = raw[:, start:start + 2 * size].reshape(len(raw), 2, *shape)
-    return part[:, 0] + 1j * part[:, 1]
-
-
-def _hermitian(raw: np.ndarray, dim: int) -> np.ndarray:
-    """(X + X^dag) / 2 per row, X from the first 2 dim^2 columns."""
-    x = _complex_columns(raw, 0, (dim, dim))
-    return (x + x.conj().swapaxes(-1, -2)) / 2
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """(X + X^dag) / 2 per member, X = x[:, 0] + 1j * x[:, 1]."""
+    c = x[:, 0] + 1j * x[:, 1]
+    return (c + c.conj().swapaxes(-1, -2)) / 2
 
 
 def _norms(a: np.ndarray) -> np.ndarray:

@@ -46,7 +46,8 @@ def adjoint_operators(spec: SystemSpec) -> tuple[np.ndarray, ...]:
     """The dense operator stacks (B, d, d) behind A of every member of
     ``spec``, with rho = |psi><psi|: (lindblad(h, ops, rho, adjoint=True),),
     or for a controlled spec the three terms that A' takes apart,
-    (i[H_drift, rho], i[H_control, rho], lindblad(0, ops, rho, adjoint=True)).
+    (i[H_drift, rho], i[H_control, rho],
+    lindblad(np.zeros((d, d)), ops, rho, adjoint=True)).
     """
     psi = np.broadcast_to(spec.psi0, (math.prod(spec.shape), spec.dim))
     rho = linalg.outer(psi)

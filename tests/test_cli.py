@@ -743,7 +743,8 @@ GATE_ROUTE_MAPS = [
                          ids=[" ".join([m, *a]) for m, a in GATE_ROUTE_MAPS])
 def test_gate_map_cells_equal_bound(capsys, model, args):
     # every cell's t_star is bound's T_star at the same (exact) angles: both
-    # 0, both inf, or equal to 5e-9 relative
+    # 0, both inf, or equal to 1e-12 relative (the map's closed-form A' and
+    # fidelity differ from bound's generic route in the last bits)
     assert run(["gate-map", "--model", model, *args, "--points", "6",
                 "--format", "json", "--out", "-"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -755,7 +756,7 @@ def test_gate_map_cells_equal_bound(capsys, model, args):
         bound = float(json.loads(capsys.readouterr().out)["T_star"])
         cell = float(row["t_star"])
         same = (cell == bound if bound in (0.0, math.inf) or cell in (0.0, math.inf)
-                else abs(cell - bound) <= 5e-9 * bound)
+                else abs(cell - bound) <= 1e-12 * bound)
         if not same:
             bad.append((row["alpha"], row["beta"], cell, bound))
     assert not bad, f"{len(bad)} of 36 cells disagree: {bad[:3]}"
@@ -810,17 +811,22 @@ def test_overflowing_step_of_a_finite_generator_exits_3(tmp_path, capsys):
         "exceeds tolerance 0 (step size too large for this system?)\n")
 
 
-def test_overflowing_a_squared_sweeps_without_warning(capsys):
-    # A^2 overflows above A ~ 1.34e154: the re-check of each radius
-    # evaluates T* without it, so the capped radii come with no numpy warning
+@pytest.mark.parametrize("T,radii", [
+    ("0.5", ["1", "1", "1", "1"]),
+    # the two middle radii are A T / 2: c = A^2 T / (2E) is formed without A^2
+    ("1e-160", ["1.73205081e-80", "8.66025404e-07", "8.66025404e-07", "1.2246468e-22"]),
+], ids=["capped", "a-t-over-two"])
+def test_overflowing_a_squared_sweeps_without_warning(capsys, T, radii):
+    # A^2 overflows above A ~ 1.34e154: the inversion and the re-check of
+    # each radius go without it, and numpy warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["sweep-lambda", "--omega", "1e154", "--gamma", "3", "--points", "4",
-                    "--horizons", "0.5", "--out", "-"]) == 0
+                    "--horizons", T, "--out", "-"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "theta,gamma,omega,T,lambda_max"
-    assert rows[1:] == [f"{t},3,1e+154,0.5,1" for t in ("0", "0.523598776", "1.04719755",
-                                                         "1.57079633")]
+    thetas = ("0", "0.523598776", "1.04719755", "1.57079633")
+    assert rows[1:] == [f"{t},3,1e+154,{T},{r}" for t, r in zip(thetas, radii)]
 
 
 def test_overflowing_radius_argument_caps_at_one(capsys):

@@ -310,6 +310,24 @@ class TestMaxReachableRadius:
             if lam < 1.0:
                 assert qsl.qsl_time(c, lam + 1e-6) > t
 
+    @pytest.mark.parametrize("a,e,T", [
+        (2e154, 3.0, 1e-160),    # c ~ 7e147: the log term is below an ulp
+        (1.7e154, 3.0, 1e-160),
+        (1e300, 1e-13, 1e-301),  # c overflows even without A^2
+        (1e200, 1.0, 0.0),       # A^2 T was inf * 0 = nan
+    ])
+    def test_overflowing_a_squared(self, a, e, T):
+        # above A ~ 1.34e154, A^2 overflows; the radius is then A T / 2 to
+        # 1e-15 relative (0 at T = 0), scalar or array, with no numpy warning
+        lam = qsl.max_reachable_radius(coeffs(a, e), T)
+        assert lam == pytest.approx(a * T / 2.0, rel=1e-15, abs=0.0)
+        assert qsl.qsl_time(coeffs(a, e), lam) <= T
+        c = coeffs(np.array([a, 1.0]), np.array([e, 1.0]))
+        lam = qsl.max_reachable_radius(c, np.array([T, 0.3]))
+        assert lam[0] == pytest.approx(a * T / 2.0, rel=1e-15, abs=0.0)
+        assert lam[1] == qsl.max_reachable_radius(coeffs(1.0, 1.0), 0.3)
+        assert (qsl.qsl_time(c, lam) <= [T, 0.3]).all()
+
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             qsl.max_reachable_radius(coeffs(1.0, 1.0), -0.1)

@@ -414,7 +414,7 @@ class TestStackedDraw:
                 for got, want in zip(fields, reference.draw_random_system(seed, dim, k)):
                     assert _same_bits(got[i], want), (trials, k)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_zero_h_draws_no_strength(self, monkeypatch, dim):
         # trial k's rng hands out zeros[k] zero normals first: trial 1's X
         # is 0, trial 2 has x_00 = 0 only (H = 0 for d = 1, where the
