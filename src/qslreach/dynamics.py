@@ -29,12 +29,15 @@ formed from real coordinates is Hermitian by construction.  Each
 trajectory also carries the exact fidelity rate dF/dt = <psi_0| L(rho_t)
 |psi_0>, against which ``theta_rate_check`` tests the differential bound.
 
-A ``SystemSpec`` is one system or a stack of systems of one dimension, and
-``integrate`` is the one integrator for both: it propagates the whole stack
-together, filling the samples by doubling (about 2 log2(n) stacked real
-products for n steps), and checks its states in one pass over their
-coordinates that keeps each state's residuals (finiteness, trace, LDL^H
-pivots), which the failure report and ``Trajectory.trace_errors`` read.
+A ``SystemSpec`` is one system or a stack of systems of one dimension.  It
+checks psi0 with ``linalg.as_state`` and each operator in ``_operator``:
+square, finite, of psi0's dimension and, for a Hamiltonian, Hermitian,
+each error naming the field.  ``integrate`` is the one integrator for both:
+it propagates the whole stack together, filling the samples by doubling
+(about 2 log2(n) stacked real products for n steps), and checks its states
+in one pass over their coordinates that keeps each state's residuals
+(finiteness, trace, LDL^H pivots), which the failure report and
+``Trajectory.trace_errors`` read.
 An eigenvalue solve runs only on the samples of a failing system whose
 pivots fail, and only their density matrices are formed.
 """
@@ -134,8 +137,15 @@ class SystemSpec:
 
 
 def _operator(name: str, m, dim: int, hermitian: bool = False) -> np.ndarray:
-    """A validated (d, d) or stacked (B, d, d) operator of dimension ``dim``."""
-    m = linalg.as_matrix(m)
+    """The one check of a ``SystemSpec`` operator: a complex (d, d) matrix or
+    (B, d, d) stack, checked to be square, finite, of ``psi0``'s dimension
+    ``dim`` and, where asked, Hermitian, in that order; each error names the
+    field ``name`` and the rule it broke."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
     if m.shape[-1] != dim:
         raise ValueError(f"{name} dimension does not match psi0")
     with np.errstate(over="ignore"):  # an overflowing residual is inf, which fails

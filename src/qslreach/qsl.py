@@ -179,7 +179,9 @@ def qsl_time(coeffs: QslCoefficients, lam):
     E.  Above A ~ 1.34e154, where A^2 overflows a double, the same bound is
     evaluated as (2 / A)(lambda - (E / A) log1p(A lambda / E)), with the
     log1p taken as log A + log lambda - log E where A lambda / E overflows
-    too; any finite coefficients give a finite T* and no numpy warning.
+    too.  Where 2 E / A^2 overflows instead, A lambda / E is below 1e-290
+    (lambda <= 1) and T* is its A -> 0 limit lambda^2 / E to the double.  Any finite
+    coefficients give a finite T* >= 0 and no numpy warning.
     Coefficients and ``lam`` broadcast; all-scalar input gives a float.
     """
     a, e, a_ok, e_ok = _regular(coeffs)
@@ -188,8 +190,8 @@ def qsl_time(coeffs: QslCoefficients, lam):
     # gate bounds pass E = 0 throughout, and most stacks have every A > 0
     if e_ok.any():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = a * lam / e
-            t = np.where(e_ok, t - (2.0 / (a * a)) * e * np.log1p(v), t)
+            v, k = a * lam / e, 2.0 / (a * a) * e
+            t = np.where(e_ok, np.where(k < np.inf, t - k * np.log1p(v), lam * lam / e), t)
             big = e_ok & (a * a == np.inf)
             if big.any():  # the same bound without A^2, log1p(v) from logs where v = inf
                 log_v = np.where(v < np.inf, np.log1p(v), np.log(a) + np.log(lam) - np.log(e))
@@ -242,7 +244,9 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
     v - log1p(v) = c, so lambda = (E / A) v with v = -W_{-1}(-e^{-1-c}) - 1
     (Lambert W; Corless et al., Adv. Comput. Math. 5, 329 (1996)).  The
     degenerate limits are E -> 0: A T / 2; A -> 0: sqrt(E T); A = E = 0: 0.
-    The result is capped at 1 and is 0 at T = 0; T must be finite.
+    The same limits stand in where c overflows (A T / 2) or underflows to 0
+    (sqrt(E T)).  The result is capped at 1 and is 0 at T = 0; T must be
+    finite.
     Coefficients and ``T`` broadcast; all-scalar input gives a float.
     """
     t = np.asarray(T)
@@ -250,11 +254,14 @@ def max_reachable_radius(coeffs: QslCoefficients, T):
         raise ValueError(f"T must be finite and >= 0, got {T!r}")
     a, e, a_ok, e_ok = _regular(coeffs)
     # where A^2 overflows, c is formed without it; where c overflows too, the
-    # radius is its large-c limit A T / 2 (capped to 1 below).  np.where
-    # evaluates both sides, so the unused side may overflow or read inf * 0
+    # radius is its large-c limit A T / 2, and where c underflows to 0 (or
+    # 2 E overflows), its small-c limit sqrt(E T), both capped to 1 below.
+    # np.where evaluates both sides, so the unused side may overflow or read
+    # inf * 0
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.where(a * a < np.inf, a * a * T / (2.0 * e), a * T / 2.0 * (a / e))
-        lam = np.where(e_ok & (c < np.inf), e / a * _log1p_root(c), a * T / 2.0)
+        root = np.where(c > 0.0, e / a * _log1p_root(c), np.sqrt(e * T))
+        lam = np.where(e_ok & (c < np.inf), root, a * T / 2.0)
         lam = np.minimum(np.where(a_ok, lam, np.where(e_ok, np.sqrt(e * T), 0.0)), 1.0)
     # The root lands within rounding of T on either side of the evaluated
     # bound; a few ulps down restore qsl_time(lambda) <= T wherever T* is

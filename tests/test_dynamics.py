@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -206,6 +207,72 @@ class TestSystemSpecValidation:
             SystemSpec(psi0=KET0, h_drift=np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
             SystemSpec(psi0=KET0, h_drift=np.eye(2), lindblad_ops=(np.eye(3),))
+
+    @staticmethod
+    def _spec_with(field, m):
+        """A qubit spec with ``m`` as its ``field``: h_drift, h_control or
+        its one Lindblad operator."""
+        fields = {"h_drift": ZERO2, "h_control": PAULI_Z,
+                  field: (m,) if field == "lindblad_ops" else m}
+        return SystemSpec(psi0=KET0, u_max=1.0, **fields)
+
+    NAMES = {"h_drift": "h_drift", "h_control": "h_control", "lindblad_ops": "Lindblad operator"}
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (3, 2, 1)], ids=["2x3", "vector", "stack"])
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_rejects_nonsquare(self, field, shape):
+        message = f"{self.NAMES[field]} must be a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self._spec_with(field, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf, -np.inf],
+                             ids=["nan", "inf", "imaginary-inf", "minus-inf"])
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_rejects_nonfinite(self, field, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match=f"^{self.NAMES[field]} entries must be finite$"):
+            self._spec_with(field, m)
+        stack = np.stack([np.eye(2, dtype=complex), m])
+        with pytest.raises(ValueError, match=f"^{self.NAMES[field]} entries must be finite$"):
+            self._spec_with(field, stack)
+
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_accepts_strided_views(self, field):
+        # a transposed operator and a sliced state are views whose last axis
+        # is not contiguous; they are checked like any other array
+        h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -1.0]])
+        m = SIGMA_MINUS.T if field == "lindblad_ops" else h.T
+        spec, copy = (self._spec_with(field, x) for x in (m, np.ascontiguousarray(m)))
+        assert qsl.generic_coefficients(spec) == qsl.generic_coefficients(copy)
+        assert_allclose(integrate(spec, T=0.01).fidelities, integrate(copy, T=0.01).fidelities,
+                        rtol=0, atol=1e-15)
+        psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)[::2]
+        assert_allclose(SystemSpec(psi0=psi, h_drift=h.T).psi0, KET0)
+
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_dimension_error_names_the_field(self, field):
+        message = f"^{self.NAMES[field]} dimension does not match psi0$"
+        with pytest.raises(ValueError, match=message):
+            self._spec_with(field, np.eye(3))
+
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_hermiticity_is_asked_of_hamiltonians_only(self, field):
+        if field == "lindblad_ops":
+            assert self._spec_with(field, SIGMA_MINUS).lindblad_ops[0].shape == (2, 2)
+            return
+        with pytest.raises(ValueError, match=f"^{field} must be Hermitian within 1e-10$"):
+            self._spec_with(field, SIGMA_MINUS)
+
+    @pytest.mark.parametrize("m,rule", [
+        (np.full((2, 3), np.nan), "must be a square matrix"),          # and not finite
+        (np.full((3, 3), np.inf), "entries must be finite"),            # and of the wrong dimension
+        (np.triu(np.ones((3, 3))), "dimension does not match psi0"),   # and not Hermitian
+    ], ids=["square-before-finite", "finite-before-dimension", "dimension-before-hermitian"])
+    @pytest.mark.parametrize("field", ["h_drift", "h_control", "lindblad_ops"])
+    def test_rules_are_checked_in_order(self, field, m, rule):
+        with pytest.raises(ValueError, match=f"^{self.NAMES[field]} {rule}"):
+            self._spec_with(field, m)
 
     def test_rejects_negative_u_max(self):
         with pytest.raises(ValueError, match="u_max"):

@@ -20,16 +20,6 @@ class TestTraceOuterExpectationApply:
 
 
 class TestValidation:
-    def test_as_matrix_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg.as_matrix(np.zeros((2, 3)))
-
-    def test_as_matrix_rejects_nonfinite(self):
-        m = np.eye(2, dtype=complex)
-        m[0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            linalg.as_matrix(m)
-
     def test_as_state_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="unit norm"):
             linalg.as_state(np.array([1.0, 1.0]))

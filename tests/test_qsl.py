@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qslreach import cli, dynamics, qsl
+from qslreach import cli, dynamics, linalg, qsl
 from qslreach.dynamics import SystemSpec, integrate
 from qslreach.models import (
     PAULI_X,
@@ -205,6 +206,24 @@ class TestQslTime:
         t = qsl.qsl_time(coeffs(np.array([a, 1.0]), np.array([e, 1.0])), np.array([0.5, 0.0]))
         assert_allclose(t, [ref, 0.0], rtol=1e-12)
 
+    @pytest.mark.parametrize("a,e,lam,ref", [
+        (1e-10, 1e300, 1.0, 1e-300),                    # was -inf
+        (1e-10, 1e300, 1e-300, 0.0),                    # was nan: lambda^2 / E underflows
+        (1.0, 1.7e308, 0.5, 1.4705882352941176e-309),   # was -inf
+    ])
+    def test_overflowing_noise_over_a_squared(self, a, e, lam, ref):
+        # 2 E / A^2 overflows; T* is then its A -> 0 limit lambda^2 / E
+        # (A lambda / E < 1e-290), finite and >= 0, scalar or array, with no
+        # numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = qsl.qsl_time(coeffs(a, e), lam)
+            ts = qsl.qsl_time(coeffs(np.array([a, 1.0]), np.array([e, 1.0])),
+                              np.array([lam, 0.5]))
+        assert t == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert np.isfinite(ts).all() and ts[0] == t
+        assert ts[1] == qsl.qsl_time(coeffs(1.0, 1.0), 0.5)
+
     @settings(deadline=None)
     @given(
         st.floats(1e-6, 10.0), st.floats(0.0, 10.0),
@@ -327,6 +346,23 @@ class TestMaxReachableRadius:
         assert lam[0] == pytest.approx(a * T / 2.0, rel=1e-15, abs=0.0)
         assert lam[1] == qsl.max_reachable_radius(coeffs(1.0, 1.0), 0.3)
         assert (qsl.qsl_time(c, lam) <= [T, 0.3]).all()
+
+    @pytest.mark.parametrize("T,ref", [(1.0, 1.0), (0.0, 0.0)], ids=["capped", "zero-horizon"])
+    @pytest.mark.parametrize("a,e", [
+        (1e-13, 1e300),   # c underflows to 0 and E / A overflows: was nan
+        (1.0, 1.7e308),   # 2 E overflows, so c read 0: was 0 at T = 1
+    ], ids=["c-underflows", "two-e-overflows"])
+    def test_underflowing_c(self, a, e, T, ref):
+        # the radius is the small-c limit sqrt(E T), capped at 1 (0 at T = 0),
+        # scalar or array, with qsl_time(radius) <= T and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = qsl.max_reachable_radius(coeffs(a, e), T)
+            c = coeffs(np.array([a, 1.0]), np.array([e, 1.0]))
+            lams = qsl.max_reachable_radius(c, np.array([T, 0.3]))
+            assert lam == ref and qsl.qsl_time(coeffs(a, e), lam) <= T
+            assert lams[0] == ref and lams[1] == qsl.max_reachable_radius(coeffs(1.0, 1.0), 0.3)
+            assert (qsl.qsl_time(c, lams) <= [T, 0.3]).all()
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
@@ -660,6 +696,29 @@ class TestStateVectorRoute:
         a, e = adjoint_coefficients(spec)
         for x in (got.speed, got.noise, a, e):
             assert x.max() < qsl.DEGENERACY_EPS
+
+
+class TestOneGenerator:
+    """The bound and the simulation read one generator: A and E of
+    ``generic_coefficients`` (from ``_adjoint_stacks``) are the norm and the
+    rate at t = 0 of the real G that ``integrate`` propagates."""
+
+    @pytest.mark.parametrize("spec", [
+        *(draw_random_system(42, d, range(60)) for d in (1, 2, 3, 4, 8, 16)),
+        qubit_spec(QubitParams(theta=np.linspace(0.0, math.pi, 50), gamma=0.4)),
+        bell_spec("phi-plus", np.linspace(0.01, 4.0, 50)),
+    ], ids=[*(f"random-d{d}" for d in (1, 2, 3, 4, 8, 16)), "sweep", "bell"])
+    def test_speed_and_noise_read_the_generator(self, spec):
+        # x_0 G holds the coordinates of L^dag(rho_0), in an orthonormal
+        # basis, so A = sqrt(2) ||x_0 G||; and -dF/dt at t = 0 is
+        # -<psi_0| L(rho_0) |psi_0> = E
+        got = qsl.generic_coefficients(spec)
+        rho0 = np.broadcast_to(linalg.outer(spec.psi0), spec.shape + (spec.dim,) * 2)
+        x0_g = np.einsum("bj,bjk->bk", dynamics._to_coords(rho0), dynamics._generator(spec))
+        a = math.sqrt(2.0) * np.linalg.norm(x0_g, axis=-1)
+        e = -integrate(spec, T=1e-3, dt=1e-3).fidelity_rates[..., 0]
+        for ref, value in ((a, got.speed), (e, got.noise)):
+            assert (np.abs(value - ref) <= 1e-12 * np.maximum(1.0, ref)).all()
 
 
 class TestClosedSystemRadiusBound:
